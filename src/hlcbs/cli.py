@@ -2,8 +2,9 @@
 zeta values, table generation, and the verification harness.
 
 Rational arguments are written as "P/Q" (decimal strings like "0.25" are
-also accepted and parsed exactly).  Exit codes: 0 success, 1 domain error,
-2 verification failure.
+also accepted and parsed exactly).  Numeric values print only the digits
+their error bound certifies.  Exit codes: 0 success, 1 domain error (a
+precision below 32 bits included), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from . import closedform, polyfam, series, verify
 from .exact import DomainError
@@ -31,11 +30,6 @@ def _fraction(text: str) -> Fraction:
 
 def _fraction_list(text: str):
     return tuple(_fraction(part) for part in text.split(",") if part.strip())
-
-
-def _nstr(value, precision_bits: int) -> str:
-    digits = max(8, int(precision_bits * 0.301))
-    return mpmath.nstr(value, digits)
 
 
 @dataclass
@@ -75,12 +69,7 @@ def _cmd_zeta(args) -> int:
     elif args.mode == "structured":
         record, numeric = closedform.zeta_structured(k, a, args.precision)
         meta.update({"rational_part": str(record.rational_part), "q_part": str(record.q_part)})
-        out = OutputRecord(
-            "structured",
-            _nstr(numeric.value, args.precision),
-            error_bound=_nstr(numeric.error_bound, 32),
-            metadata=meta,
-        )
+        out = OutputRecord("structured", str(numeric), error_bound=numeric.bound_str(), metadata=meta)
         if args.json:
             _emit(out, True)
         else:
@@ -89,15 +78,7 @@ def _cmd_zeta(args) -> int:
             print(f"value         = {out.value}")
     else:
         numeric = series.zeta_hcb_numeric(1 - k, a, args.precision, args.max_terms)
-        _emit(
-            OutputRecord(
-                "numeric",
-                _nstr(numeric.value, args.precision),
-                error_bound=_nstr(numeric.error_bound, 32),
-                metadata=meta,
-            ),
-            args.json,
-        )
+        _emit(OutputRecord("numeric", str(numeric), error_bound=numeric.bound_str(), metadata=meta), args.json)
     return 0
 
 
@@ -145,10 +126,7 @@ def _cmd_eval(args) -> int:
     else:  # beta
         result = incomplete_beta_numeric(args.z, args.alpha, args.beta, prec)
         meta = {"z": str(args.z), "alpha": str(args.alpha), "beta": str(args.beta), "precision": prec}
-    _emit(
-        OutputRecord("numeric", _nstr(result.value, prec), error_bound=_nstr(result.error_bound, 32), metadata=meta),
-        args.json,
-    )
+    _emit(OutputRecord("numeric", str(result), error_bound=result.bound_str(), metadata=meta), args.json)
     return 0
 
 
@@ -200,17 +178,7 @@ def _cmd_verify(args) -> int:
     config = verify.VerifyConfig(precision_bits=args.precision, seed=args.seed)
     reports = verify.run_all(config, args.checks or None)
     if args.json:
-        payload = [
-            {
-                "check_id": r.check_id,
-                "passed": r.passed,
-                "max_abs_deviation": r.to_json_dict()["max_abs_deviation"],
-                "comparisons": r.comparisons,
-                "elapsed_ms": round(r.elapsed_seconds * 1000.0, 3),
-            }
-            for r in reports
-        ]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     else:
         print(verify.summarize(reports))
     return 0 if all(r.passed for r in reports) else 2

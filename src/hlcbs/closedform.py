@@ -17,6 +17,7 @@ from .floats import BigFloat, context, to_mpf, ulp_scale
 from .hyper import (
     PFQParams,
     central_binomial_reciprocal_seed,
+    check_domain,
     exact_gamma_ratio,
     incomplete_beta_exact,
     incomplete_beta_numeric,
@@ -26,18 +27,32 @@ from .hyper import (
 from .polyfam import p_a_poly, q_poly
 
 
-def _validate(a: Fraction, z: Fraction):
-    if (2 * a).denominator == 1 and a <= 0:
-        raise DomainError(f"a must avoid half-integers <= 0, got {a}")
-    if not 0 <= z < 1:
-        raise DomainError(f"z must lie in [0, 1), got {z}")
-
-
 def _prefactor(ctx, a: Fraction, z):
     """4^a * z^(2a) / C(2a, a) as an mpf."""
     zf = to_mpf(ctx, z)
     recip = central_binomial_reciprocal_seed(ctx, a)
     return ctx.power(ctx.mpf(4), to_mpf(ctx, a)) * ctx.power(zf, 2 * to_mpf(ctx, a)) * recip
+
+
+def _phi_hyper(s: int, a, z, precision_bits: int) -> BigFloat:
+    """Phi(s, a, z) for integer s: the (k+1)Fk form of :func:`phi_pos_hyper`
+    for s >= 1 and its a <-> a+1 mirror, :func:`phi_neg_hyper`, for s <= 0.
+    Either way the prefactor is 4^a a^(-s) z^(2a) / C(2a, a)."""
+    a, z = check_domain(a, z)
+    ctx = context(precision_bits)
+    if z == 0:
+        return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))
+    if s >= 1:
+        upper, lower, copies = a, a + 1, s
+    else:
+        upper, lower, copies = a + 1, a, 1 - s
+    params = PFQParams((Fraction(1),) + (upper,) * copies, (a + Fraction(1, 2),) + (lower,) * (copies - 1), z * z)
+    f = pfq_eval(params, precision_bits + 16)
+    a_power = to_mpf(ctx, a ** abs(s))  # a^-s is applied in one rounding
+    pre = _prefactor(ctx, a, z) / a_power if s >= 1 else _prefactor(ctx, a, z) * a_power
+    value = pre * f.value
+    err = abs(pre) * f.error_bound + 16 * ulp_scale(ctx) * abs(value)
+    return BigFloat(value, precision_bits, err)
 
 
 def phi_pos_hyper(k: int, a, z, precision_bits: int = 128) -> BigFloat:
@@ -49,18 +64,7 @@ def phi_pos_hyper(k: int, a, z, precision_bits: int = 128) -> BigFloat:
     """
     if k < 1:
         raise DomainError(f"phi_pos_hyper needs k >= 1, got {k}")
-    a = as_fraction(a)
-    z = as_fraction(z)
-    _validate(a, z)
-    ctx = context(precision_bits)
-    if z == 0:
-        return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))
-    params = PFQParams((Fraction(1),) + (a,) * k, (a + Fraction(1, 2),) + (a + 1,) * (k - 1), z * z)
-    f = pfq_eval(params, precision_bits + 16)
-    pre = _prefactor(ctx, a, z) / to_mpf(ctx, a**k)
-    value = pre * f.value
-    err = abs(pre) * f.error_bound + 16 * ulp_scale(ctx) * abs(value)
-    return BigFloat(value, precision_bits, err)
+    return _phi_hyper(k, a, z, precision_bits)
 
 
 def phi_neg_hyper(k: int, a, z, precision_bits: int = 128) -> BigFloat:
@@ -72,38 +76,17 @@ def phi_neg_hyper(k: int, a, z, precision_bits: int = 128) -> BigFloat:
     """
     if k < 1:
         raise DomainError(f"phi_neg_hyper needs k >= 1, got {k}")
-    a = as_fraction(a)
-    z = as_fraction(z)
-    _validate(a, z)
-    ctx = context(precision_bits)
-    if z == 0:
-        return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))
-    params = PFQParams((Fraction(1),) + (a + 1,) * k, (a + Fraction(1, 2),) + (a,) * (k - 1), z * z)
-    f = pfq_eval(params, precision_bits + 16)
-    pre = _prefactor(ctx, a, z) * to_mpf(ctx, a ** (k - 1))
-    value = pre * f.value
-    err = abs(pre) * f.error_bound + 16 * ulp_scale(ctx) * abs(value)
-    return BigFloat(value, precision_bits, err)
+    return _phi_hyper(1 - k, a, z, precision_bits)
 
 
 def phi_one_closed(a, z, precision_bits: int = 128) -> BigFloat:
     """Phi(1, a, z) through the Euler-transformed Gauss series.
 
     Phi(1,a,z) = 4^a/(C(2a,a) a) * z^(2a)/sqrt(1-z^2)
-                 * 2F1(1/2, a-1/2; a+1/2; z^2).
+                 * 2F1(1/2, a-1/2; a+1/2; z^2),
+    which is :func:`phi_neg_closed` at k = 0.
     """
-    a = as_fraction(a)
-    z = as_fraction(z)
-    _validate(a, z)
-    ctx = context(precision_bits)
-    if z == 0:
-        return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))
-    f = pfq_eval(PFQParams((Fraction(1, 2), a - Fraction(1, 2)), (a + Fraction(1, 2),), z * z), precision_bits + 16)
-    zf = to_mpf(ctx, z)
-    pre = _prefactor(ctx, a, z) / to_mpf(ctx, a) / ctx.sqrt(1 - zf * zf)
-    value = pre * f.value
-    err = abs(pre) * f.error_bound + 16 * ulp_scale(ctx) * abs(value)
-    return BigFloat(value, precision_bits, err)
+    return phi_neg_closed(0, a, z, precision_bits)
 
 
 def phi_neg_closed(k: int, a, z, precision_bits: int = 128) -> BigFloat:
@@ -112,13 +95,11 @@ def phi_neg_closed(k: int, a, z, precision_bits: int = 128) -> BigFloat:
     2^(k-1) Phi(1-k,a,z) = 4^a z^(2a) / (2a C(2a,a) (1-z^2)^(k+1/2))
         * ( (2a-1) sqrt(1-z^2) p_{k-1}(a, z^2)
             + 2F1(1/2, a-1/2; a+1/2; z^2) q_{k-1}(z^2) ).
-    Reduces to :func:`phi_one_closed` at k = 0 (p_{-1} = 0, q_{-1} = 1).
+    At k = 0 (p_{-1} = 0, q_{-1} = 1) this is :func:`phi_one_closed`.
     """
     if k < 0:
         raise DomainError(f"phi_neg_closed needs k >= 0, got {k}")
-    a = as_fraction(a)
-    z = as_fraction(z)
-    _validate(a, z)
+    a, z = check_domain(a, z)
     ctx = context(precision_bits)
     if z == 0:
         return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))

@@ -14,13 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .floats import BigFloat, context, to_mpf, ulp_scale
+from .floats import BigFloat, DomainError, context, to_mpf, ulp_scale
 
 Rational = Fraction
-
-
-class DomainError(ValueError):
-    """An argument lies outside an operation's mathematical domain."""
 
 
 class MultiplicationOutOfBasis(ArithmeticError):
@@ -452,8 +448,6 @@ class PiExtValue:
 
 def piext_to_float(value: PiExtValue, precision_bits: int = 128) -> BigFloat:
     """Numeric image of an exact value, with pi and sqrt3 at guard precision."""
-    if precision_bits < 32:
-        raise DomainError("precision_bits must be >= 32")
     ctx = context(precision_bits)
     sqrt3 = ctx.sqrt(3)
     terms = (

@@ -1,23 +1,25 @@
 """Generalized hypergeometric evaluation with rigorous truncation bounds,
-plus incomplete beta (numeric and exact at the special parameters) and
-real-argument central binomial coefficients.
+plus incomplete beta (numeric and exact at the special parameters),
+real-argument central binomial coefficients, and the one domain check on
+(a, z) shared by the series and its closed forms.
 
-The pFq evaluator sums the defining series and stops only once a provable
-geometric tail bound falls below the target: each ratio factor
-(alpha+n)/(beta+n) is monotone in n with limit 1, so past any index N the
-term ratio is bounded by |z| * prod_c max(h_c(N), 1).  The returned
-:class:`BigFloat` carries that tail bound plus a conservative rounding term.
+The pFq evaluator supplies the terms of the defining series to the one
+summation kernel, :func:`hlcbs.floats.tail_bounded_sum`, which stops only
+once a provable geometric tail bound falls below the target: each ratio
+factor (alpha+n)/(beta+n) is monotone in n with limit 1, so past any index N
+the term ratio is bounded by |z| * prod_c max(h_c(N), 1).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import DomainError, PiExtValue, as_fraction
-from .floats import BigFloat, context, to_mpf, ulp_scale
+from .floats import BigFloat, BudgetExceeded, context, tail_bounded_sum, to_mpf, ulp_scale
 
 
 class LowerParamPole(DomainError):
@@ -29,10 +31,27 @@ class NoConvergence(DomainError):
 
 
 class PoleError(DomainError):
-    """Central binomial coefficient requested at a gamma pole."""
+    """a is a half-integer <= 0, where the series meets gamma poles."""
 
 
 _MAX_PFQ_TERMS = 200_000
+
+
+def check_domain(a, z=0):
+    """The series' (a, z) as Fractions, after checking their domain.
+
+    a must avoid the half-integers <= 0 (:class:`PoleError`), where the
+    gammas in C(2a, a) or the first term's (n+a)^s meet a pole; z must be an
+    exact rational in [0, 1).  Floats are rejected, as :func:`as_fraction`
+    documents.
+    """
+    a = as_fraction(a)
+    z = as_fraction(z)
+    if (2 * a).denominator == 1 and a <= 0:
+        raise PoleError(f"a must avoid half-integers <= 0, got {a}")
+    if not 0 <= z < 1:
+        raise DomainError(f"z must lie in [0, 1), got {z}")
+    return a, z
 
 
 def pochhammer(alpha, n: int) -> Fraction:
@@ -80,57 +99,47 @@ def _ratio_pairs(upper, lower):
     return list(zip(ups, lows))
 
 
-def pfq_eval(params: PFQParams, precision_bits: int = 128) -> BigFloat:
-    """Sum the pFq series at |z| < 1 with a guaranteed error bound."""
-    z = params.z
-    if abs(z) >= 1:
-        raise NoConvergence(f"pFq series needs |z| < 1, got z = {z}")
-    ctx = context(precision_bits)
-    zf = to_mpf(ctx, z)
+def _pfq_terms(ctx, params: PFQParams):
+    """Yield (t_n, rho_n) of the series from t_0 = 1; stop at a zero term."""
+    zf = to_mpf(ctx, params.z)
     pairs = _ratio_pairs(params.upper, params.lower)
     # below n_safe a ratio factor may still be negative or non-monotone
     n_safe = 1 + max(
         [0] + [math.ceil(-u) for u, _ in pairs if u < 0] + [math.ceil(-l) for _, l in pairs if l < 0]
     )
-    target_rel = ctx.ldexp(1, -(precision_bits + 8))
-
     term = ctx.mpf(1)
-    total = ctx.mpf(1)
-    abs_sum = ctx.mpf(1)
-    tail_bound = None
-    n_used = 0
-    for n in range(_MAX_PFQ_TERMS):
-        # rigorous tail bound after the term just added: each (u+m)/(l+m) is
-        # monotone with limit 1 for m >= n, so it is capped by max(value, 1)
+    for n in itertools.count():
+        # each (u+m)/(l+m) is monotone with limit 1 for m >= n, so it is
+        # capped by max(value, 1)
+        rho = None
         if n >= n_safe:
             rho = abs(zf)
             for u, l in pairs:
                 h = (u + n) / (l + n)
                 if h > 1:
                     rho *= to_mpf(ctx, h)
-            rho *= 1 + ctx.ldexp(1, -24)  # absorb rounding of the cap itself
-            if rho < 1:
-                bound = abs(term) * rho / (1 - rho)
-                if bound <= target_rel * max(abs(total), ctx.mpf(1)):
-                    tail_bound = bound
-                    n_used = n
-                    break
+        yield term, rho
         ratio = Fraction(1, n + 1)
         for u in params.upper:
             ratio *= u + n
         for l in params.lower:
             ratio /= l + n
         term = term * to_mpf(ctx, ratio) * zf
-        total += term
-        abs_sum += abs(term)
-        if term == 0:
-            tail_bound = ctx.mpf(0)
-            n_used = n + 1
-            break
-    if tail_bound is None:
-        raise NoConvergence(f"tail bound not reached within {_MAX_PFQ_TERMS} terms")
-    rounding = (3 * n_used + 8) * ulp_scale(ctx) * abs_sum
-    return BigFloat(total, precision_bits, tail_bound + rounding)
+        if term == 0:  # an upper parameter reached 0: the series terminated
+            return
+
+
+def pfq_eval(params: PFQParams, precision_bits: int = 128) -> BigFloat:
+    """Sum the pFq series at |z| < 1 with a guaranteed error bound."""
+    if abs(params.z) >= 1:
+        raise NoConvergence(f"pFq series needs |z| < 1, got z = {params.z}")
+    ctx = context(precision_bits)
+    target = ctx.ldexp(1, -(precision_bits + 8))
+    try:
+        total, bound, _ = tail_bounded_sum(ctx, _pfq_terms(ctx, params), target, _MAX_PFQ_TERMS)
+    except BudgetExceeded as exc:
+        raise NoConvergence(f"tail bound not reached within {_MAX_PFQ_TERMS} terms") from exc
+    return BigFloat(total, precision_bits, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -145,11 +154,9 @@ def incomplete_beta_numeric(z, alpha, beta, precision_bits: int = 128) -> BigFlo
     """
     alpha = as_fraction(alpha)
     beta = as_fraction(beta)
-    z = as_fraction(z)
     if alpha <= 0 or beta <= 0:
         raise DomainError(f"incomplete beta needs alpha, beta > 0, got {alpha}, {beta}")
-    if not 0 <= z < 1:
-        raise DomainError(f"incomplete beta implemented for 0 <= z < 1, got {z}")
+    alpha, z = check_domain(alpha, z)
     ctx = context(precision_bits)
     if z == 0:
         return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))
@@ -190,10 +197,6 @@ def incomplete_beta_exact(alpha) -> PiExtValue:
 # real-argument central binomial coefficients and exact gamma ratios
 
 
-def _is_half_integer_nonpositive(a: Fraction) -> bool:
-    return (2 * a).denominator == 1 and a <= 0
-
-
 def central_binomial_exact(a: int) -> Fraction:
     """C(2a, a) for integer a >= 1, exactly."""
     if a < 1:
@@ -203,9 +206,7 @@ def central_binomial_exact(a: int) -> Fraction:
 
 def real_central_binomial(a, precision_bits: int = 128) -> BigFloat:
     """C(2a, a) = Gamma(2a+1)/Gamma(a+1)^2 for real a outside the poles."""
-    a = as_fraction(a)
-    if _is_half_integer_nonpositive(a):
-        raise PoleError(f"central binomial has a gamma pole at a = {a}")
+    a, _ = check_domain(a)
     ctx = context(precision_bits)
     af = to_mpf(ctx, a)
     value = ctx.gamma(2 * af + 1) / ctx.gamma(af + 1) ** 2

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 EXACT = "exact"
 
@@ -23,7 +23,6 @@ class CheckReport:
     tolerance: object
     passed: bool
     elapsed_seconds: float = 0.0
-    details: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         dev = self.max_abs_deviation
@@ -50,7 +49,7 @@ class Tally:
         self.exact_failures = 0
         self.saw_numeric = False
 
-    def exact(self, ok: bool, note: str = ""):
+    def exact(self, ok: bool):
         self.comparisons += 1
         if not ok:
             self.exact_failures += 1

@@ -6,31 +6,27 @@ compared against the sums computed here.  The series is
     Phi(s, a, z) = sum_{n>=0} (2z)^(2(n+a)) / ( C(2(n+a), n+a) (n+a)^s ),
 
 with the real-argument binomial C(x,y) = Gamma(x+1)/(Gamma(y+1) Gamma(x-y+1)).
-The reciprocal binomial obeys r(nu+1) = r(nu) (nu+1)/(2(2nu+1)), so each term
-costs one rational update; the term ratio tends to z^2, which yields a
-provable geometric tail bound (see :func:`phi_numeric`).
+Each term is built from this definition, never from a closed form: the
+power of 2z, the reciprocal binomial updated by r(nu+1) = r(nu)
+(nu+1)/(2(2nu+1)), and nu^-s.  The term ratio tends to z^2, which yields a
+provable geometric tail bound; the one summation kernel,
+:func:`hlcbs.floats.tail_bounded_sum`, stops on it and states the error bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, as_fraction
-from .floats import BigFloat, context, to_mpf, ulp_scale
-from .hyper import central_binomial_reciprocal_seed
+from .floats import BigFloat, context, tail_bounded_sum, to_mpf
+from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
+from .hyper import central_binomial_reciprocal_seed, check_domain
 from .report import CheckReport, Tally
 
 DEFAULT_MAX_TERMS = 10_000
-
-
-class BudgetExceeded(RuntimeError):
-    """The requested error bound was not met within max_terms."""
-
-
-def _is_half_integer_nonpositive(a: Fraction) -> bool:
-    return (2 * a).denominator == 1 and a <= 0
 
 
 def _is_integer(x) -> bool:
@@ -47,75 +43,61 @@ class SeriesQuery:
     precision_bits: int = 128
     max_terms: int = DEFAULT_MAX_TERMS
 
-    def __init__(self, s, a, z, precision_bits=128, max_terms=DEFAULT_MAX_TERMS):
-        a = as_fraction(a)
-        z = as_fraction(z) if not isinstance(z, float) else Fraction(z)
-        if _is_half_integer_nonpositive(a):
-            raise DomainError(f"a must avoid half-integers <= 0, got {a}")
-        if not 0 <= z < 1:
-            raise DomainError(f"z must lie in [0, 1), got {z}")
-        if a < 0 and not _is_integer(s):
+    def __post_init__(self):
+        a, z = check_domain(self.a, self.z)
+        if a < 0 and not _is_integer(self.s):
             raise DomainError("negative a needs integer s (negative bases in (n+a)^s)")
-        if precision_bits < 32:
-            raise DomainError("precision_bits must be >= 32")
-        if max_terms < 1:
+        if self.max_terms < 1:
             raise DomainError("max_terms must be positive")
-        object.__setattr__(self, "s", s)
+        context(self.precision_bits)  # rejects a precision below MIN_PRECISION_BITS
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "precision_bits", precision_bits)
-        object.__setattr__(self, "max_terms", max_terms)
 
 
-def _phi_sum(ctx, s, a, z, max_terms, target_scale, allow_shifted=False):
-    """Core summation; returns (value, error_bound, terms_used).
+def _phi_terms(ctx, s, a, z, n_start=0):
+    """Yield (T_n, rho_n) for n >= n_start, T_n built from the definition.
 
-    With ``allow_shifted`` the shifted half-integer a <= 0 is admitted: its
-    leading terms vanish because the reciprocal binomial sits on gamma poles.
+    For nu = n + a > 0 past the first term, the ratio |T_{m+1}/T_m| for
+    m >= n is capped by z^2 (1 + 1/(2 nu + 1)) max(1, (nu/(nu+1))^s): both
+    factors are monotone.
     """
+    if z == 0:  # every term vanishes, and so does the tail
+        yield from itertools.repeat((ctx.mpf(0), ctx.mpf(0)))
     zf = to_mpf(ctx, z)
-    if z == 0:
-        return ctx.mpf(0), ctx.mpf(0), 0
     four_z_sq = (2 * zf) ** 2
     s_int = int(s) if _is_integer(s) else None
     sf = None if s_int is not None else to_mpf(ctx, s)
-
-    n_start = 0
-    if allow_shifted and a <= 0:
-        # reciprocal binomial vanishes while 2(n+a)+1 <= 0
-        while 2 * (n_start + a) + 1 <= 0:
-            n_start += 1
     recip = central_binomial_reciprocal_seed(ctx, a + n_start)
     power = ctx.power(2 * zf, 2 * to_mpf(ctx, a + n_start))
-
-    total = ctx.mpf(0)
-    abs_sum = ctx.mpf(0)
-    slack = 1 + ctx.ldexp(1, -24)
-    for n in range(n_start, n_start + max_terms):
+    for n in itertools.count(n_start):
         nu = a + n
         nuf = to_mpf(ctx, nu)
         if s_int is not None:
             nu_pow = to_mpf(ctx, nu ** (-s_int))
         else:
             nu_pow = ctx.power(nuf, -sf)
-        term = power * recip * nu_pow
-        total += term
-        abs_sum += abs(term)
-        # ratio of |T_{m+1}/T_m| for m >= n is capped by
-        # z^2 (1 + 1/(2 nu + 1)) max(1, (nu/(nu+1))^s): both factors monotone
+        rho = None
         if nu > 0 and n > n_start:
             rho = four_z_sq / 4 * to_mpf(ctx, (4 * nu + 4) / (4 * nu + 2))
             if (s_int is not None and s_int < 0) or (s_int is None and s < 0):
                 rho *= ctx.power(nuf / (nuf + 1), to_mpf(ctx, s))
-            rho *= slack
-            if rho < 1:
-                bound = abs(term) * rho / (1 - rho)
-                if bound <= target_scale * max(abs(total), ctx.mpf(1)):
-                    rounding = (3 * (n - n_start) + 12) * ulp_scale(ctx) * abs_sum
-                    return total, bound + rounding, n - n_start + 1
+        yield power * recip * nu_pow, rho
         power *= four_z_sq
         recip *= to_mpf(ctx, (nu + 1) / (2 * (2 * nu + 1)))
-    raise BudgetExceeded(f"error bound not met within {max_terms} terms")
+
+
+def _phi_sum(ctx, s, a, z, max_terms, target_scale, allow_shifted=False):
+    """Sum the series; returns (value, error_bound, terms_used).
+
+    With ``allow_shifted`` the shifted half-integer a <= 0 is admitted: its
+    leading terms vanish because the reciprocal binomial sits on gamma poles.
+    """
+    n_start = 0
+    if allow_shifted and a <= 0:
+        # reciprocal binomial vanishes while 2(n+a)+1 <= 0
+        while 2 * (n_start + a) + 1 <= 0:
+            n_start += 1
+    return tail_bounded_sum(ctx, _phi_terms(ctx, s, a, z, n_start), target_scale, max_terms)
 
 
 def phi_numeric(query: SeriesQuery) -> BigFloat:
@@ -128,24 +110,8 @@ def phi_numeric(query: SeriesQuery) -> BigFloat:
 
 def phi_terms(query: SeriesQuery, count: int):
     """First ``count`` series terms as mpf values (diagnostic/monotonicity aid)."""
-    ctx = context(query.precision_bits)
-    zf = to_mpf(ctx, query.z)
-    if query.z == 0:
-        return [ctx.mpf(0)] * count
-    recip = central_binomial_reciprocal_seed(ctx, query.a)
-    power = ctx.power(2 * zf, 2 * to_mpf(ctx, query.a))
-    s_int = int(query.s) if _is_integer(query.s) else None
-    out = []
-    for n in range(count):
-        nu = query.a + n
-        if s_int is not None:
-            nu_pow = to_mpf(ctx, nu ** (-s_int))
-        else:
-            nu_pow = ctx.power(to_mpf(ctx, nu), -to_mpf(ctx, query.s))
-        out.append(power * recip * nu_pow)
-        power *= (2 * zf) ** 2
-        recip *= to_mpf(ctx, (nu + 1) / (2 * (2 * nu + 1)))
-    return out
+    terms = _phi_terms(context(query.precision_bits), query.s, query.a, query.z)
+    return [term for term, _ in itertools.islice(terms, count)]
 
 
 def zeta_hcb_numeric(s, a, precision_bits: int = 128, max_terms: int = DEFAULT_MAX_TERMS) -> BigFloat:

@@ -72,42 +72,18 @@ def _check_lehmer1(cfg):
     return f"z in {{{', '.join(str(z) for z in zs)}}}", tally
 
 
-def _weighted_series(ctx, k, z, precision_bits):
-    """sum_{n>=1} (2n)^(k-1) (2z)^(2n) / C(2n,n), summed directly."""
-    zf = to_mpf(ctx, z)
-    term = to_mpf(ctx, Fraction(2) ** (k - 1) * Fraction(4, 2)) * zf * zf  # n = 1
-    total = term
-    abs_sum = abs(term)
-    n = 1
-    target = ctx.ldexp(1, -(precision_bits + 8))
-    while True:
-        # ratio factors are monotone with limit 1 (and z^2), as in phi_numeric
-        growth = Fraction(n + 1, n) ** (k - 1)
-        rho = zf * zf * to_mpf(ctx, Fraction(4 * n + 4, 4 * n + 2) * max(growth, Fraction(1)))
-        rho *= 1 + ctx.ldexp(1, -24)
-        if rho < 1:
-            bound = abs(term) * rho / (1 - rho)
-            if bound <= target * max(abs(total), ctx.mpf(1)):
-                rounding = (3 * n + 12) * ulp_scale(ctx) * abs_sum
-                return total, bound + rounding
-        ratio = growth * Fraction(n + 1, 2 * (2 * n + 1))
-        term = term * to_mpf(ctx, ratio) * (2 * zf) ** 2
-        total += term
-        abs_sum += abs(term)
-        n += 1
-        if n > 100_000:
-            raise series.BudgetExceeded("weighted series did not meet its bound")
-
-
 def _check_lehmer2(cfg):
-    """Weighted series against the arcsine polynomial ladder; exact zeta membership."""
+    """sum_{n>=1} (2n)^(k-1) (2z)^(2n) / C(2n,n) against the arcsine polynomial
+    ladder; exact zeta membership."""
     ctx = context(cfg.precision_bits)
     ks = cfg.grid_get("k", [0, 1, 2, 3, 4])
     zs = cfg.grid_get("z", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 5)])
     tally = Tally()
     for k in ks:
         for z in zs:
-            lhs, lhs_err = _weighted_series(ctx, k, z, cfg.precision_bits)
+            # the weighted series is exactly 2^(k-1) Phi(1-k, 1, z)
+            phi = series.phi_numeric(series.SeriesQuery(1 - k, Fraction(1), z, cfg.precision_bits))
+            lhs, lhs_err = ctx.ldexp(phi.value, k - 1), ctx.ldexp(phi.error_bound, k - 1)
             zf = to_mpf(ctx, z)
             zsq = z * z
             p_val = to_mpf(ctx, polyfam.p_poly(k - 1)(zsq))
@@ -128,35 +104,30 @@ def _check_lehmer2(cfg):
     return f"k in {ks}, z in {{{', '.join(str(z) for z in zs)}}}; exact membership k <= 6", tally
 
 
+def _closed_vs_series(cfg, closed, s_of_k, defaults):
+    """closed(k, a, z) against the series at s = s_of_k(k) over a k x a x z grid."""
+    tally = Tally()
+    ks = cfg.grid_get("k", defaults["k"])
+    az = cfg.grid_get("a", defaults["a"])
+    zs = cfg.grid_get("z", defaults["z"])
+    for k in ks:
+        for a in az:
+            for z in zs:
+                lhs = closed(k, a, z, cfg.precision_bits)
+                rhs = series.phi_numeric(series.SeriesQuery(s_of_k(k), a, z, cfg.precision_bits))
+                tally.numeric(abs(lhs.value - rhs.value), cfg.tol(2 * (lhs.error_bound + rhs.error_bound)))
+    return f"k in {ks}, a in {{{', '.join(str(a) for a in az)}}}, z in {{{', '.join(str(z) for z in zs)}}}", tally
+
+
 _PROP1_GRID = dict(k=[1, 2, 3], a=[Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)], z=[Fraction(1, 5), Fraction(1, 2)])
 
 
 def _check_prop1_pos(cfg):
-    tally = Tally()
-    ks = cfg.grid_get("k", _PROP1_GRID["k"])
-    az = cfg.grid_get("a", _PROP1_GRID["a"])
-    zs = cfg.grid_get("z", _PROP1_GRID["z"])
-    for k in ks:
-        for a in az:
-            for z in zs:
-                lhs = closedform.phi_pos_hyper(k, a, z, cfg.precision_bits)
-                rhs = series.phi_numeric(series.SeriesQuery(k, a, z, cfg.precision_bits))
-                tally.numeric(abs(lhs.value - rhs.value), cfg.tol(2 * (lhs.error_bound + rhs.error_bound)))
-    return f"k in {ks}, a in {{{', '.join(str(a) for a in az)}}}, z in {{{', '.join(str(z) for z in zs)}}}", tally
+    return _closed_vs_series(cfg, closedform.phi_pos_hyper, lambda k: k, _PROP1_GRID)
 
 
 def _check_prop1_neg(cfg):
-    tally = Tally()
-    ks = cfg.grid_get("k", _PROP1_GRID["k"])
-    az = cfg.grid_get("a", _PROP1_GRID["a"])
-    zs = cfg.grid_get("z", _PROP1_GRID["z"])
-    for k in ks:
-        for a in az:
-            for z in zs:
-                lhs = closedform.phi_neg_hyper(k, a, z, cfg.precision_bits)
-                rhs = series.phi_numeric(series.SeriesQuery(1 - k, a, z, cfg.precision_bits))
-                tally.numeric(abs(lhs.value - rhs.value), cfg.tol(2 * (lhs.error_bound + rhs.error_bound)))
-    return f"k in {ks}, a in {{{', '.join(str(a) for a in az)}}}, z in {{{', '.join(str(z) for z in zs)}}}", tally
+    return _closed_vs_series(cfg, closedform.phi_neg_hyper, lambda k: 1 - k, _PROP1_GRID)
 
 
 def _check_diff_relation(cfg):
@@ -200,47 +171,42 @@ def _check_thm31(cfg):
 
 
 def _check_ode_phi1(cfg):
-    """First-order ODE for the s = 1 slice, via central differences.
+    """First-order ODE for the s = 1 slice.
 
     (1-z^2) z Phi'(1,a,z) - Phi(1,a,z) = (2a-1) z^(2a) * 4^a/(a C(2a,a)):
-    the prefactor normalizes the plain hypergeometric solution to Phi.
+    the prefactor normalizes the plain hypergeometric solution to Phi.  With
+    z Phi'(s) = 2 Phi(s-1), which diff_relation proves term by term, the left
+    side is (1-z^2) 2 Phi(0,a,z) - Phi(1,a,z): two oracle sums, no step.
     """
     from .hyper import central_binomial_reciprocal_seed
 
     tally = Tally()
     az = cfg.grid_get("a", [Fraction(1), Fraction(3, 2), Fraction(2)])
     zs = cfg.grid_get("z", [Fraction(1, 5), Fraction(2, 5)])
-    work_bits = cfg.precision_bits + 64
-    ctx = context(work_bits)
-    h = Fraction(1, 2**20)
-    hf = to_mpf(ctx, h)
+    ctx = context(cfg.precision_bits)
     for a in az:
         for z in zs:
-            def phi1(zz):
-                return series.phi_numeric(series.SeriesQuery(1, a, zz, work_bits)).value
-
+            phi0 = series.phi_numeric(series.SeriesQuery(0, a, z, cfg.precision_bits))
+            phi1 = series.phi_numeric(series.SeriesQuery(1, a, z, cfg.precision_bits))
             zf = to_mpf(ctx, z)
-            d = (phi1(z + h) - phi1(z - h)) / (2 * hf)
-            lhs = (1 - zf * zf) * zf * d - phi1(z)
+            lhs = (1 - zf * zf) * 2 * phi0.value - phi1.value
             pref = ctx.power(ctx.mpf(4), to_mpf(ctx, a)) * central_binomial_reciprocal_seed(ctx, a) / to_mpf(ctx, a)
             rhs = to_mpf(ctx, 2 * a - 1) * ctx.power(zf, 2 * to_mpf(ctx, a)) * pref
-            tally.numeric(abs(lhs - rhs), cfg.tol(ctx.mpf(10) ** -8))
-    return f"a in {{{', '.join(str(a) for a in az)}}}, z in {{{', '.join(str(z) for z in zs)}}}, h = 2^-20", tally
+            lhs_err = (1 - zf * zf) * 2 * phi0.error_bound + phi1.error_bound + _closed_side_err(ctx, phi1.value)
+            tally.numeric(abs(lhs - rhs), cfg.tol(2 * (lhs_err + _closed_side_err(ctx, rhs))))
+    return f"a in {{{', '.join(str(a) for a in az)}}}, z in {{{', '.join(str(z) for z in zs)}}}", tally
+
+
+_ZENKA_GRID = dict(
+    k=[0, 1, 2, 3, 4],
+    a=[Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 2)],
+    z=[Fraction(1, 5), Fraction(1, 2)],
+)
 
 
 def _check_zenka(cfg):
     """Polynomial-ladder closed form vs series at mixed (k, a, z)."""
-    tally = Tally()
-    ks = cfg.grid_get("k", [0, 1, 2, 3, 4])
-    az = cfg.grid_get("a", [Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 2)])
-    zs = cfg.grid_get("z", [Fraction(1, 5), Fraction(1, 2)])
-    for k in ks:
-        for a in az:
-            for z in zs:
-                lhs = closedform.phi_neg_closed(k, a, z, cfg.precision_bits)
-                rhs = series.phi_numeric(series.SeriesQuery(1 - k, a, z, cfg.precision_bits))
-                tally.numeric(abs(lhs.value - rhs.value), cfg.tol(2 * (lhs.error_bound + rhs.error_bound)))
-    return f"k in {ks}, a in {{{', '.join(str(a) for a in az)}}}, z in {{{', '.join(str(z) for z in zs)}}}", tally
+    return _closed_vs_series(cfg, closedform.phi_neg_closed, lambda k: 1 - k, _ZENKA_GRID)
 
 
 def _check_ptoE(cfg):

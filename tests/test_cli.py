@@ -46,6 +46,11 @@ class TestZetaCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_structured_precision_below_minimum(self, capsys):
+        code, _, err = run_cli(capsys, "zeta", "--k", "2", "--a", "5/4", "--structured", "--precision", "16")
+        assert code == 1
+        assert err.startswith("error: precision_bits must be >= 32")
+
 
 class TestPolyCommand:
     def test_q_golden(self, capsys):
@@ -99,6 +104,24 @@ class TestEvalCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_pfq_precision_below_minimum(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "pfq", "--upper", "1,1/2", "--lower", "3/2", "--z", "1/4", "--precision", "16")
+        assert code == 1
+        assert err.startswith("error: precision_bits must be >= 32")
+
+    def test_beta_precision_below_minimum(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "beta", "--z", "1/4", "--alpha", "1/2", "--beta", "1/2", "--precision", "8")
+        assert code == 1
+        assert err.startswith("error: precision_bits must be >= 32")
+
+    def test_prints_only_certified_digits(self, capsys):
+        # the bound 1.7e-45 on 1.18e-30 certifies 14 significant digits
+        code, out, _ = run_cli(capsys, "eval", "phi", "--s", "60", "--a", "3", "--z", "1/2", "--json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] == "1.1794912545437e-30"
+        assert record["error_bound"] == "1.71565715e-45"
+
 
 class TestTableCommand:
     def test_poly_bernoulli_reproduces_reference_grid(self, capsys):
@@ -138,7 +161,15 @@ class TestVerifyCommand:
         assert payload[0]["check_id"] == "bm1"
         assert payload[0]["passed"] is True
         assert payload[0]["max_abs_deviation"] == "exact"
-        assert set(payload[0]) == {"check_id", "passed", "max_abs_deviation", "comparisons", "elapsed_ms"}
+        assert set(payload[0]) == {
+            "check_id",
+            "passed",
+            "max_abs_deviation",
+            "tolerance",
+            "comparisons",
+            "parameter_grid",
+            "elapsed_ms",
+        }
 
     def test_unknown_check_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "verify", "definitely_not_a_check")

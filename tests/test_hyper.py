@@ -105,6 +105,39 @@ class TestPFQ:
         assert abs(lo.value - hi.value) <= lo.error_bound
 
 
+def _mp(ctx, x):
+    return ctx.mpf(x.numerator) / x.denominator
+
+
+class TestPFQAgainstMpmath:
+    """mpmath.hyper at 64 extra bits as an outside opinion on the kernel."""
+
+    @pytest.mark.parametrize(
+        "upper,lower,z,precision",
+        [
+            ((F(1), F(1, 2)), (F(3, 2),), F(1, 4), 128),
+            ((F(1), F(5, 4), F(5, 4)), (F(7, 4), F(9, 4)), F(1, 4), 512),
+            ((F(1), F(7, 2), F(7, 2), F(7, 2)), (F(4), F(9, 2), F(9, 2)), F(81, 100), 128),
+            ((F(1, 2), F(1, 2)), (F(1),), F(-1, 3), 192),
+            # terminating: an upper parameter 0 or a negative integer
+            ((F(0), F(5, 4)), (F(7, 4),), F(1, 2), 128),
+            ((F(-3), F(1, 2)), (F(3, 2),), F(9, 10), 128),
+            ((F(-7), F(2, 3), F(1, 5)), (F(3, 7), F(5, 2)), F(-2, 3), 256),
+            # n_safe > 1: a negative non-integer parameter keeps early ratios non-monotone
+            ((F(-5, 2), F(1)), (F(1, 3),), F(1, 2), 128),
+            ((F(1), F(1)), (F(-3, 2),), F(1, 3), 128),
+            ((F(-9, 4), F(3, 2)), (F(-7, 3),), F(3, 5), 256),
+        ],
+    )
+    def test_contains_mpmath_hyper(self, upper, lower, z, precision):
+        out = pfq_eval(PFQParams(upper, lower, z), precision)
+        ref_ctx = mpmath.mp.clone()
+        ref_ctx.prec = precision + 64
+        ref = ref_ctx.hyper([_mp(ref_ctx, u) for u in upper], [_mp(ref_ctx, l) for l in lower], _mp(ref_ctx, z))
+        assert abs(out.value - ref) <= out.error_bound
+        assert out.error_bound <= abs(ref) * ref_ctx.ldexp(1, -precision)
+
+
 class TestIncompleteBetaNumeric:
     def test_empty_integral(self):
         assert incomplete_beta_numeric(F(0), F(1, 2), F(1, 2)).value == 0

@@ -46,6 +46,18 @@ class TestSeriesQuery:
         with pytest.raises(DomainError):
             SeriesQuery(1, F(1), F(1, 4), precision_bits=8)
 
+    def test_float_parameters_rejected(self):
+        # a and z must be exact, as everywhere else in the kit
+        from hlcbs.closedform import phi_pos_hyper
+        from hlcbs.hyper import incomplete_beta_numeric
+
+        with pytest.raises(TypeError):
+            SeriesQuery(1, F(1), 0.25)
+        with pytest.raises(TypeError):
+            phi_pos_hyper(1, F(1), 0.25)
+        with pytest.raises(TypeError):
+            incomplete_beta_numeric(0.25, F(1, 2), F(1, 2))
+
     def test_negative_a_with_integer_s_allowed(self):
         q = SeriesQuery(0, F(-1, 4), F(1, 4))
         assert phi_numeric(q).value != 0
