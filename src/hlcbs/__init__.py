@@ -58,8 +58,6 @@ from .report import CheckReport
 from .series import (
     BudgetExceeded,
     SeriesQuery,
-    euler_operator_check,
-    half_integer_shift_check,
     phi_numeric,
     phi_terms,
     zeta_hcb_numeric,
@@ -92,9 +90,7 @@ __all__ = [
     "central_binomial_exact",
     "eulerian",
     "eulerian_gf_oracle",
-    "euler_operator_check",
     "exact_gamma_ratio",
-    "half_integer_shift_check",
     "incomplete_beta_exact",
     "incomplete_beta_numeric",
     "p_a_poly",

@@ -138,13 +138,11 @@ def euler_transform_defect(n: int, a) -> Fraction:
     if (2 * a).denominator == 1:
         raise DomainError("a on the half-integer lattice makes a denominator vanish")
     half = Fraction(1, 2)
+    term = Fraction(1)  # the m = 0 summand; each step multiplies in the term ratio
     total = Fraction(0)
     for m in range(n + 1):
-        total += (
-            pochhammer(-half, m)
-            * pochhammer(half - a - n, m)
-            / (pochhammer(1 - a - n, m) * math.factorial(m))
-        )
+        total += term
+        term *= (m - half) * (half - a - n + m) / ((1 - a - n + m) * (m + 1))
     closed = pochhammer(half, n) * pochhammer(a - half, n) / (pochhammer(a, n) * math.factorial(n))
     return total - closed
 

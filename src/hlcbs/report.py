@@ -1,4 +1,5 @@
-"""Outcome record for a named identity verification."""
+"""Outcome record for a named identity verification, and the tally that
+judges each comparison of a check."""
 
 from __future__ import annotations
 
@@ -64,28 +65,13 @@ class Tally:
         if not dev <= tol:
             self.numeric_failures += 1
 
-    def absorb(self, rep: "CheckReport", override_tol=None):
-        """Fold a sub-check's report into this tally.
+    def agree(self, lhs, rhs):
+        """Record |lhs - rhs| of two BigFloats against twice their summed bounds.
 
-        ``override_tol`` re-judges the numeric side against a fixed tolerance;
-        a sub-report failure not explained by its numeric deviation is counted
-        as an exact failure.
+        This is the one tolerance rule for comparing a closed form with the
+        series oracle: honest bounds make every such comparison self-calibrating.
         """
-        self.comparisons += rep.comparisons
-        dev = rep.max_abs_deviation
-        numeric_ok = True
-        if not isinstance(dev, str):
-            self.saw_numeric = True
-            tol = rep.tolerance if override_tol is None else override_tol
-            if self.max_dev is None or dev > self.max_dev:
-                self.max_dev = dev
-            if self.max_tol is None or tol > self.max_tol:
-                self.max_tol = tol
-            numeric_ok = dev <= tol
-            if not numeric_ok:
-                self.numeric_failures += 1
-        if not rep.passed and numeric_ok:
-            self.exact_failures += 1
+        self.numeric(abs(lhs.value - rhs.value), 2 * (lhs.error_bound + rhs.error_bound))
 
     @property
     def passed(self) -> bool:

@@ -11,20 +11,19 @@ power of 2z, the reciprocal binomial updated by r(nu+1) = r(nu)
 (nu+1)/(2(2nu+1)), and nu^-s.  The term ratio tends to z^2, which yields a
 provable geometric tail bound; the one summation kernel,
 :func:`hlcbs.floats.tail_bounded_sum`, stops on it and states the error bound.
+This module only sums; the checks on the series live in :mod:`hlcbs.verify`.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError, as_fraction
+from .exact import DomainError
 from .floats import BigFloat, context, tail_bounded_sum, to_mpf
 from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
 from .hyper import central_binomial_reciprocal_seed, check_domain
-from .report import CheckReport, Tally
 
 DEFAULT_MAX_TERMS = 10_000
 
@@ -117,100 +116,3 @@ def phi_terms(query: SeriesQuery, count: int):
 def zeta_hcb_numeric(s, a, precision_bits: int = 128, max_terms: int = DEFAULT_MAX_TERMS) -> BigFloat:
     """zeta(s, a): the z = 1/2 slice of the series."""
     return phi_numeric(SeriesQuery(s, a, Fraction(1, 2), precision_bits, max_terms))
-
-
-# ---------------------------------------------------------------------------
-# built-in structural checks on the series itself
-
-
-def half_integer_shift_check(s, m: int, z, precision_bits: int = 128) -> CheckReport:
-    """Verify Phi(s, -m + 1/2, z) = Phi(s, 1/2, z) for integer m >= 1.
-
-    The left side is summed from n = 0 with the shifted parameter; its first
-    m terms vanish because the reciprocal real binomial hits gamma poles.
-    """
-    if m < 1:
-        raise DomainError(f"need m >= 1, got {m}")
-    z = as_fraction(z)
-    started = time.perf_counter()
-    ctx = context(precision_bits)
-    target = ctx.ldexp(1, -(precision_bits + 8))
-    shifted, bound_l, _ = _phi_sum(
-        ctx, s, Fraction(1 - 2 * m, 2), z, DEFAULT_MAX_TERMS, target, allow_shifted=True
-    )
-    base, bound_r, _ = _phi_sum(ctx, s, Fraction(1, 2), z, DEFAULT_MAX_TERMS, target)
-    tally = Tally()
-    tally.numeric(abs(shifted - base), 2 * (bound_l + bound_r))
-    return tally.report(
-        "half_shift",
-        f"s={s}, m={m}, z={z}",
-        time.perf_counter() - started,
-    )
-
-
-def euler_operator_check(s, a, z, h=Fraction(1, 2**20), precision_bits: int = 128) -> CheckReport:
-    """Check (1/2) z d/dz Phi(s,a,z) = Phi(s-1,a,z) two ways.
-
-    Numerically via central differences at step h (O(h^2) budget estimated by
-    Richardson halving), and exactly term by term in rational arithmetic when
-    (s, a, z) allow it: applying (1/2) z d/dz to the n-th summand multiplies
-    it by (n+a), which is precisely the s -> s-1 term.
-    """
-    a = as_fraction(a)
-    z = as_fraction(z)
-    h = as_fraction(h)
-    if not (0 <= z - h and z + h < 1):
-        raise DomainError("need 0 <= z-h and z+h < 1")
-    started = time.perf_counter()
-    ctx = context(precision_bits + 64)
-    prec = precision_bits + 64
-    target = ctx.ldexp(1, -(prec + 8))
-    tally = Tally()
-
-    def phi_at(s_val, z_val):
-        value, bound, _ = _phi_sum(ctx, s_val, a, z_val, DEFAULT_MAX_TERMS, target)
-        return value, bound
-
-    hf = to_mpf(ctx, h)
-    zf = to_mpf(ctx, z)
-    plus, b1 = phi_at(s, z + h)
-    minus, b2 = phi_at(s, z - h)
-    lowered, b3 = phi_at(s - 1, z)
-    fd = zf / 2 * (plus - minus) / (2 * hf)
-    # Richardson estimate of the O(h^2) truncation error from halving h
-    plus2, b4 = phi_at(s, z + h / 2)
-    minus2, b5 = phi_at(s, z - h / 2)
-    fd2 = zf / 2 * (plus2 - minus2) / hf
-    richardson = abs(fd - fd2) * 4 / 3
-    series_err = zf / 2 * (b1 + b2 + b4 + b5) / hf + b3
-    tol = 4 * richardson + 2 * series_err + ctx.ldexp(1, -(precision_bits // 2))
-    tally.numeric(abs(fd - lowered), tol)
-
-    # exact term-by-term check (rational cofactors; any pi factor is common)
-    exact_done = False
-    if _is_integer(s) and (2 * a).denominator == 1 and a > 0:
-        s_int = int(s)
-        for n in range(21):
-            nu = a + n
-            lhs = nu * _term_rational_cofactor(n, s_int, a, z)
-            rhs = _term_rational_cofactor(n, s_int - 1, a, z)
-            tally.exact(lhs == rhs)
-        exact_done = True
-
-    grid = f"s={s}, a={a}, z={z}, h={h}" + ("" if exact_done else " (exact part skipped: off-lattice)")
-    return tally.report("diff_relation", grid, time.perf_counter() - started)
-
-
-def _term_rational_cofactor(n: int, s: int, a: Fraction, z: Fraction) -> Fraction:
-    """Rational part of the n-th summand for lattice a and integer s.
-
-    For integer a the summand is rational; for half-integer a it is this
-    rational times pi (the reciprocal binomial contributes a pi), and the pi
-    factor cancels in the identity being tested.
-    """
-    from .hyper import exact_gamma_ratio
-
-    nu = a + n
-    ratio = exact_gamma_ratio(nu)
-    recip = ratio.c_one if ratio.c_one else ratio.c_pi
-    return (2 * z) ** int(2 * nu) * recip * nu ** (-s)

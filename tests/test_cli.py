@@ -3,10 +3,12 @@
 import json
 from fractions import Fraction as F
 
+from hlcbs import verify
 from hlcbs.cli import main
 from hlcbs.exact import PiExtValue, UniPoly
 from hlcbs.closedform import zeta_exact
 from hlcbs.polyfam import q_poly
+from hlcbs.report import Tally
 
 
 def run_cli(capsys, *argv):
@@ -180,3 +182,15 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "bm1", "ptoE", "p0_is_q")
         assert code == 0
         assert "3/3 checks passed" in out
+
+    def test_failed_check_exit_code(self, capsys, monkeypatch):
+        def failing(cfg):
+            tally = Tally()
+            tally.exact(False)
+            return "one false comparison", tally
+
+        monkeypatch.setitem(verify._CHECKS, "bm1", failing)
+        code, out, _ = run_cli(capsys, "verify", "bm1")
+        assert code == 2
+        assert "bm1            FAIL" in out
+        assert "0/1 checks passed" in out

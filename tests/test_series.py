@@ -1,5 +1,5 @@
 """Brute-force series oracle: domain checks, known values, honest bounds,
-and the built-in structural checks."""
+and the two verify checks on the series itself."""
 
 from fractions import Fraction as F
 
@@ -7,15 +7,15 @@ import mpmath
 import pytest
 
 from hlcbs.exact import DomainError
+from hlcbs.report import Tally
 from hlcbs.series import (
     BudgetExceeded,
     SeriesQuery,
-    euler_operator_check,
-    half_integer_shift_check,
     phi_numeric,
     phi_terms,
     zeta_hcb_numeric,
 )
+from hlcbs.verify import VerifyConfig, _euler_operator_point, run_check
 
 # frozen 40-digit values, computed from the arcsine closed form and from
 # 200+ term direct summation (both independent of phi_numeric's code path)
@@ -122,34 +122,45 @@ class TestPhiNumeric:
 
 
 class TestBuiltInChecks:
+    """half_shift and diff_relation, which live in the verify registry."""
+
     @pytest.mark.parametrize("s,m,z", [(1, 1, F(2, 5)), (0, 2, F(1, 4)), (2, 3, F(1, 2))])
     def test_half_integer_shift(self, s, m, z):
-        report = half_integer_shift_check(s, m, z)
+        report = run_check("half_shift")
         assert report.passed
-        assert report.comparisons == 1
-
-    def test_half_integer_shift_validation(self):
-        with pytest.raises(DomainError):
-            half_integer_shift_check(1, 0, F(1, 4))
+        assert report.comparisons == 3
+        assert f"(s={s}, m={m}, z={z})" in report.parameter_grid
 
     def test_euler_operator_lattice(self):
-        report = euler_operator_check(1, F(1), F(1, 4))
-        assert report.passed
+        tally = Tally()
+        _euler_operator_point(tally, 1, F(1), F(1, 4), 128)
+        assert tally.passed
         # one finite-difference comparison plus 21 exact term-wise ones
-        assert report.comparisons == 22
-        assert report.max_abs_deviation < mpmath.mpf(10) ** -8
+        assert tally.comparisons == 22
+        assert tally.max_dev < mpmath.mpf(10) ** -20
 
     def test_euler_operator_more_points(self):
         for (s, a, z) in [(0, F(3, 2), F(3, 10)), (2, F(2), F(1, 2))]:
-            report = euler_operator_check(s, a, z)
-            assert report.passed, (s, a, z)
+            tally = Tally()
+            _euler_operator_point(tally, s, a, z, 128)
+            assert tally.passed, (s, a, z)
 
     def test_euler_operator_off_lattice_skips_exact_part(self):
-        report = euler_operator_check(1, F(5, 4), F(1, 4))
-        assert report.passed
-        assert report.comparisons == 1
-        assert "skipped" in report.parameter_grid
+        tally = Tally()
+        _euler_operator_point(tally, 1, F(5, 4), F(1, 4), 128)
+        assert tally.passed
+        assert tally.comparisons == 1
 
-    def test_euler_operator_step_validation(self):
-        with pytest.raises(DomainError):
-            euler_operator_check(1, F(1), F(1, 2**21), h=F(1, 2**20))
+    def test_diff_relation_check(self):
+        # 4 finite differences plus 21 exact comparisons at each of the 3 lattice points
+        report = run_check("diff_relation")
+        assert report.passed
+        assert report.comparisons == 67
+
+    def test_diff_relation_tightens_with_precision(self):
+        low = run_check("diff_relation", VerifyConfig(precision_bits=128))
+        high = run_check("diff_relation", VerifyConfig(precision_bits=512))
+        assert high.passed
+        assert high.tolerance < low.tolerance
+        assert low.tolerance < mpmath.mpf(10) ** -20
+        assert high.tolerance < mpmath.mpf(10) ** -90

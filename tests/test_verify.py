@@ -1,8 +1,12 @@
-"""Verification registry: determinism, aliases, failure reporting."""
+"""Verification registry: determinism, aliases, failure reporting, parity."""
+
+import json
+import os
 
 import pytest
 
-from hlcbs.report import CheckReport
+from hlcbs.floats import BigFloat, context
+from hlcbs.report import CheckReport, Tally
 from hlcbs.verify import UnknownCheck, VerifyConfig, check_ids, run_all, run_check, summarize
 
 
@@ -66,16 +70,59 @@ class TestDeterminism:
         assert "424242" in report.parameter_grid
 
 
-class TestToleranceOverride:
-    def test_impossible_tolerance_reports_failures(self):
-        config = VerifyConfig(tolerance=0)
-        report = run_check("lehmer1", config)
+class TestTally:
+    def test_disagreement_is_reported_not_raised(self):
+        ctx = context(128)
+        bound = ctx.ldexp(1, -100)
+        tally = Tally()
+        tally.agree(BigFloat(ctx.mpf(1), 128, bound), BigFloat(1 + 5 * bound, 128, bound))
+        tally.agree(BigFloat(ctx.mpf(2), 128, bound), BigFloat(2 + 4 * bound, 128, bound))
+        report = tally.report("pair", "two pairs", 0.0)
         assert not report.passed  # reported, not thrown
-        assert report.comparisons == 6
+        assert report.comparisons == 2
+        # 5 bounds apart fails; 4 bounds apart is exactly 2 (bound + bound) and passes
+        assert tally.numeric_failures == 1
+        assert report.max_abs_deviation == 5 * bound
+        assert report.tolerance == 4 * bound
 
-    def test_exact_checks_unaffected_by_tolerance(self):
-        report = run_check("bm1", VerifyConfig(tolerance=0))
-        assert report.passed
+    def test_exact_failures_are_counted(self):
+        tally = Tally()
+        for ok in (True, False, False):
+            tally.exact(ok)
+        report = tally.report("exact", "three comparisons", 0.0)
+        assert not report.passed
+        assert report.comparisons == 3
+        assert report.max_abs_deviation == "2 exact comparisons failed"
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "verify_parity.json")) as _fh:
+    STORED = {entry["check_id"]: entry for entry in json.load(_fh)}
+
+
+class TestParity:
+    """Reports at 128 bits against ``data/verify_parity.json``, recorded
+    before every closed-form comparison went through :meth:`Tally.agree`;
+    ``diff_relation`` has since moved to a precision-dependent step."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return {r.check_id: r.to_json_dict() for r in run_all(VerifyConfig(precision_bits=128))}
+
+    def test_every_check_recorded(self, reports):
+        assert sorted(reports) == sorted(STORED) == sorted(check_ids())
+
+    @pytest.mark.parametrize("check_id", [c for c in check_ids() if c != "diff_relation"])
+    def test_report_unchanged(self, reports, check_id):
+        got = dict(reports[check_id])
+        del got["elapsed_ms"]
+        assert got == STORED[check_id]
+
+    def test_diff_relation_tightened(self, reports):
+        got, stored = reports["diff_relation"], STORED["diff_relation"]
+        assert got["passed"]
+        assert got["comparisons"] == stored["comparisons"]
+        assert got["parameter_grid"] == stored["parameter_grid"]
+        assert float(got["tolerance"]) < float(stored["tolerance"])
 
 
 class TestSummary:
