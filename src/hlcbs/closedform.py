@@ -2,8 +2,9 @@
 
 Numeric paths cover general parameters through hypergeometric
 representations; on the integer/half-integer lattice the zeta-type values
-are assembled exactly in the {1, sqrt3, pi, sqrt3*pi} basis from the
-polynomial ladders, exact gamma ratios and the exact incomplete beta chain.
+are assembled exactly in the {1, sqrt3, pi, sqrt3*pi} basis from two alpha
+values, the exact gamma ratio and the exact incomplete beta chain; the
+polynomial ladders serve only :func:`phi_neg_closed`, at a general z.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .hyper import (
     pfq_eval,
     pochhammer,
 )
-from .polyfam import p_a_poly, q_poly
+from .polyfam import alpha, p_a_poly, q_poly
 
 
 def _prefactor(ctx, a: Fraction, z):
@@ -158,7 +159,7 @@ class ZetaStructured:
     The value reassembles as
         (2a-1) Gamma(a+1)^2 / (a Gamma(2a+1)) * (2/3)^k
         * ( rational_part + 4^(a-1) * (2/sqrt3) * B(1/4; a-1/2, 1/2) * q_part )
-    with rational_part = p_{k-1}(a, 1/4) and q_part = q_{k-1}(1/4).
+    with rational_part = p_{k-1}(a, 1/4) and q_part = q_{k-1}(1/4), from alpha.
     """
 
     k: int
@@ -167,39 +168,37 @@ class ZetaStructured:
     q_part: Fraction
 
 
+def _ladders_at_quarter(k: int, a: Fraction):
+    """(p_{k-1}(a, 1/4), q_{k-1}(1/4)) = (3/2)^(k-1) (alpha_{k-1}(a), alpha_{k-1}(0)),
+    and (0, 1) at k = 0."""
+    if k == 0:
+        return Fraction(0), Fraction(1)
+    scale = Fraction(3, 2) ** (k - 1)
+    return scale * alpha(k - 1, a), scale * alpha(k - 1, 0)
+
+
 def zeta_exact(k: int, a) -> PiExtValue:
     """Exact zeta(1-k, a) on the lattice a in {1/2, 1, 3/2, 2, ...}.
 
-    Integer a lands in Q + Q*sqrt3*pi; half-integer a in Q*pi + Q*sqrt3*pi.
-    At a = 1/2 the (2a-1) factor kills the polynomial part and the Gauss
-    factor degenerates to 1, leaving (2/3)^k q_{k-1}(1/4) * pi/sqrt3.
+    zeta(1-k, a) = (2/3)^k (g (2a-1)/a p_{k-1}(a, 1/4) + q_{k-1}(1/4) zeta(1, a)),
+    g = Gamma(a+1)^2/Gamma(2a+1), zeta(1, a) = g B(1/4; a-1/2, 1/2) (2/sqrt3)
+    (2a-1)/a 2^(2a-2), and zeta(1, 1/2) = pi/sqrt3.  Integer a lands in
+    Q + Q*sqrt3*pi, half-integer a in Q*pi + Q*sqrt3*pi.
     """
     if k < 0:
         raise DomainError(f"zeta_exact needs k >= 0, got {k}")
     a = as_fraction(a)
     if a <= 0 or (2 * a).denominator != 1:
         raise DomainError(f"zeta_exact needs a in {{1/2, 1, 3/2, ...}}, got {a} (use zeta_structured)")
-    q_val = q_poly(k - 1)(Fraction(1, 4))
-    if a == Fraction(1, 2):
-        coeff = Fraction(2, 3) ** k * q_val
-        return PiExtValue.sqrt3pi_multiple(coeff / 3)  # pi/sqrt3 = sqrt3*pi/3
-
+    p_val, q_val = _ladders_at_quarter(k, a)
     gamma_ratio = exact_gamma_ratio(a)
-    p_val = p_a_poly(k - 1).substitute_a(a)(Fraction(1, 4))
-    beta = incomplete_beta_exact(a - Fraction(1, 2))
-    if a.denominator == 1:
-        four_pow = Fraction(4) ** (int(a) - 1)
+    weight = (2 * a - 1) / a
+    if a == Fraction(1, 2):
+        zeta_one = PiExtValue(c_sqrt3pi=Fraction(1, 3))  # pi/sqrt3 = sqrt3*pi/3
     else:
-        four_pow = Fraction(4) ** int(a - Fraction(3, 2)) * 2  # 4^(a-1) = 2 * 4^(a-3/2)
-    # bracket = (2a-1) p + (2/sqrt3) * 4^(a-1) (2a-1) B * q, inside Q(sqrt3) + Q(sqrt3)*pi
-    two_a_minus_1 = 2 * a - 1
-    bracket = beta.scale(0, Fraction(2, 3)) * (four_pow * two_a_minus_1 * q_val) + PiExtValue.rational(
-        two_a_minus_1 * p_val
-    )
-    scaled = bracket.scale(Fraction(2, 3) ** k / a)
-    if a.denominator == 1:
-        return scaled.scale(gamma_ratio.c_one)
-    return scaled.scale(gamma_ratio.c_pi).times_pi()
+        beta = incomplete_beta_exact(a - Fraction(1, 2))
+        zeta_one = (gamma_ratio * beta).scale(0, Fraction(2, 3) * weight * Fraction(2) ** int(2 * a - 2))
+    return (gamma_ratio.scale(weight * p_val) + zeta_one.scale(q_val)).scale(Fraction(2, 3) ** k)
 
 
 def zeta_structured(k: int, a, precision_bits: int = 128):
@@ -214,8 +213,7 @@ def zeta_structured(k: int, a, precision_bits: int = 128):
     a = as_fraction(a)
     if a <= Fraction(1, 2):
         raise DomainError(f"zeta_structured needs a > 1/2, got {a}")
-    rational_part = p_a_poly(k - 1).substitute_a(a)(Fraction(1, 4))
-    q_part = q_poly(k - 1)(Fraction(1, 4))
+    rational_part, q_part = _ladders_at_quarter(k, a)
     record = ZetaStructured(k=k, a=a, rational_part=rational_part, q_part=q_part)
 
     ctx = context(precision_bits)

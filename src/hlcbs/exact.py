@@ -342,14 +342,6 @@ class PiExtValue:
     def rational(cls, q) -> "PiExtValue":
         return cls(c_one=q)
 
-    @classmethod
-    def pi_multiple(cls, q) -> "PiExtValue":
-        return cls(c_pi=q)
-
-    @classmethod
-    def sqrt3pi_multiple(cls, q) -> "PiExtValue":
-        return cls(c_sqrt3pi=q)
-
     def is_zero(self) -> bool:
         return not (self.c_one or self.c_sqrt3 or self.c_pi or self.c_sqrt3pi)
 
@@ -394,12 +386,6 @@ class PiExtValue:
             q0 * self.c_pi + 3 * q1 * self.c_sqrt3pi,
             q0 * self.c_sqrt3pi + q1 * self.c_pi,
         )
-
-    def times_pi(self) -> "PiExtValue":
-        """Multiply by pi; only defined on the Q(sqrt3) part of the basis."""
-        if not self.in_q_sqrt3():
-            raise MultiplicationOutOfBasis("product would require pi^2")
-        return PiExtValue(0, 0, self.c_one, self.c_sqrt3)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -184,13 +184,11 @@ def incomplete_beta_exact(alpha) -> PiExtValue:
     if alpha == 1:
         return PiExtValue(c_one=2, c_sqrt3=-1)
     prev = alpha - 1
-    # (1/4)^prev is rational for both integer and half-integer prev
-    if prev.denominator == 1:
-        quarter_pow = Fraction(1, 4) ** int(prev)
-    else:
-        quarter_pow = Fraction(1, 4) ** int(prev - Fraction(1, 2)) * Fraction(1, 2)
+    for j in range(int(prev - Fraction(1, 2)), 0, -1):  # fill the cache bottom-up
+        incomplete_beta_exact(prev - j)
     step = incomplete_beta_exact(prev).scale(prev / (prev + Fraction(1, 2)))
-    return step - PiExtValue(c_sqrt3=quarter_pow / 2 / (prev + Fraction(1, 2)))
+    # x^prev (1-x)^(1/2) at x = 1/4 is (1/2)^(2 prev) sqrt3/2
+    return step - PiExtValue(c_sqrt3=Fraction(1, 2) ** int(2 * prev) / 2 / (prev + Fraction(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,29 +211,20 @@ def real_central_binomial(a, precision_bits: int = 128) -> BigFloat:
     return BigFloat(value, precision_bits, 16 * ulp_scale(ctx) * abs(value))
 
 
-def _double_factorial_odd(m: int) -> int:
-    """(2m+1)!! = 1 * 3 * ... * (2m+1)."""
-    result = 1
-    for j in range(1, 2 * m + 2, 2):
-        result *= j
-    return result
-
-
 def exact_gamma_ratio(a) -> PiExtValue:
     """Gamma(a+1)^2 / Gamma(2a+1), exact on the half-integer lattice a > 0.
 
-    Rational for integer a (the reciprocal central binomial); a rational
-    multiple of pi for half-integer a, via Gamma(m+3/2) = (2m+1)!!/2^(m+1) sqrt(pi).
+    Rational for integer a (the reciprocal central binomial); for a = m + 1/2
+    it is pi (m+1) C(2m+1, m) / 2^(4m+2), by
+    Gamma(m+3/2) = (2m+2)! sqrt(pi) / (4^(m+1) (m+1)!).
     """
     a = as_fraction(a)
     if a <= 0 or (2 * a).denominator != 1:
         raise DomainError(f"exact gamma ratio needs a in {{1/2, 1, 3/2, ...}}, got {a}")
     if a.denominator == 1:
         return PiExtValue.rational(Fraction(1, math.comb(2 * a.numerator, a.numerator)))
-    m = (a - Fraction(1, 2)).numerator  # a = m + 1/2
-    num = Fraction(_double_factorial_odd(m)) ** 2
-    den = Fraction(4) ** (m + 1) * math.factorial(2 * m + 1)
-    return PiExtValue.pi_multiple(num / den)
+    m = int(a)  # a = m + 1/2
+    return PiExtValue(c_pi=Fraction((m + 1) * math.comb(2 * m + 1, m), 2 ** (4 * m + 2)))
 
 
 def central_binomial_reciprocal_seed(ctx, a: Fraction):

@@ -36,6 +36,8 @@ def q_poly(k: int) -> UniPoly:
         raise DomainError(f"q_poly needs k >= -1, got {k}")
     if k == -1:
         return UniPoly.const(1)
+    for j in range(-1, k - 1):  # fill the cache bottom-up: recursion stays shallow
+        q_poly(j)
     prev = q_poly(k - 1)
     return UniPoly((1, 2 * k)) * prev + 2 * _X_ONE_MINUS_X * prev.derivative()
 
@@ -47,6 +49,8 @@ def p_poly(k: int) -> UniPoly:
         raise DomainError(f"p_poly needs k >= -1, got {k}")
     if k == -1:
         return UniPoly()
+    for j in range(-1, k - 1):  # fill the cache bottom-up: recursion stays shallow
+        p_poly(j)
     prev = p_poly(k - 1)
     return (
         UniPoly((2, 2 * (k - 1))) * prev
@@ -67,6 +71,8 @@ def p_a_poly(k: int) -> BiPoly:
         raise DomainError(f"p_a_poly needs k >= -1, got {k}")
     if k == -1:
         return BiPoly()
+    for j in range(-1, k - 1):  # fill the cache bottom-up: recursion stays shallow
+        p_a_poly(j)
     prev = p_a_poly(k - 1)
     # 2((k-a)x + a): x-coefficient 2k - 2a, constant coefficient 2a
     multiplier = BiPoly((UniPoly((0, 2)), UniPoly((2 * k, -2))))
@@ -96,6 +102,8 @@ def eulerian(n: int) -> EulerianPoly:
         raise DomainError(f"eulerian needs n >= 0, got {n}")
     if n == 0:
         return BiPoly.const(1)
+    for j in range(n - 1):  # fill the cache bottom-up: recursion stays shallow
+        eulerian(j)
     prev = eulerian(n - 1)
     multiplier = BiPoly((UniPoly((0, 1)), UniPoly((n - 1,))))  # y + (n-1) x
     return multiplier * prev + BiPoly.from_x_poly(_X_ONE_MINUS_X) * prev.dx()
@@ -163,12 +171,11 @@ def eulerian_gf_oracle(n: int) -> EulerianPoly:
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, m: int) -> int:
-    """Stirling number of the second kind S(n, m)."""
-    if n == 0 and m == 0:
-        return 1
-    if m <= 0 or m > n:
+    """Stirling number of the second kind S(n, m), by inclusion-exclusion:
+    m! S(n, m) = sum_j (-1)^(m-j) C(m, j) j^n, with no recursion in n."""
+    if m < 0 or m > n:
         return 0
-    return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
+    return sum((-1) ** (m - j) * math.comb(m, j) * j**n for j in range(m + 1)) // math.factorial(m)
 
 
 @lru_cache(maxsize=None)
@@ -235,10 +242,10 @@ def alpha(n: int, a) -> Fraction:
     a = as_fraction(a)
     if n == 0:
         return Fraction(1)
-    total = 2 * alpha(n - 1, a) + 3 * a**n
-    for l in range(n):
+    total = 3 * a**n
+    for l in range(n):  # ascending l fills the cache bottom-up: recursion stays shallow
         total += binomial(n, l) * alpha(l, a)
-    return total / 3
+    return (total + 2 * alpha(n - 1, a)) / 3
 
 
 def p_from_eulerian(n: int) -> BiPoly:

@@ -4,8 +4,21 @@ judges each comparison of a check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 EXACT = "exact"
+
+
+def sci(x, digits: int = 6) -> str:
+    """The mpf ``x`` laid out as ``f"{float(x):.6e}"``, but rounded from x
+    itself: a float underflows to 0 below about 1e-308."""
+    if not x:
+        return f"{0:.{digits}e}"
+    man, exp = x.man_exp  # |x| = man * 2^exp = man * 5^-exp * 10^exp
+    man = -man if x < 0 else man
+    exact = Decimal(f"{man * 5 ** -exp}e{exp}" if exp < 0 else man << exp)
+    mantissa, exponent = f"{exact:.{digits}e}".split("e")
+    return f"{mantissa}e{int(exponent):+03d}"
 
 
 @dataclass
@@ -31,8 +44,8 @@ class CheckReport:
         return {
             "check_id": self.check_id,
             "passed": self.passed,
-            "max_abs_deviation": dev if isinstance(dev, str) else f"{float(dev):.6e}",
-            "tolerance": tol if isinstance(tol, str) else f"{float(tol):.6e}",
+            "max_abs_deviation": dev if isinstance(dev, str) else sci(dev),
+            "tolerance": tol if isinstance(tol, str) else sci(tol),
             "comparisons": self.comparisons,
             "parameter_grid": self.parameter_grid,
             "elapsed_ms": round(self.elapsed_seconds * 1000.0, 3),

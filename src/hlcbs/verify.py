@@ -21,7 +21,7 @@ from . import closedform, polyfam, series
 from .exact import PiExtValue, piext_to_float
 from .floats import BigFloat, context, to_mpf, ulp_scale
 from .hyper import central_binomial_reciprocal_seed, exact_gamma_ratio
-from .report import CheckReport, Tally
+from .report import CheckReport, Tally, sci
 
 
 class UnknownCheck(KeyError):
@@ -93,7 +93,8 @@ def _check_lehmer2(cfg):
                 * (zf * ctx.sqrt(1 - zf * zf) * p_val + ctx.asin(zf) * q_val)
             )
             tally.agree(lhs, _closed_side(ctx, rhs, cfg.precision_bits))
-    # zeta_CB(1-k) = (2/3)^k ( p_{k-1}(1/4)/2 + q_{k-1}(1/4) * pi/(3 sqrt3) ), exactly
+    # zeta_CB(1-k) = (2/3)^k ( p_{k-1}(1/4)/2 + q_{k-1}(1/4) * pi/(3 sqrt3) ), exactly;
+    # zeta_exact reads p and q off alpha, so this cross-checks the ladders
     for k in range(0, 7):
         expected = PiExtValue(
             c_one=Fraction(2, 3) ** k * polyfam.p_poly(k - 1)(Fraction(1, 4)) / 2,
@@ -452,7 +453,7 @@ def summarize(reports) -> str:
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"
         dev = rep.max_abs_deviation
-        dev_text = dev if isinstance(dev, str) else f"max dev {float(dev):.3e}"
+        dev_text = dev if isinstance(dev, str) else f"max dev {sci(dev, 3)}"
         lines.append(f"{rep.check_id:<14} {status}  [{rep.comparisons} comparisons, {dev_text}, {rep.elapsed_seconds * 1000:.0f} ms]")
     total = len(reports)
     passed = sum(1 for r in reports if r.passed)

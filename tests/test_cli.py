@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from hlcbs import verify
 from hlcbs.cli import main
 from hlcbs.exact import PiExtValue, UniPoly
@@ -83,6 +85,17 @@ class TestPolyCommand:
         code, out, _ = run_cli(capsys, "poly", "alpha", "3", "--a", "1")
         assert code == 0
         assert out.strip() == "10"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("zeta", "--exact", "--k", "600", "--a", "1/2"), ("poly", "alpha", "600", "--a", "1"), ("poly", "q", "600")],
+    ids=["zeta_exact_600", "poly_alpha_600", "poly_q_600"],
+)
+def test_index_600_runs(capsys, argv):
+    """Index 600 lies past the default recursion limit of a recursive ladder."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out.strip() and not err
 
 
 class TestEvalCommand:

@@ -1,9 +1,12 @@
 """Closed forms against the brute-force oracle; exact zeta assembly."""
 
+import json
+import os
 from fractions import Fraction as F
 
 import pytest
 
+from hlcbs import closedform
 from hlcbs.exact import DomainError, PiExtValue, piext_to_float
 from hlcbs.closedform import (
     phi_neg_closed,
@@ -163,6 +166,39 @@ class TestZetaStructured:
             zeta_structured(0, F(1, 4))
         with pytest.raises(DomainError):
             zeta_structured(-2, F(5, 4))
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "zeta_exact_parity.json")) as _fh:
+    ZETA_PARITY = json.load(_fh)
+
+
+class TestAlphaRoute:
+    """``data/zeta_exact_parity.json`` was recorded while zeta_exact and
+    zeta_structured still built the bivariate p_{k-1}(a, x) and q_{k-1}(x);
+    they now read both values at x = 1/4 off the alpha recursion."""
+
+    def test_exact_values_unchanged(self):
+        for k, a, text in ZETA_PARITY["zeta_exact"]:
+            assert zeta_exact(k, F(a)).to_text() == text, (k, a)
+
+    def test_structured_parts_and_numbers_bit_identical(self):
+        for k, a, rational_part, q_part, value, bound in ZETA_PARITY["zeta_structured"]:
+            record, numeric = zeta_structured(k, F(a), 128)
+            assert (str(record.rational_part), str(record.q_part)) == (rational_part, q_part), (k, a)
+            assert numeric.value.man_exp == (int(value[0]), value[1]), (k, a)
+            assert numeric.error_bound.man_exp == (int(bound[0]), bound[1]), (k, a)
+
+    def test_no_polynomial_ladder_on_the_zeta_path(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("zeta values must not build a polynomial ladder")
+
+        monkeypatch.setattr(closedform, "p_a_poly", refuse)
+        monkeypatch.setattr(closedform, "q_poly", refuse)
+        expected = {(k, a): text for k, a, text in ZETA_PARITY["zeta_exact"]}
+        assert zeta_exact(32, F(7, 2)).to_text() == expected[(32, "7/2")]
+        row = next(r for r in ZETA_PARITY["zeta_structured"] if r[:2] == [16, "5/4"])
+        record, _ = zeta_structured(16, F(5, 4))
+        assert (str(record.rational_part), str(record.q_part)) == tuple(row[2:4])
 
 
 def q_at_quarter(k):

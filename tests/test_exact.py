@@ -123,7 +123,7 @@ class TestPiExtValue:
         with pytest.raises(MultiplicationOutOfBasis):
             pi * pi
         with pytest.raises(MultiplicationOutOfBasis):
-            PiExtValue(c_sqrt3pi=1).times_pi()
+            PiExtValue(c_sqrt3pi=1) * pi
         assert PiExtValue(c_one=2, c_sqrt3=1) * pi == PiExtValue(c_pi=2, c_sqrt3pi=1)
 
     @given(*(st.tuples(rationals, rationals, rationals, rationals) for _ in range(2)))

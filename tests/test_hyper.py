@@ -229,6 +229,13 @@ class TestExactGammaRatio:
         assert exact_gamma_ratio(F(1, 2)) == PiExtValue(c_pi=F(1, 4))
         assert exact_gamma_ratio(F(3, 2)) == PiExtValue(c_pi=F(3, 32))
 
+    def test_half_integer_matches_double_factorial(self):
+        # Gamma(m+3/2) = (2m+1)!! sqrt(pi) / 2^(m+1)
+        for m in range(60):
+            double_factorial = math.prod(range(1, 2 * m + 2, 2))
+            expected = F(double_factorial**2, 4 ** (m + 1) * math.factorial(2 * m + 1))
+            assert exact_gamma_ratio(m + F(1, 2)) == PiExtValue(c_pi=expected), m
+
     def test_against_float_gamma(self, ctx):
         for a in (F(5, 2), F(7, 2), F(4)):
             exact = piext_to_float(exact_gamma_ratio(a), 160)

@@ -2,11 +2,13 @@
 and against independent generating-function oracles."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from hlcbs.exact import BiPoly, DomainError, UniPoly
+from hlcbs.hyper import incomplete_beta_exact
 from hlcbs.polyfam import (
     alpha,
     binomial,
@@ -147,6 +149,11 @@ class TestPolyBernoulli:
         assert binomial(5, 2) == 10
         assert binomial(5, 7) == 0
 
+    def test_stirling_satisfies_its_recurrence(self):
+        for n in range(1, 30):
+            for m in range(1, n + 1):
+                assert stirling2(n, m) == m * stirling2(n - 1, m) + stirling2(n - 1, m - 1), (n, m)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             poly_bernoulli(-1, 0)
@@ -228,3 +235,36 @@ class TestEulerianRepresentations:
         for fn in (p_from_eulerian, bm_p_poly, bm_q_poly):
             with pytest.raises(DomainError):
                 fn(-1)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (q_poly, (50,)),
+        (p_poly, (50,)),
+        (p_a_poly, (50,)),
+        (eulerian, (50,)),
+        (alpha, (50, F(5, 4))),
+        (stirling2, (50, 25)),
+        (incomplete_beta_exact, (F(101, 2),)),
+    ],
+    ids=["q_poly", "p_poly", "p_a_poly", "eulerian", "alpha", "stirling2", "incomplete_beta_exact"],
+)
+def test_cold_call_needs_few_stack_frames(fn, args):
+    """Each memoized recursion fills its cache bottom-up, so a cold call at
+    index 50 runs under 40 spare frames; the index is not limited by depth."""
+    for family in (q_poly, p_poly, p_a_poly, eulerian, alpha, stirling2, incomplete_beta_exact):
+        family.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -132,6 +132,15 @@ class TestSummary:
         assert "bm1" in text and "p_interp" in text
         assert "2/2 checks passed" in text
 
+    def test_values_below_the_double_range_print_nonzero(self):
+        ctx = context(2048)
+        tiny = ctx.mpf("1e-500")
+        report = CheckReport("tiny", "one point", 1, tiny, 2 * tiny, True)
+        d = report.to_json_dict()
+        assert d["max_abs_deviation"] == "1.000000e-500"
+        assert abs(ctx.mpf(d["tolerance"]) / (2 * tiny) - 1) < 1e-6
+        assert "max dev 1.000e-500" in summarize([report])
+
     def test_json_dict_schema(self):
         report = run_check("bm1")
         d = report.to_json_dict()
