@@ -32,7 +32,6 @@ from .hyper import (
     NoConvergence,
     PFQParams,
     PoleError,
-    central_binomial_exact,
     exact_gamma_ratio,
     incomplete_beta_exact,
     incomplete_beta_numeric,
@@ -87,7 +86,6 @@ __all__ = [
     "alpha",
     "bm_p_poly",
     "bm_q_poly",
-    "central_binomial_exact",
     "eulerian",
     "eulerian_gf_oracle",
     "exact_gamma_ratio",

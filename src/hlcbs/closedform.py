@@ -4,7 +4,10 @@ Numeric paths cover general parameters through hypergeometric
 representations; on the integer/half-integer lattice the zeta-type values
 are assembled exactly in the {1, sqrt3, pi, sqrt3*pi} basis from two alpha
 values, the exact gamma ratio and the exact incomplete beta chain; the
-polynomial ladders serve only :func:`phi_neg_closed`, at a general z.
+polynomial ladders serve only :func:`phi_neg_closed`, at a general z, where
+they, (1-z^2)^k and the rational weights are evaluated exactly and rounded
+once.  Every gamma ratio and power in a comes from :mod:`hlcbs.hyper`,
+which splits a = floor(a) + a0 and hands only a0 in [0, 1) to mpmath.
 """
 
 from __future__ import annotations
@@ -24,15 +27,15 @@ from .hyper import (
     incomplete_beta_numeric,
     pfq_eval,
     pochhammer,
+    rational_power,
 )
-from .polyfam import alpha, p_a_poly, q_poly
+from .polyfam import alpha, p_a_ladder, q_poly
 
 
 def _prefactor(ctx, a: Fraction, z):
-    """4^a * z^(2a) / C(2a, a) as an mpf."""
-    zf = to_mpf(ctx, z)
-    recip = central_binomial_reciprocal_seed(ctx, a)
-    return ctx.power(ctx.mpf(4), to_mpf(ctx, a)) * ctx.power(zf, 2 * to_mpf(ctx, a)) * recip
+    """4^a z^(2a) / C(2a, a) = (2z)^(2a) g(a) as an mpf, the series' first term
+    at s = 0.  Error <= 8.5 ulp: the power 2.5, the seed 5.5, the product 0.5."""
+    return rational_power(ctx, 2 * z, 2 * a) * central_binomial_reciprocal_seed(ctx, a)
 
 
 def _phi_hyper(s: int, a, z, precision_bits: int) -> BigFloat:
@@ -49,9 +52,9 @@ def _phi_hyper(s: int, a, z, precision_bits: int) -> BigFloat:
         upper, lower, copies = a + 1, a, 1 - s
     params = PFQParams((Fraction(1),) + (upper,) * copies, (a + Fraction(1, 2),) + (lower,) * (copies - 1), z * z)
     f = pfq_eval(params, precision_bits + 16)
-    a_power = to_mpf(ctx, a ** abs(s))  # a^-s is applied in one rounding
-    pre = _prefactor(ctx, a, z) / a_power if s >= 1 else _prefactor(ctx, a, z) * a_power
+    pre = _prefactor(ctx, a, z) * to_mpf(ctx, a ** -s)
     value = pre * f.value
+    # 16 ulp: the prefactor 8.5, a^-s and its product 1, the product with F 0.5
     err = abs(pre) * f.error_bound + 16 * ulp_scale(ctx) * abs(value)
     return BigFloat(value, precision_bits, err)
 
@@ -105,20 +108,19 @@ def phi_neg_closed(k: int, a, z, precision_bits: int = 128) -> BigFloat:
     if z == 0:
         return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))
     f = pfq_eval(PFQParams((Fraction(1, 2), a - Fraction(1, 2)), (a + Fraction(1, 2),), z * z), precision_bits + 16)
-    zf = to_mpf(ctx, z)
-    one_minus = 1 - zf * zf
-    p_val = p_a_poly(k - 1).substitute_a(a).eval_mpf(ctx, zf * zf)
-    q_val = q_poly(k - 1).eval_mpf(ctx, zf * zf)
-    p_term = to_mpf(ctx, 2 * a - 1) * ctx.sqrt(one_minus) * p_val
-    q_term = f.value * q_val
-    pre = (
-        _prefactor(ctx, a, z)
-        / (2 * to_mpf(ctx, a))
-        / ctx.power(one_minus, to_mpf(ctx, Fraction(2 * k + 1, 2)))
-    )
-    scale = abs(ctx.ldexp(pre, 1 - k))
-    value = ctx.ldexp(pre * (p_term + q_term), 1 - k)  # times 2^(1-k)
-    err = scale * abs(q_val) * f.error_bound + 32 * ulp_scale(ctx) * scale * (abs(p_term) + abs(q_term))
+    # the ladders and (1-z^2)^k are exact rationals, each quotient rounded once:
+    # value = (2z)^(2a) g(a) (p_part + q_part F / sqrt(1-z^2))
+    x = z * z
+    weight = Fraction(2) ** (1 - k) / (2 * a * (1 - x) ** k)
+    p_part = to_mpf(ctx, weight * (2 * a - 1) * p_a_ladder(k - 1, a)(x))
+    q_part = to_mpf(ctx, weight * q_poly(k - 1)(x)) / ctx.sqrt(to_mpf(ctx, 1 - x))
+    pre = _prefactor(ctx, a, z)
+    q_term = q_part * f.value
+    value = pre * (p_part + q_term)
+    # 32 ulp: the prefactor 8.5; p_part 0.5 or q_term 2.75 (its rational 0.5,
+    # sqrt(1-z^2) 1.25 with its argument, the quotient and the product 1);
+    # their sum and product 1
+    err = abs(pre * q_part) * f.error_bound + 32 * ulp_scale(ctx) * abs(pre) * (abs(p_part) + abs(q_term))
     return BigFloat(value, precision_bits, err)
 
 
@@ -218,10 +220,11 @@ def zeta_structured(k: int, a, precision_bits: int = 128):
 
     ctx = context(precision_bits)
     beta = incomplete_beta_numeric(Fraction(1, 4), a - Fraction(1, 2), Fraction(1, 2), precision_bits + 16)
-    af = to_mpf(ctx, a)
-    recip = central_binomial_reciprocal_seed(ctx, a)  # Gamma(a+1)^2/Gamma(2a+1)
-    pre = to_mpf(ctx, 2 * a - 1) * recip / af * to_mpf(ctx, Fraction(2, 3) ** k)
-    beta_weight = ctx.power(ctx.mpf(4), af - 1) * 2 / ctx.sqrt(3)
+    pre = to_mpf(ctx, (2 * a - 1) / a * Fraction(2, 3) ** k) * central_binomial_reciprocal_seed(ctx, a)
+    beta_weight = rational_power(ctx, 4, a - 1) * 2 / ctx.sqrt(3)
     value = pre * (to_mpf(ctx, rational_part) + beta_weight * beta.value * to_mpf(ctx, q_part))
+    # 32 ulp: pre 6.5 (its rational 0.5, the seed 5.5, the product 0.5), the
+    # beta weight 4 (4^(a-1) 2.5, sqrt3 1, the quotient 0.5), the parts' two
+    # roundings and two products 2, their sum and the product 1
     err = abs(pre) * beta_weight * abs(to_mpf(ctx, q_part)) * beta.error_bound + 32 * ulp_scale(ctx) * abs(value)
     return record, BigFloat(value, precision_bits, err)

@@ -47,14 +47,20 @@ def context(precision_bits: int, guard: int = GUARD_BITS) -> mpmath.ctx_mp.MPCon
 
 
 def to_mpf(ctx, value):
-    """Convert ``value`` (Fraction, int, float, str, mpf) in ``ctx``."""
+    """Convert ``value`` (Fraction, int, float, str, mpf) in ``ctx``; a
+    Fraction is rounded once, however long its numerator."""
     if isinstance(value, Fraction):
-        return ctx.mpf(value.numerator) / value.denominator
+        return ctx.fdiv(value.numerator, value.denominator)
     return ctx.convert(value)
 
 
 def ulp_scale(ctx) -> "mpmath.mpf":
-    """One unit of relative rounding error at the context's working precision."""
+    """One unit of relative rounding error at the context's working precision.
+
+    The error counts next to each ulp constant use this unit: an arithmetic
+    operation or :func:`to_mpf` rounds once, at most 0.5 ulp; an mpmath
+    function (power, gamma, sqrt, asin) is counted at 1 ulp.
+    """
     return ctx.ldexp(1, -ctx.prec + 1)
 
 
@@ -66,7 +72,10 @@ def tail_bounded_sum(ctx, terms, target, max_terms: int):
     sum stops after the first t_n with |t_n| rho/(1-rho) <= target *
     max(|sum|, 1), rho carrying 1 + 2^-24 slack for the rounding of the cap
     itself.  An iterator that runs out means the series terminated: its tail
-    is 0.  The bound adds (3n + 12) ulp sum|t| of rounding.
+    is 0.  The bound adds (3n + 12) ulp sum|t| of rounding: each caller's
+    t_m carries at most 12 + 2.5m ulp (see ``series._phi_terms`` and
+    ``hyper._pfq_terms``), and each of the n additions 0.5 ulp of a partial
+    sum.
 
     Returns ``(sum, error_bound, terms_used)``; raises :class:`BudgetExceeded`
     when ``max_terms`` terms do not meet the target.

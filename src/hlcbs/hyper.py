@@ -3,6 +3,14 @@ plus incomplete beta (numeric and exact at the special parameters),
 real-argument central binomial coefficients, and the one domain check on
 (a, z) shared by the series and its closed forms.
 
+This module is the only one that forms a quantity with a in its argument or
+exponent.  It splits a = m + a0 exactly, m = floor(a), a0 in [0, 1):
+Gamma(a+1)^2/Gamma(2a+1) is an exact rational shift from a0 times 1, pi/4
+or one gamma pair at a0 (:func:`central_binomial_reciprocal_seed`,
+:func:`exact_gamma_ratio`), and q^e is q^floor(e) exactly times mpmath's
+power at the fractional part (:func:`rational_power`).  A rounded input is
+thus never amplified by |a psi(a)| or |a ln q|.
+
 The pFq evaluator supplies the terms of the defining series to the one
 summation kernel, :func:`hlcbs.floats.tail_bounded_sum`, which stops only
 once a provable geometric tail bound falls below the target: each ratio
@@ -100,7 +108,12 @@ def _ratio_pairs(upper, lower):
 
 
 def _pfq_terms(ctx, params: PFQParams):
-    """Yield (t_n, rho_n) of the series from t_0 = 1; stop at a zero term."""
+    """Yield (t_n, rho_n) of the series from t_0 = 1; stop at a zero term.
+
+    Each step rounds the ratio, z (the same rounding every step) and two
+    products, 0.5 ulp each, so t_n carries 2n ulp, within the kernel's
+    12 + 2.5n.
+    """
     zf = to_mpf(ctx, params.z)
     pairs = _ratio_pairs(params.upper, params.lower)
     # below n_safe a ratio factor may still be negative or non-monotone
@@ -161,8 +174,9 @@ def incomplete_beta_numeric(z, alpha, beta, precision_bits: int = 128) -> BigFlo
     if z == 0:
         return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))
     f = pfq_eval(PFQParams((alpha, 1 - beta), (alpha + 1,), z), precision_bits + 16)
-    prefactor = ctx.power(to_mpf(ctx, z), to_mpf(ctx, alpha)) / to_mpf(ctx, alpha)
+    prefactor = rational_power(ctx, z, alpha) / to_mpf(ctx, alpha)
     value = prefactor * f.value
+    # 8 ulp: z^alpha 2.5, alpha and the quotient 1, the product 0.5
     err = abs(prefactor) * f.error_bound + 8 * ulp_scale(ctx) * abs(value)
     return BigFloat(value, precision_bits, err)
 
@@ -192,51 +206,99 @@ def incomplete_beta_exact(alpha) -> PiExtValue:
 
 
 # ---------------------------------------------------------------------------
-# real-argument central binomial coefficients and exact gamma ratios
+# quantities with a in the argument or exponent: a = floor(a) + a0, split once
+#
+# g(x) = Gamma(x+1)^2/Gamma(2x+1) = 1/C(2x, x) and every power whose exponent
+# is built from a are formed here and nowhere else.  The integer part is
+# carried exactly; only a0 in [0, 1) reaches mpmath, and its arguments are
+# rounded 64 bits past the working precision, so no rounding of an input is
+# amplified by |a psi(a)| or |a ln q|.
 
 
-def central_binomial_exact(a: int) -> Fraction:
-    """C(2a, a) for integer a >= 1, exactly."""
-    if a < 1:
-        raise DomainError(f"exact central binomial needs integer a >= 1, got {a}")
-    return Fraction(math.comb(2 * a, a))
+def _product(values) -> int:
+    """Product of integers by a balanced tree, so a long product multiplies like-sized operands."""
+    values = list(values) or [1]
+    while len(values) > 1:
+        values = [math.prod(values[i : i + 2]) for i in range(0, len(values), 2)]
+    return values[0]
+
+
+def gamma_ratio_shift(a):
+    """(a0, num, den) with g(a) = g(a0) num/den, a0 = a - floor(a) in [0, 1).
+
+    The floor(a) steps g(x+1) = g(x) (x+1)/(2(2x+1)) give num/den as two
+    integer products, left unreduced.  At a half-integer a <= -1/2 the factor
+    2x+1 = 0 makes num 0: the pole of Gamma(2a+1).
+    """
+    a = as_fraction(a)
+    m = math.floor(a)
+    a0 = a - m
+    p, d = a0.numerator, a0.denominator
+    steps = range(min(m, 0), max(m, 0))
+    up = _product(p + (j + 1) * d for j in steps)  # d (x+1) at x = a0 + j
+    down = _product(2 * p + (2 * j + 1) * d for j in steps)  # d (2x+1)
+    if m >= 0:
+        return a0, up, down << m
+    return a0, down << -m, up
+
+
+# g at the two lattice values of a0
+_LATTICE_G = {Fraction(0): PiExtValue(c_one=1), Fraction(1, 2): PiExtValue(c_pi=Fraction(1, 4))}
+
+
+def exact_gamma_ratio(a) -> PiExtValue:
+    """Gamma(a+1)^2 / Gamma(2a+1), exact on the half-integer lattice a > 0:
+    the exact shift of :func:`gamma_ratio_shift` times g(0) = 1 or g(1/2) = pi/4."""
+    a = as_fraction(a)
+    if a <= 0 or (2 * a).denominator != 1:
+        raise DomainError(f"exact gamma ratio needs a in {{1/2, 1, 3/2, ...}}, got {a}")
+    a0, num, den = gamma_ratio_shift(a)
+    return _LATTICE_G[a0].scale(Fraction(num, den))
+
+
+def _wide(ctx, q: Fraction):
+    """q rounded 64 bits past the working precision: the argument of an
+    mpmath function, whose rounding the function would amplify."""
+    return ctx.fdiv(q.numerator, q.denominator, prec=ctx.prec + 64)
+
+
+def central_binomial_reciprocal_seed(ctx, a: Fraction):
+    """Gamma(a+1)^2/Gamma(2a+1) as an mpf: the exact shift num/den times g(a0).
+
+    g(a0) is 1 at a0 = 0, pi/4 at a0 = 1/2 and one gamma pair otherwise.
+    Error <= 5.5 ulp: the gamma pair 4 (two calls, the first squared, 3; two
+    operations 1; its arguments are wide), then num, the product and den 1.5.
+    """
+    a0, num, den = gamma_ratio_shift(a)
+    if a0 == 0:
+        g0 = ctx.mpf(1)
+    elif a0 == Fraction(1, 2):
+        g0 = ctx.pi / 4
+    else:
+        g0 = ctx.gamma(_wide(ctx, a0 + 1)) ** 2 / ctx.gamma(_wide(ctx, 2 * a0 + 1))
+    return ctx.mpf(num) * g0 / den
+
+
+def rational_power(ctx, q, e):
+    """q^e for rational q > 0 (any q != 0 at integer e) and rational e, as an mpf.
+
+    q^floor(e) is exact and rounded once; only e0 = e - floor(e) in [0, 1)
+    goes to ``ctx.power``, with q and e0 wide.  Error <= 2.5 ulp while
+    |ln q| < 500: q^floor(e) 0.5, the power 1 plus |ln q|/1024 (it takes
+    ln q at 10 extra bits), the product 0.5.
+    """
+    q, e = as_fraction(q), as_fraction(e)
+    m = math.floor(e)
+    whole = to_mpf(ctx, q**m)
+    if e == m:
+        return whole
+    return whole * ctx.power(_wide(ctx, q), _wide(ctx, e - m))
 
 
 def real_central_binomial(a, precision_bits: int = 128) -> BigFloat:
     """C(2a, a) = Gamma(2a+1)/Gamma(a+1)^2 for real a outside the poles."""
     a, _ = check_domain(a)
     ctx = context(precision_bits)
-    af = to_mpf(ctx, a)
-    value = ctx.gamma(2 * af + 1) / ctx.gamma(af + 1) ** 2
+    value = 1 / central_binomial_reciprocal_seed(ctx, a)
+    # 16 ulp: the seed 5.5, the reciprocal 0.5
     return BigFloat(value, precision_bits, 16 * ulp_scale(ctx) * abs(value))
-
-
-def exact_gamma_ratio(a) -> PiExtValue:
-    """Gamma(a+1)^2 / Gamma(2a+1), exact on the half-integer lattice a > 0.
-
-    Rational for integer a (the reciprocal central binomial); for a = m + 1/2
-    it is pi (m+1) C(2m+1, m) / 2^(4m+2), by
-    Gamma(m+3/2) = (2m+2)! sqrt(pi) / (4^(m+1) (m+1)!).
-    """
-    a = as_fraction(a)
-    if a <= 0 or (2 * a).denominator != 1:
-        raise DomainError(f"exact gamma ratio needs a in {{1/2, 1, 3/2, ...}}, got {a}")
-    if a.denominator == 1:
-        return PiExtValue.rational(Fraction(1, math.comb(2 * a.numerator, a.numerator)))
-    m = int(a)  # a = m + 1/2
-    return PiExtValue(c_pi=Fraction((m + 1) * math.comb(2 * m + 1, m), 2 ** (4 * m + 2)))
-
-
-def central_binomial_reciprocal_seed(ctx, a: Fraction):
-    """Gamma(a+1)^2/Gamma(2a+1) as an mpf, routed through the exact form
-    when a sits on the half-integer lattice (no float gamma involved)."""
-    if (2 * a).denominator == 1:
-        if a > 0:
-            g = exact_gamma_ratio(a)
-            if g.c_pi:
-                return to_mpf(ctx, g.c_pi) * ctx.pi
-            return to_mpf(ctx, g.c_one)
-        if a.denominator == 2:
-            return ctx.mpf(0)  # Gamma(2a+1) pole: the reciprocal vanishes
-    af = to_mpf(ctx, a)
-    return ctx.gamma(af + 1) ** 2 / ctx.gamma(2 * af + 1)

@@ -83,6 +83,16 @@ def p_a_poly(k: int) -> BiPoly:
     )
 
 
+def p_a_ladder(k: int, a) -> UniPoly:
+    """p_k(a, x) at one rational a: the :func:`p_a_poly` recursion run in x
+    alone, O(k^2) rather than the O(k^3) of the bivariate ladder."""
+    a = as_fraction(a)
+    p = UniPoly()
+    for j in range(k + 1):
+        p = UniPoly((2 * a, 2 * j - 2 * a)) * p + 2 * _X_ONE_MINUS_X * p.derivative() + q_poly(j - 1)
+    return p
+
+
 # ---------------------------------------------------------------------------
 # bivariate Eulerian polynomials E_n(x, y)
 #
@@ -235,17 +245,20 @@ def alpha(n: int, a) -> Fraction:
     """alpha_n(a) = (2/3)^n p_n(a, 1/4), generated by its own recursion.
 
     3 alpha_n = 2 alpha_{n-1} + sum_{l=0}^{n-1} C(n,l) alpha_l + 3 a^n,
-    with alpha_0 = 1.
+    with alpha_0 = 1.  It runs on the integers beta_n = (3d)^n alpha_n, a = c/d:
+    beta_n = 2d beta_{n-1} + (3c)^n + sum_{l<n} C(n,l) (3d)^(n-l) beta_l / 3,
+    with one division at the end, so no step pays a gcd.
     """
     if n < 0:
         raise DomainError(f"alpha needs n >= 0, got {n}")
     a = as_fraction(a)
-    if n == 0:
-        return Fraction(1)
-    total = 3 * a**n
-    for l in range(n):  # ascending l fills the cache bottom-up: recursion stays shallow
-        total += binomial(n, l) * alpha(l, a)
-    return (total + 2 * alpha(n - 1, a)) / 3
+    c, d = a.numerator, a.denominator
+    scale = [(3 * d) ** j for j in range(n + 1)]
+    betas = [1]
+    for m in range(1, n + 1):
+        tail = sum(math.comb(m, l) * scale[m - l] * betas[l] for l in range(m))
+        betas.append(2 * d * betas[m - 1] + (3 * c) ** m + tail // 3)
+    return Fraction(betas[n], scale[n])
 
 
 def p_from_eulerian(n: int) -> BiPoly:

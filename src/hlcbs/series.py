@@ -7,9 +7,9 @@ compared against the sums computed here.  The series is
 
 with the real-argument binomial C(x,y) = Gamma(x+1)/(Gamma(y+1) Gamma(x-y+1)).
 Each term is built from this definition, never from a closed form: the
-power of 2z, the reciprocal binomial updated by r(nu+1) = r(nu)
-(nu+1)/(2(2nu+1)), and nu^-s.  The term ratio tends to z^2, which yields a
-provable geometric tail bound; the one summation kernel,
+power of 2z times the reciprocal binomial, updated by (2z)^2 r(nu+1)/r(nu) =
+(2z)^2 (nu+1)/(2(2nu+1)), and nu^-s.  The term ratio tends to z^2, which
+yields a provable geometric tail bound; the one summation kernel,
 :func:`hlcbs.floats.tail_bounded_sum`, stops on it and states the error bound.
 This module only sums; the checks on the series live in :mod:`hlcbs.verify`.
 """
@@ -20,35 +20,33 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import DomainError
+from .exact import DomainError, as_fraction
 from .floats import BigFloat, context, tail_bounded_sum, to_mpf
 from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
-from .hyper import central_binomial_reciprocal_seed, check_domain
+from .hyper import central_binomial_reciprocal_seed, check_domain, rational_power
 
 DEFAULT_MAX_TERMS = 10_000
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
 
 
 @dataclass(frozen=True)
 class SeriesQuery:
     """One evaluation request; z = 1/2 is the zeta-series case."""
 
-    s: object  # real; int/Fraction preferred, float accepted
+    s: Fraction
     a: Fraction
     z: Fraction
     precision_bits: int = 128
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
+        s = as_fraction(self.s)
         a, z = check_domain(self.a, self.z)
-        if a < 0 and not _is_integer(self.s):
+        if a < 0 and s.denominator != 1:
             raise DomainError("negative a needs integer s (negative bases in (n+a)^s)")
         if self.max_terms < 1:
             raise DomainError("max_terms must be positive")
         context(self.precision_bits)  # rejects a precision below MIN_PRECISION_BITS
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "z", z)
 
@@ -56,33 +54,29 @@ class SeriesQuery:
 def _phi_terms(ctx, s, a, z, n_start=0):
     """Yield (T_n, rho_n) for n >= n_start, T_n built from the definition.
 
-    For nu = n + a > 0 past the first term, the ratio |T_{m+1}/T_m| for
-    m >= n is capped by z^2 (1 + 1/(2 nu + 1)) max(1, (nu/(nu+1))^s): both
-    factors are monotone.
+    The lead (2z)^(2 nu)/C(2 nu, nu) starts from hyper's split power and seed
+    at nu = a + n_start and steps by the exact ratio (2z)^2 (nu+1)/(2(2nu+1)),
+    rounded once; T_n is the lead times nu^-s.  For nu = n + a > 0 past the
+    first term, |T_{m+1}/T_m| for m >= n is capped by
+    z^2 (1 + 1/(2 nu + 1)) max(1, (nu/(nu+1))^s): both factors are monotone.
+    Rounding, against the kernel's 12 + 2.5n ulp: T_n carries the lead's
+    8.5 ulp and 1 per step (the ratio and the product), then nu^-s at most
+    2.5 and the product 0.5.
     """
     if z == 0:  # every term vanishes, and so does the tail
         yield from itertools.repeat((ctx.mpf(0), ctx.mpf(0)))
-    zf = to_mpf(ctx, z)
-    four_z_sq = (2 * zf) ** 2
-    s_int = int(s) if _is_integer(s) else None
-    sf = None if s_int is not None else to_mpf(ctx, s)
-    recip = central_binomial_reciprocal_seed(ctx, a + n_start)
-    power = ctx.power(2 * zf, 2 * to_mpf(ctx, a + n_start))
+    z_sq = to_mpf(ctx, z * z)
+    two_z_sq = 2 * z * z
+    lead = rational_power(ctx, 2 * z, 2 * (a + n_start)) * central_binomial_reciprocal_seed(ctx, a + n_start)
     for n in itertools.count(n_start):
         nu = a + n
-        nuf = to_mpf(ctx, nu)
-        if s_int is not None:
-            nu_pow = to_mpf(ctx, nu ** (-s_int))
-        else:
-            nu_pow = ctx.power(nuf, -sf)
         rho = None
         if nu > 0 and n > n_start:
-            rho = four_z_sq / 4 * to_mpf(ctx, (4 * nu + 4) / (4 * nu + 2))
-            if (s_int is not None and s_int < 0) or (s_int is None and s < 0):
-                rho *= ctx.power(nuf / (nuf + 1), to_mpf(ctx, s))
-        yield power * recip * nu_pow, rho
-        power *= four_z_sq
-        recip *= to_mpf(ctx, (nu + 1) / (2 * (2 * nu + 1)))
+            rho = z_sq * to_mpf(ctx, (4 * nu + 4) / (4 * nu + 2))
+            if s < 0:
+                rho *= ctx.power(to_mpf(ctx, nu / (nu + 1)), to_mpf(ctx, s))
+        yield lead * rational_power(ctx, nu, -s), rho
+        lead *= to_mpf(ctx, two_z_sq * (nu + 1) / (2 * nu + 1))
 
 
 def _phi_sum(ctx, s, a, z, max_terms, target_scale, allow_shifted=False):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import closedform, polyfam, series
 from .exact import PiExtValue, piext_to_float
 from .floats import BigFloat, context, to_mpf, ulp_scale
-from .hyper import central_binomial_reciprocal_seed, exact_gamma_ratio
+from .hyper import central_binomial_reciprocal_seed, exact_gamma_ratio, gamma_ratio_shift, rational_power
 from .report import CheckReport, Tally, sci
 
 
@@ -46,6 +46,12 @@ def _random_rationals(rng, count, lattice_free=True):
 
 
 def _closed_side_err(ctx, value):
+    # 32 ulp: the costliest closed side, lehmer2's at k = 4, z = 3/5, takes
+    # 12.7: 1 - z^2 rounds to 1.34 ulp, so its power k + 1/2 takes 7; the sqrt
+    # with its argument 1.7 (the asin branch takes less); z twice and a ladder
+    # 1.5; five operations 2.5
+    # (ode_phi1's takes 9.5: its rational 0.5, the power 2.5, the seed 5.5,
+    # two products 1)
     return 32 * ulp_scale(ctx) * abs(value)
 
 
@@ -183,14 +189,13 @@ def _euler_operator_point(tally, s: int, a: Fraction, z: Fraction, precision_bit
 def _term_rational_cofactor(n: int, s: int, a: Fraction, z: Fraction) -> Fraction:
     """Rational part of the n-th summand for lattice a > 0 and integer s.
 
-    For integer a the summand is rational; for half-integer a it is this
-    rational times pi (the reciprocal binomial contributes a pi), and the pi
-    factor cancels in the identity being tested.
+    The reciprocal binomial is g(a0) times the exact shift of
+    :func:`hlcbs.hyper.gamma_ratio_shift`; g(a0) is 1 or pi/4, the same for
+    every n, so it cancels in the identity being tested.
     """
     nu = a + n
-    ratio = exact_gamma_ratio(nu)
-    recip = ratio.c_one if ratio.c_one else ratio.c_pi
-    return (2 * z) ** int(2 * nu) * recip * nu ** (-s)
+    _, num, den = gamma_ratio_shift(nu)
+    return (2 * z) ** int(2 * nu) * Fraction(num, den) * nu ** (-s)
 
 
 def _check_thm31(cfg):
@@ -233,8 +238,7 @@ def _check_ode_phi1(cfg):
             phi1 = series.phi_numeric(series.SeriesQuery(1, a, z, cfg.precision_bits))
             zf = to_mpf(ctx, z)
             lhs_value = (1 - zf * zf) * 2 * phi0.value - phi1.value
-            pref = ctx.power(ctx.mpf(4), to_mpf(ctx, a)) * central_binomial_reciprocal_seed(ctx, a) / to_mpf(ctx, a)
-            rhs = to_mpf(ctx, 2 * a - 1) * ctx.power(zf, 2 * to_mpf(ctx, a)) * pref
+            rhs = to_mpf(ctx, (2 * a - 1) / a) * rational_power(ctx, 2 * z, 2 * a) * central_binomial_reciprocal_seed(ctx, a)
             lhs_err = (1 - zf * zf) * 2 * phi0.error_bound + phi1.error_bound + _closed_side_err(ctx, phi1.value)
             tally.agree(BigFloat(lhs_value, cfg.precision_bits, lhs_err), _closed_side(ctx, rhs, cfg.precision_bits))
     return f"a in {{{', '.join(str(a) for a in az)}}}, z in {{{', '.join(str(z) for z in zs)}}}", tally
@@ -338,8 +342,8 @@ def _check_shift(cfg):
         for s in [-2, -1, 0, 1]:
             big = series.zeta_hcb_numeric(s, a, cfg.precision_bits)
             small = series.zeta_hcb_numeric(s, a + 1, cfg.precision_bits)
-            step_f = central_binomial_reciprocal_seed(ctx, a) / ctx.power(to_mpf(ctx, a), to_mpf(ctx, s))
-            # the step takes a few roundings: 16 ulp, doubled by agree
+            step_f = central_binomial_reciprocal_seed(ctx, a) * to_mpf(ctx, a ** -s)
+            # 16 ulp, doubled by agree: the seed 5.5, a^-s 0.5, the product 0.5
             shifted = BigFloat(big.value - step_f, cfg.precision_bits, big.error_bound + 16 * ulp_scale(ctx) * abs(step_f))
             tally.agree(small, shifted)
     return "exact: integer a in {1,2,3}, k <= 5; numeric: a in {1, 3/2, 2}, s in -2..1", tally

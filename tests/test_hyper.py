@@ -14,14 +14,17 @@ from hlcbs.hyper import (
     NoConvergence,
     PFQParams,
     PoleError,
-    central_binomial_exact,
+    central_binomial_reciprocal_seed,
     exact_gamma_ratio,
+    gamma_ratio_shift,
     incomplete_beta_exact,
     incomplete_beta_numeric,
     pfq_eval,
     pochhammer,
+    rational_power,
     real_central_binomial,
 )
+from hlcbs.floats import context, ulp_scale
 
 
 def beta_quadrature_oracle(ctx, z, alpha, beta):
@@ -193,10 +196,11 @@ class TestIncompleteBetaExact:
 
 
 class TestCentralBinomial:
-    def test_exact_integer(self):
-        assert central_binomial_exact(2) == 6
-        with pytest.raises(DomainError):
-            central_binomial_exact(0)
+    def test_exact_integer(self, ctx):
+        # the exact shift from a0 = 0 is 1/C(2a, a), so the value holds math.comb
+        for a in range(1, 40):
+            out = real_central_binomial(F(a), 128)
+            assert abs(out.value - math.comb(2 * a, a)) <= out.error_bound, a
 
     def test_integer_matches_numeric(self, ctx):
         out = real_central_binomial(F(2), 128)
@@ -247,3 +251,38 @@ class TestExactGammaRatio:
         for a in (F(5, 4), F(0), F(-1, 2)):
             with pytest.raises(DomainError):
                 exact_gamma_ratio(a)
+
+
+class TestSplitAtFloor:
+    """a = floor(a) + a0: the integer part exact, only a0 in [0, 1) in mpmath."""
+
+    @pytest.mark.parametrize("a", [F(0), F(1, 2), F(7, 3), F(-5, 4), F(-140, 3), F(1000, 3), F(100001, 7)])
+    def test_shift_is_the_gamma_quotient(self, a, ctx):
+        a0, num, den = gamma_ratio_shift(a)
+        assert 0 <= a0 < 1 and a - a0 == math.floor(a)
+
+        def g(x):
+            x = ctx.mpf(x.numerator) / x.denominator
+            return ctx.gamma(x + 1) ** 2 / ctx.gamma(2 * x + 1)
+
+        assert abs(g(a0) * num / den / g(a) - 1) < ctx.mpf(10) ** -50
+
+    def test_negative_half_integer_is_the_pole(self):
+        for a in (F(-1, 2), F(-3, 2), F(-9, 2)):
+            assert gamma_ratio_shift(a)[1] == 0
+            assert central_binomial_reciprocal_seed(context(64), a) == 0
+
+    def test_lattice_seed_is_the_exact_ratio(self):
+        ctx = context(128)
+        for a in (F(1), F(3, 2), F(40), F(81, 2)):
+            exact = piext_to_float(exact_gamma_ratio(a), 128).value
+            assert abs(central_binomial_reciprocal_seed(ctx, a) / exact - 1) <= 2 * ulp_scale(ctx)
+
+    @pytest.mark.parametrize(
+        "q,e", [(F(9, 5), F(2000, 3)), (F(1, 25), F(-280, 3)), (F(4), F(397, 3)), (F(1, 4), F(5, 2)), (F(-3, 2), F(-7))]
+    )
+    def test_rational_power_within_its_count(self, q, e, ctx):
+        work = context(128)
+        got = rational_power(work, q, e)
+        expected = ctx.power(ctx.mpf(q.numerator) / q.denominator, ctx.mpf(e.numerator) / e.denominator)
+        assert abs(got / expected - 1) <= F(5, 2) * ulp_scale(work)

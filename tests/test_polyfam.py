@@ -16,6 +16,7 @@ from hlcbs.polyfam import (
     bm_q_poly,
     eulerian,
     eulerian_gf_oracle,
+    p_a_ladder,
     p_a_poly,
     p_from_eulerian,
     p_poly,
@@ -181,9 +182,24 @@ class TestAlpha:
             for n in range(9):
                 assert alpha(n, a) == F(2, 3) ** n * p_a_poly(n).substitute_a(a)(F(1, 4))
 
+    def test_integer_run_matches_the_fraction_recursion(self):
+        # 3 alpha_n = 2 alpha_{n-1} + sum_l C(n,l) alpha_l + 3 a^n, in Fractions
+        for a in (F(0), F(2), F(1, 3), F(5, 4), F(-7, 5)):
+            seq = [F(1)]
+            for n in range(1, 31):
+                total = 3 * a**n + sum(binomial(n, l) * seq[l] for l in range(n))
+                seq.append((total + 2 * seq[n - 1]) / 3)
+            assert [alpha(n, a) for n in range(31)] == seq, a
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             alpha(-1, F(1))
+
+
+def test_p_a_ladder_is_p_a_poly_at_one_a():
+    for a in (F(0), F(1), F(7, 2), F(-5, 3)):
+        for k in range(-1, 10):
+            assert p_a_ladder(k, a) == p_a_poly(k).substitute_a(a), (k, a)
 
 
 class TestEulerianRepresentations:

@@ -47,12 +47,14 @@ class TestSeriesQuery:
             SeriesQuery(1, F(1), F(1, 4), precision_bits=8)
 
     def test_float_parameters_rejected(self):
-        # a and z must be exact, as everywhere else in the kit
+        # s, a and z must be exact, as everywhere else in the kit
         from hlcbs.closedform import phi_pos_hyper
         from hlcbs.hyper import incomplete_beta_numeric
 
         with pytest.raises(TypeError):
             SeriesQuery(1, F(1), 0.25)
+        with pytest.raises(TypeError):
+            SeriesQuery(0.1, F(5, 4), F(1, 5))
         with pytest.raises(TypeError):
             phi_pos_hyper(1, F(1), 0.25)
         with pytest.raises(TypeError):
