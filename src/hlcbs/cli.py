@@ -145,32 +145,16 @@ def _cmd_table(args) -> int:
             for row in rows:
                 print("\t".join(row))
     else:  # polys
-        n_max = args.n
-        if args.json:
-            for n in range(-1, n_max + 1):
-                print(
-                    json.dumps(
-                        {
-                            "n": n,
-                            "p": polyfam.p_poly(n).to_text(),
-                            "pa": polyfam.p_a_poly(n).to_text(),
-                            "q": polyfam.q_poly(n).to_text(),
-                        }
-                    )
-                )
-        else:
+        if not args.json:
             print("\t".join(["n", "p_n(x)", "p_n(a,x)", "q_n(x)"]))
-            for n in range(-1, n_max + 1):
-                print(
-                    "\t".join(
-                        [
-                            str(n),
-                            polyfam.p_poly(n).to_text(),
-                            polyfam.p_a_poly(n).to_text(),
-                            polyfam.q_poly(n).to_text(),
-                        ]
-                    )
-                )
+        for n in range(-1, args.n + 1):
+            row = {
+                "n": n,
+                "p": polyfam.p_poly(n).to_text(),
+                "pa": polyfam.p_a_poly(n).to_text(),
+                "q": polyfam.q_poly(n).to_text(),
+            }
+            print(json.dumps(row) if args.json else "\t".join(str(v) for v in row.values()))
     return 0
 
 

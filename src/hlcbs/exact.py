@@ -1,10 +1,15 @@
 """Exact arithmetic foundation: rationals, polynomials, and the
 Q-span of {1, sqrt3, pi, sqrt3*pi}.
 
-Rational numbers are plain :class:`fractions.Fraction` (always reduced,
-positive denominator).  Polynomials are stored dense by degree, with
-schoolbook products; the families reach degree 600 and more, where those
-products, not storage, set the cost.  :class:`PiExtValue` holds every exact
+A rational number is an ``int`` or a :class:`fractions.Fraction` (always
+reduced, positive denominator), kept as it comes: integers stay integers,
+so the integer ladders pay no gcd, and ``1 == Fraction(1)`` keeps equality,
+hashing and text forms independent of which one a value is.  Floats are
+rejected.  Polynomials are stored dense by degree, with schoolbook
+products, and one arithmetic serves every coefficient ring: a
+:class:`BiPoly` is a :class:`UniPoly` whose coefficients are UniPolys.  The
+families reach degree 600 and more, where those products, not storage,
+set the cost.  :class:`PiExtValue` holds every exact
 special value produced by the kit: all of them live in the Q-vector space
 spanned by 1, sqrt3, pi and sqrt3*pi, and that basis is Q-linearly
 independent, so the representation is unique.
@@ -36,37 +41,56 @@ def as_fraction(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q
+# dense polynomials over a coefficient ring
 
 
-def _strip(coeffs):
+def _strip(coeffs) -> tuple:
     n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
+    while n and not coeffs[n - 1]:
         n -= 1
-    return coeffs[:n]
+    return tuple(coeffs[:n])
 
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial over Q.
 
     ``coeffs[d]`` is the coefficient of x^d; trailing zeros are stripped, so
-    the zero polynomial has an empty coefficient tuple.
+    the zero polynomial has an empty coefficient tuple.  A coefficient is an
+    ``int`` or a ``Fraction``, kept as given (a str is parsed, a float
+    raises TypeError), so an integer ladder runs in integers.
+
+    The arithmetic is written once for any coefficient ring and returns
+    ``type(self)``.  A subclass names its ring by ``_coefficient`` (the
+    coercion of one coefficient) and ``_scalars`` (the operand types that
+    act as constants).
     """
 
     coeffs: tuple
 
+    _scalars = (int, Fraction)
+
     def __init__(self, coeffs=()):
-        cs = tuple(as_fraction(c) for c in coeffs)
-        object.__setattr__(self, "coeffs", tuple(_strip(list(cs))))
+        object.__setattr__(self, "coeffs", _strip([self._coefficient(c) for c in coeffs]))
+
+    @staticmethod
+    def _coefficient(c):
+        return c if isinstance(c, (int, Fraction)) else as_fraction(c)
 
     @classmethod
-    def const(cls, c) -> "UniPoly":
-        return cls((as_fraction(c),))
+    def _of(cls, coeffs):
+        """The polynomial with these coefficients, already in the ring."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", _strip(coeffs))
+        return poly
 
     @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((Fraction(0), Fraction(1)))
+    def const(cls, c):
+        return cls((c,))
+
+    @classmethod
+    def x(cls):
+        return cls((0, 1))
 
     @property
     def degree(self) -> int:
@@ -79,28 +103,35 @@ class UniPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
+    def _lift(self, other):
+        """``other`` as a polynomial of this class, or None if it is neither
+        one nor a constant of the ring."""
+        if type(other) is type(self):
+            return other
+        if isinstance(other, self._scalars):
+            return self._of([self._coefficient(other)])
+        return None
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+            out[i] = out[i] + c
+        return self._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return self._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.const(other)
-        if not isinstance(other, UniPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -108,25 +139,27 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, UniPoly):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) <= 1:  # one coefficient (or none): a scaling
+            return self._of([c * b[0] for c in a] if b else [])
+        out = [self._coefficient(0)] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] = out[i + j] + ai * bj
+        return self._of(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = UniPoly.const(1)
+        result = self.const(1)
         base = self
         while n:
             if n & 1:
@@ -135,15 +168,14 @@ class UniPoly:
             n >>= 1
         return result
 
-    def derivative(self) -> "UniPoly":
+    def derivative(self):
         """Formal d/dx."""
-        return UniPoly(tuple(c * d for d, c in enumerate(self.coeffs) if d >= 1))
+        return self._of([c * d for d, c in enumerate(self.coeffs[1:], 1)])
 
     def __call__(self, point):
-        """Horner evaluation; exact for Fraction points, works for mpf too."""
-        if isinstance(point, int):
-            point = Fraction(point)
-        acc = Fraction(0) if isinstance(point, Fraction) else point * 0
+        """Horner evaluation at a rational point; a float raises TypeError."""
+        point = as_fraction(point)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
@@ -181,130 +213,58 @@ class UniPoly:
 # polynomials in x whose coefficients are polynomials in the parameter a
 
 
-@dataclass(frozen=True)
-class BiPoly:
-    """Polynomial in x with UniPoly-in-a coefficients (``coeffs[d]`` at x^d)."""
+class BiPoly(UniPoly):
+    """Polynomial in x over the ring of :class:`UniPoly` in a.
 
-    coeffs: tuple
+    ``coeffs[d]`` is the UniPoly in a at x^d; a rational coefficient is
+    lifted to a constant.  A UniPoly operand is a coefficient (a polynomial
+    in a); embed a polynomial in x with :meth:`from_x_poly`.
+    """
 
-    def __init__(self, coeffs=()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, (int, Fraction)):
-                c = UniPoly.const(c)
-            if not isinstance(c, UniPoly):
-                raise TypeError("BiPoly coefficients must be UniPoly or rationals")
-            cs.append(c)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    _scalars = (int, Fraction, UniPoly)
 
-    @classmethod
-    def const(cls, c) -> "BiPoly":
-        return cls((UniPoly.const(c),))
+    @staticmethod
+    def _coefficient(c):
+        return c if type(c) is UniPoly else UniPoly((c,))
+
+    # named here so the class dict binds them: callers that wrap methods by
+    # class attribute see BiPoly's own entries
+    __add__ = __radd__ = UniPoly.__add__
+    __mul__ = __rmul__ = UniPoly.__mul__
 
     @classmethod
     def from_x_poly(cls, p: UniPoly) -> "BiPoly":
         """Embed a polynomial in x (constant in a)."""
-        return cls(tuple(UniPoly.const(c) for c in p.coeffs))
+        return cls(p.coeffs)
 
     @classmethod
     def from_a_poly(cls, p: UniPoly) -> "BiPoly":
         """Embed a polynomial in a (degree 0 in x)."""
         return cls((p,))
 
-    @property
-    def degree_x(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = BiPoly((other,)) if not isinstance(other, UniPoly) else BiPoly.from_a_poly(other)
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BiPoly(out)
-
-    def __neg__(self):
-        return BiPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
-            return self + (-(BiPoly.from_a_poly(other) if isinstance(other, UniPoly) else BiPoly.const(other)))
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiPoly(tuple(c * other for c in self.coeffs))
-        if isinstance(other, UniPoly):  # scalar in a
-            return BiPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return BiPoly()
-        out = [UniPoly()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def dx(self) -> "BiPoly":
-        """Formal partial derivative in x."""
-        return BiPoly(tuple(c * d for d, c in enumerate(self.coeffs) if d >= 1))
-
     def substitute_a(self, a_value) -> UniPoly:
         """Coefficient-wise substitution of a rational value for a."""
-        a_value = as_fraction(a_value)
         return UniPoly(tuple(c(a_value) for c in self.coeffs))
 
     def to_unipoly(self) -> UniPoly:
         """Round-trip for BiPoly with all a-degrees zero."""
         if any(c.degree > 0 for c in self.coeffs):
             raise DomainError("BiPoly depends on the parameter; cannot drop it")
-        return UniPoly(tuple(c(Fraction(0)) for c in self.coeffs))
+        return UniPoly(tuple(c.coeffs[0] if c else 0 for c in self.coeffs))
 
     def __call__(self, a_value, x_value):
         return self.substitute_a(a_value)(x_value)
 
     def to_text(self, var: str = "x", coeff_var: str = "a") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for d in range(self.degree_x, -1, -1):
-            c = self.coeffs[d]
-            if c.is_zero():
-                continue
-            if c.degree == 0:
-                term = format_terms([(c.coeffs[0], _power_token(var, d))])
-                if term.startswith("-"):
-                    parts.append(("-", term[1:]))
-                else:
-                    parts.append(("+", term))
-            else:
+        terms = []
+        for d in range(self.degree, -1, -1):
+            c, power = self.coeffs[d], _power_token(var, d)
+            if c.degree > 0:
                 body = f"({c.to_text(coeff_var)})"
-                pw = _power_token(var, d)
-                parts.append(("+", body if not pw else f"{body}*{pw}"))
-        first_sign, first = parts[0]
-        text = ("-" if first_sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
-
-    def __str__(self) -> str:
-        return self.to_text()
+                terms.append((1, f"{body}*{power}" if power else body))
+            else:
+                terms.append((c.coeffs[0] if c else 0, power))
+        return format_terms(terms)
 
 
 # ---------------------------------------------------------------------------

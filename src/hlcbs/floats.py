@@ -34,15 +34,15 @@ class BudgetExceeded(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def context(precision_bits: int, guard: int = GUARD_BITS) -> mpmath.ctx_mp.MPContext:
-    """The mpmath context at ``precision_bits + guard`` bits, one per precision.
+def context(precision_bits: int) -> mpmath.ctx_mp.MPContext:
+    """The mpmath context at ``precision_bits + GUARD_BITS`` bits, one per precision.
 
     Only this function sets a context's precision, so callers share it.
     """
     if precision_bits < MIN_PRECISION_BITS:
         raise DomainError(f"precision_bits must be >= {MIN_PRECISION_BITS}, got {precision_bits}")
     ctx = mpmath.mp.clone()
-    ctx.prec = precision_bits + guard
+    ctx.prec = precision_bits + GUARD_BITS
     return ctx
 
 

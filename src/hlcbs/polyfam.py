@@ -59,6 +59,14 @@ def p_poly(k: int) -> UniPoly:
     )
 
 
+def _p_step(p, j: int, a):
+    """p_j(a, x) from p = p_{j-1}(a, x), in the class of p:
+    (2a + (2j - 2a)x) p + 2x(1-x) p' + q_{j-1}(x).  With p a BiPoly, a is
+    the indeterminate UniPoly.x(); with p a UniPoly, a is a rational."""
+    poly = type(p)
+    return poly((2 * a, 2 * j - 2 * a)) * p + poly((0, 2, -2)) * p.derivative() + poly(q_poly(j - 1).coeffs)
+
+
 @lru_cache(maxsize=None)
 def p_a_poly(k: int) -> BiPoly:
     """One-parameter interpolation p_k(a,x).
@@ -73,23 +81,16 @@ def p_a_poly(k: int) -> BiPoly:
         return BiPoly()
     for j in range(-1, k - 1):  # fill the cache bottom-up: recursion stays shallow
         p_a_poly(j)
-    prev = p_a_poly(k - 1)
-    # 2((k-a)x + a): x-coefficient 2k - 2a, constant coefficient 2a
-    multiplier = BiPoly((UniPoly((0, 2)), UniPoly((2 * k, -2))))
-    return (
-        multiplier * prev
-        + BiPoly.from_x_poly(2 * _X_ONE_MINUS_X) * prev.dx()
-        + BiPoly.from_x_poly(q_poly(k - 1))
-    )
+    return _p_step(p_a_poly(k - 1), k, UniPoly.x())
 
 
 def p_a_ladder(k: int, a) -> UniPoly:
-    """p_k(a, x) at one rational a: the :func:`p_a_poly` recursion run in x
+    """p_k(a, x) at one rational a: the :func:`p_a_poly` step run in x
     alone, O(k^2) rather than the O(k^3) of the bivariate ladder."""
     a = as_fraction(a)
     p = UniPoly()
     for j in range(k + 1):
-        p = UniPoly((2 * a, 2 * j - 2 * a)) * p + 2 * _X_ONE_MINUS_X * p.derivative() + q_poly(j - 1)
+        p = _p_step(p, j, a)
     return p
 
 
@@ -116,7 +117,7 @@ def eulerian(n: int) -> EulerianPoly:
         eulerian(j)
     prev = eulerian(n - 1)
     multiplier = BiPoly((UniPoly((0, 1)), UniPoly((n - 1,))))  # y + (n-1) x
-    return multiplier * prev + BiPoly.from_x_poly(_X_ONE_MINUS_X) * prev.dx()
+    return multiplier * prev + BiPoly.from_x_poly(_X_ONE_MINUS_X) * prev.derivative()
 
 
 def _series_mul(a, b, order):
@@ -168,10 +169,7 @@ def eulerian_gf_oracle(n: int) -> EulerianPoly:
         binom_y = binom_y * (y_poly - (j - 1)) * Fraction(1, j)
         v_power = _series_mul(v_power, v, order)
         for m in range(j, order + 1):
-            for d, c in enumerate(v_power[m].coeffs):
-                if c:
-                    contrib = BiPoly([UniPoly() for _ in range(d)] + [binom_y * c])
-                    target[m] = target[m] + contrib
+            target[m] = target[m] + BiPoly.from_x_poly(v_power[m]) * binom_y
     return target[n] * Fraction(math.factorial(n))
 
 
@@ -278,9 +276,8 @@ def p_from_eulerian(n: int) -> BiPoly:
         for l in range(j + 1):
             c = binomial(n + 1, j + 1) * binomial(j, l)
             z_part = (one_minus_z ** (j - l)) * e_half[n - j] * e_half[l] * c
-            term = BiPoly.from_x_poly(z_part) * BiPoly.from_a_poly(a_minus_1 ** (j - l))
-            total = total + term
-    return total * Fraction(2) ** n
+            total = total + BiPoly.from_x_poly(z_part) * a_minus_1 ** (j - l)
+    return total * 2**n
 
 
 def bm_p_poly(n: int) -> UniPoly:
@@ -291,11 +288,11 @@ def bm_p_poly(n: int) -> UniPoly:
     total = UniPoly()
     for k in range(n + 1):
         total = total + binomial(n + 1, k) * e_half[n - k] * e_half[k]
-    return total * Fraction(2) ** n
+    return total * 2**n
 
 
 def bm_q_poly(n: int) -> UniPoly:
     """q_{n-1}(x) = 2^n E_n(x, 1/2), the companion identity."""
     if n < 0:
         raise DomainError(f"bm_q_poly needs n >= 0, got {n}")
-    return eulerian(n).substitute_a(Fraction(1, 2)) * Fraction(2) ** n
+    return eulerian(n).substitute_a(Fraction(1, 2)) * 2**n

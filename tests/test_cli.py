@@ -166,6 +166,20 @@ class TestTableCommand:
         assert lines[1].split("\t") == ["-1", "0", "0", "1"]
         assert lines[-1].split("\t")[3] == "8*x^3 + 60*x^2 + 36*x + 1"
 
+    def test_polys_table_json_lines_match_the_tsv_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "polys", "--n", "3", "--json")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[:3] == [
+            '{"n": -1, "p": "0", "pa": "0", "q": "1"}',
+            '{"n": 0, "p": "1", "pa": "1", "q": "1"}',
+            '{"n": 1, "p": "3", "pa": "(-2*a + 2)*x + (2*a + 1)", "q": "2*x + 1"}',
+        ]
+        _, tsv, _ = run_cli(capsys, "table", "polys", "--n", "3")
+        tsv_rows = [line.split("\t") for line in tsv.strip().splitlines()[1:]]
+        json_rows = [json.loads(line) for line in lines]
+        assert [[str(r["n"]), r["p"], r["pa"], r["q"]] for r in json_rows] == tsv_rows
+
 
 class TestVerifyCommand:
     def test_single_check_json(self, capsys):

@@ -24,6 +24,8 @@ PI_DIGITS = "3.1415926535897932384626433832795028841971693993751"
 SQRT3_DIGITS = "1.7320508075688772935274463415058723669428052538104"
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+a_polys = st.lists(rationals, max_size=4).map(UniPoly)
+bipolys = st.lists(a_polys, max_size=5).map(BiPoly)
 
 
 class TestUniPoly:
@@ -67,6 +69,22 @@ class TestUniPoly:
         assert (p * q)(r) == p(r) * q(r)
         assert (p + q)(r) == p(r) + q(r)
 
+    def test_coefficients_stay_as_given_and_floats_are_refused(self):
+        p = UniPoly((1, F(1, 2), "3/4"))
+        assert [type(c) for c in p.coeffs] == [int, F, F]
+        assert [type(c) for c in (p * 4).coeffs] == [int, F, F]
+        assert UniPoly((2, 3)) == UniPoly((F(2), F(3)))
+        assert hash(UniPoly((2, 3))) == hash(UniPoly((F(2), F(3))))
+        with pytest.raises(TypeError):
+            UniPoly((0.5,))
+
+    def test_evaluation_is_at_rationals_only(self, ctx):
+        p = UniPoly((1, 2))
+        assert p(3) == 7 and type(p(3)) is F
+        for point in (0.5, ctx.mpf(1) / 3):
+            with pytest.raises(TypeError):
+                p(point)
+
     def test_text_round_trip(self):
         q3 = UniPoly((1, 36, 60, 8))
         assert q3.to_text() == "8*x^3 + 60*x^2 + 36*x + 1"
@@ -103,6 +121,27 @@ class TestBiPoly:
         b = p_a_poly(1)
         assert b - b == BiPoly()
         assert (b * BiPoly.const(2)).substitute_a(1) == 2 * b.substitute_a(1)
+
+    def test_arithmetic_is_bound_in_the_class_dict(self):
+        # perfbench's tracer wraps BiPoly.__add__ and __mul__ by class dict
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            assert vars(BiPoly)[name] is vars(UniPoly)[name]
+
+    @given(bipolys, bipolys, a_polys, rationals)
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    def test_arithmetic_commutes_with_substitution(self, p, q, c, a):
+        def at(b):
+            return b.substitute_a(a)
+
+        assert at(p + q) == at(p) + at(q)
+        assert at(p - q) == at(p) - at(q)
+        assert at(p * q) == at(p) * at(q)
+        assert at(p.derivative()) == at(p).derivative()
+        # a UniPoly operand is a coefficient, a polynomial in a, on either side
+        assert type(c * p) is type(c - p) is BiPoly
+        assert at(p * c) == at(c * p) == at(p) * c(a)
+        assert at(p + c) == at(p) + c(a)
+        assert at(c - p) == c(a) - at(p)
 
 
 class TestPiExtValue:

@@ -1,6 +1,9 @@
 """Polynomial/number family generators against their known small members
 and against independent generating-function oracles."""
 
+import hashlib
+import json
+import os
 import random
 import sys
 from fractions import Fraction as F
@@ -94,6 +97,11 @@ class TestLadders:
     def test_interpolation_endpoints(self, n):
         assert p_a_poly(n).substitute_a(0) == q_poly(n)
         assert p_a_poly(n).substitute_a(1) == p_poly(n)
+
+    def test_integer_ladders_keep_integer_coefficients(self):
+        assert all(type(c) is int for c in q_poly(30).coeffs)
+        for family in (p_a_poly(10), eulerian(10)):
+            assert all(type(c) is int for coeff in family.coeffs for c in coeff.coeffs)
 
     def test_a_one_holds_from_the_start(self):
         assert p_a_poly(-1).substitute_a(1) == p_poly(-1)
@@ -284,3 +292,22 @@ def test_cold_call_needs_few_stack_frames(fn, args):
         fn(*args)
     finally:
         sys.setrecursionlimit(limit)
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "poly_text_parity.json")) as _fh:
+    TEXT_PARITY = json.load(_fh)
+
+FAMILIES = {"q_poly": q_poly, "p_poly": p_poly, "p_a_poly": p_a_poly, "eulerian": eulerian}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_text_parity(name):
+    """``data/poly_text_parity.json`` was recorded while UniPoly turned every
+    coefficient into a Fraction and BiPoly had arithmetic of its own: to_text()
+    of q_n and p_n for n <= 40, of p_n(a, x) and E_n for n <= 12, and the
+    SHA-256 of each family's n = 32 and n = 79 texts."""
+    family = FAMILIES[name]
+    for n, text in TEXT_PARITY["text"][name]:
+        assert family(n).to_text() == text, n
+    for n, digest in TEXT_PARITY["sha256"][name]:
+        assert hashlib.sha256(family(n).to_text().encode()).hexdigest() == digest, n
