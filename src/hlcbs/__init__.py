@@ -16,7 +16,7 @@ from .exact import (
     UniPoly,
     piext_to_float,
 )
-from .floats import BigFloat
+from .floats import BigFloat, BudgetExceeded, NoConvergence
 from .closedform import (
     ZetaStructured,
     phi_neg_closed,
@@ -29,7 +29,6 @@ from .closedform import (
 )
 from .hyper import (
     LowerParamPole,
-    NoConvergence,
     PFQParams,
     PoleError,
     exact_gamma_ratio,
@@ -55,7 +54,6 @@ from .polyfam import (
 )
 from .report import CheckReport
 from .series import (
-    BudgetExceeded,
     SeriesQuery,
     phi_numeric,
     phi_terms,

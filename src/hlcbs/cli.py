@@ -2,9 +2,12 @@
 zeta values, table generation, and the verification harness.
 
 Rational arguments are written as "P/Q" (decimal strings like "0.25" are
-also accepted and parsed exactly).  Numeric values print only the digits
-their error bound certifies.  Exit codes: 0 success, 1 domain error (a
-precision below 32 bits included), 2 verification failure.
+also accepted and parsed exactly); a negative one is joined to its flag, as
+in --a=-1/3, since argparse reads "--a -1/3" as two options.  z = 0 needs
+a > 0.  Numeric values print only the digits their error bound certifies.
+Exit codes: 0 success, 1 domain error or usage error (a precision below
+32 bits and a series that does not converge within its budget included),
+2 verification failure.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from fractions import Fraction
 from . import closedform, polyfam, series, verify
 from .exact import DomainError
 from .hyper import PFQParams, incomplete_beta_numeric, pfq_eval
-from .series import BudgetExceeded
 
 
 def _fraction(text: str) -> Fraction:
@@ -131,6 +133,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    for flag in ("n", "k"):
+        if getattr(args, flag, 0) < 0:
+            raise DomainError(f"table {args.what} needs --{flag} >= 0, got {getattr(args, flag)}")
     if args.what == "polybernoulli":
         n_max, k_max = args.n, args.k
         header = ["k\\n"] + [str(n) for n in range(n_max + 1)]
@@ -179,8 +184,17 @@ def _add_common(parser, max_terms=False):
         parser.add_argument("--max-terms", type=int, default=series.DEFAULT_MAX_TERMS, dest="max_terms")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, like every other bad input: its
+    own exit code 2 means a failed verification here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hlcbs", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="hlcbs", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_zeta = sub.add_parser("zeta", help="zeta values at s = 1-k")
@@ -253,7 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (DomainError, BudgetExceeded, verify.UnknownCheck) as exc:
+    except (DomainError, verify.UnknownCheck) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -44,8 +44,6 @@ def _phi_hyper(s: int, a, z, precision_bits: int) -> BigFloat:
     Either way the prefactor is 4^a a^(-s) z^(2a) / C(2a, a)."""
     a, z = check_domain(a, z)
     ctx = context(precision_bits)
-    if z == 0:
-        return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))
     if s >= 1:
         upper, lower, copies = a, a + 1, s
     else:
@@ -105,8 +103,6 @@ def phi_neg_closed(k: int, a, z, precision_bits: int = 128) -> BigFloat:
         raise DomainError(f"phi_neg_closed needs k >= 0, got {k}")
     a, z = check_domain(a, z)
     ctx = context(precision_bits)
-    if z == 0:
-        return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))
     f = pfq_eval(PFQParams((Fraction(1, 2), a - Fraction(1, 2)), (a + Fraction(1, 2),), z * z), precision_bits + 16)
     # the ladders and (1-z^2)^k are exact rationals, each quotient rounded once:
     # value = (2z)^(2a) g(a) (p_part + q_part F / sqrt(1-z^2))

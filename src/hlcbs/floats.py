@@ -6,10 +6,12 @@ Results are returned as :class:`BigFloat`, which pairs the value with the
 precision it was requested at and an absolute error bound the computation
 actually guarantees.
 
-:func:`tail_bounded_sum` is the one place that sums a series: it decides when
-to stop and states the error bound.  The series oracle and the pFq evaluator
-only supply terms and ratio caps; the oracle builds its terms from the
-definition of the series, never from a closed form.
+:func:`tail_bounded_sum` is the one place that sums a series: it derives the
+stop target from the context's precision, decides when to stop, states the
+error bound, and raises the one budget error, :class:`BudgetExceeded`.  The
+series oracle and the pFq evaluator only supply terms and ratio caps; the
+oracle builds its terms from the definition of the series, never from a
+closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ class DomainError(ValueError):
     """An argument lies outside an operation's mathematical domain."""
 
 
-class BudgetExceeded(RuntimeError):
+class NoConvergence(DomainError):
+    """A series does not converge to the requested error bound: its argument
+    lies outside the open unit disc, or its terms outrun the budget."""
+
+
+class BudgetExceeded(NoConvergence):
     """The requested error bound was not met within max_terms."""
 
 
@@ -64,10 +71,11 @@ def ulp_scale(ctx) -> "mpmath.mpf":
     return ctx.ldexp(1, -ctx.prec + 1)
 
 
-def tail_bounded_sum(ctx, terms, target, max_terms: int):
-    """Sum a series until a geometric tail bound meets ``target``.
+def tail_bounded_sum(ctx, terms, max_terms: int):
+    """Sum a series until a geometric tail bound meets the context's target.
 
-    ``terms`` yields pairs ``(t_n, rho_n)``, where ``rho_n`` caps
+    The target is 2^-(P+8), P = ``ctx.prec - GUARD_BITS`` the requested
+    precision.  ``terms`` yields pairs ``(t_n, rho_n)``, where ``rho_n`` caps
     |t_{m+1}/t_m| for every m >= n, or is None while no cap is known.  The
     sum stops after the first t_n with |t_n| rho/(1-rho) <= target *
     max(|sum|, 1), rho carrying 1 + 2^-24 slack for the rounding of the cap
@@ -80,6 +88,7 @@ def tail_bounded_sum(ctx, terms, target, max_terms: int):
     Returns ``(sum, error_bound, terms_used)``; raises :class:`BudgetExceeded`
     when ``max_terms`` terms do not meet the target.
     """
+    target = ctx.ldexp(1, -(ctx.prec - GUARD_BITS + 8))
     total = ctx.mpf(0)
     abs_sum = ctx.mpf(0)
     slack = 1 + ctx.ldexp(1, -24)

@@ -12,10 +12,16 @@ power at the fractional part (:func:`rational_power`).  A rounded input is
 thus never amplified by |a psi(a)| or |a ln q|.
 
 The pFq evaluator supplies the terms of the defining series to the one
-summation kernel, :func:`hlcbs.floats.tail_bounded_sum`, which stops only
-once a provable geometric tail bound falls below the target: each ratio
-factor (alpha+n)/(beta+n) is monotone in n with limit 1, so past any index N
-the term ratio is bounded by |z| * prod_c max(h_c(N), 1).
+summation kernel, :func:`hlcbs.floats.tail_bounded_sum`, which owns the stop
+target and the budget error and stops only once a provable geometric tail
+bound falls below that target: each ratio factor (alpha+n)/(beta+n) is
+monotone in n with limit 1, so past any index N the term ratio is bounded by
+|z| * prod_c max(h_c(N), 1).
+
+:func:`check_domain` is the one place that decides where the series is
+defined.  At z = 0 it needs a > 0, where the factor (2z)^(2a) is 0, so every
+value of Phi and of the incomplete beta at z = 0 comes out 0 with bound 0 on
+the general path, and no caller forks on z = 0.
 """
 
 from __future__ import annotations
@@ -27,15 +33,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import DomainError, PiExtValue, as_fraction
-from .floats import BigFloat, BudgetExceeded, context, tail_bounded_sum, to_mpf, ulp_scale
+from .floats import BigFloat, NoConvergence, context, tail_bounded_sum, to_mpf, ulp_scale
 
 
 class LowerParamPole(DomainError):
     """A lower pFq parameter is a nonpositive integer."""
-
-
-class NoConvergence(DomainError):
-    """The series argument lies outside the open unit disc."""
 
 
 class PoleError(DomainError):
@@ -45,20 +47,26 @@ class PoleError(DomainError):
 _MAX_PFQ_TERMS = 200_000
 
 
-def check_domain(a, z=0):
+def check_domain(a, z=None):
     """The series' (a, z) as Fractions, after checking their domain.
 
     a must avoid the half-integers <= 0 (:class:`PoleError`), where the
-    gammas in C(2a, a) or the first term's (n+a)^s meet a pole; z must be an
-    exact rational in [0, 1).  Floats are rejected, as :func:`as_fraction`
-    documents.
+    gammas in C(2a, a) or the first term's (n+a)^s meet a pole.  A given z
+    must be an exact rational in [0, 1), and z = 0 needs a > 0: for a < 0
+    the first term (2z)^(2a) diverges as z -> 0.  Without z only a is
+    checked, and z comes back None.  Floats are rejected, as
+    :func:`as_fraction` documents.
     """
     a = as_fraction(a)
-    z = as_fraction(z)
     if (2 * a).denominator == 1 and a <= 0:
         raise PoleError(f"a must avoid half-integers <= 0, got {a}")
+    if z is None:
+        return a, None
+    z = as_fraction(z)
     if not 0 <= z < 1:
         raise DomainError(f"z must lie in [0, 1), got {z}")
+    if z == 0 and a < 0:
+        raise DomainError(f"z = 0 needs a > 0: the first term (2z)^(2a) diverges there, got a = {a}")
     return a, z
 
 
@@ -143,15 +151,15 @@ def _pfq_terms(ctx, params: PFQParams):
 
 
 def pfq_eval(params: PFQParams, precision_bits: int = 128) -> BigFloat:
-    """Sum the pFq series at |z| < 1 with a guaranteed error bound."""
+    """Sum the pFq series at |z| < 1 with a guaranteed error bound.
+
+    A sum that outruns its term budget ends in the kernel's
+    :class:`~hlcbs.floats.BudgetExceeded`, a :class:`NoConvergence`.
+    """
     if abs(params.z) >= 1:
         raise NoConvergence(f"pFq series needs |z| < 1, got z = {params.z}")
     ctx = context(precision_bits)
-    target = ctx.ldexp(1, -(precision_bits + 8))
-    try:
-        total, bound, _ = tail_bounded_sum(ctx, _pfq_terms(ctx, params), target, _MAX_PFQ_TERMS)
-    except BudgetExceeded as exc:
-        raise NoConvergence(f"tail bound not reached within {_MAX_PFQ_TERMS} terms") from exc
+    total, bound, _ = tail_bounded_sum(ctx, _pfq_terms(ctx, params), _MAX_PFQ_TERMS)
     return BigFloat(total, precision_bits, bound)
 
 
@@ -171,8 +179,6 @@ def incomplete_beta_numeric(z, alpha, beta, precision_bits: int = 128) -> BigFlo
         raise DomainError(f"incomplete beta needs alpha, beta > 0, got {alpha}, {beta}")
     alpha, z = check_domain(alpha, z)
     ctx = context(precision_bits)
-    if z == 0:
-        return BigFloat(ctx.mpf(0), precision_bits, ctx.mpf(0))
     f = pfq_eval(PFQParams((alpha, 1 - beta), (alpha + 1,), z), precision_bits + 16)
     prefactor = rational_power(ctx, z, alpha) / to_mpf(ctx, alpha)
     value = prefactor * f.value

@@ -61,7 +61,6 @@ class Tally:
         self.max_tol = None
         self.numeric_failures = 0
         self.exact_failures = 0
-        self.saw_numeric = False
 
     def exact(self, ok: bool):
         self.comparisons += 1
@@ -70,7 +69,6 @@ class Tally:
 
     def numeric(self, dev, tol):
         self.comparisons += 1
-        self.saw_numeric = True
         if self.max_dev is None or dev > self.max_dev:
             self.max_dev = dev
         if self.max_tol is None or tol > self.max_tol:
@@ -91,9 +89,9 @@ class Tally:
         return self.exact_failures == 0 and self.numeric_failures == 0
 
     def report(self, check_id: str, grid: str, elapsed: float) -> CheckReport:
-        dev = self.max_dev if self.saw_numeric else EXACT
-        tol = self.max_tol if self.saw_numeric else EXACT
-        if not self.passed and not self.saw_numeric:
+        dev = EXACT if self.max_dev is None else self.max_dev
+        tol = EXACT if self.max_dev is None else self.max_tol
+        if not self.passed and self.max_dev is None:
             dev = f"{self.exact_failures} exact comparisons failed"
         return CheckReport(
             check_id=check_id,

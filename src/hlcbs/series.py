@@ -10,8 +10,11 @@ Each term is built from this definition, never from a closed form: the
 power of 2z times the reciprocal binomial, updated by (2z)^2 r(nu+1)/r(nu) =
 (2z)^2 (nu+1)/(2(2nu+1)), and nu^-s.  The term ratio tends to z^2, which
 yields a provable geometric tail bound; the one summation kernel,
-:func:`hlcbs.floats.tail_bounded_sum`, stops on it and states the error bound.
-This module only sums; the checks on the series live in :mod:`hlcbs.verify`.
+:func:`hlcbs.floats.tail_bounded_sum`, owns the stop target and the budget
+error (:class:`~hlcbs.floats.BudgetExceeded`), stops on the bound and states
+it.  Where the series is defined is :func:`hlcbs.hyper.check_domain`'s call
+alone.  This module only sums; the checks on the series live in
+:mod:`hlcbs.verify`.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ class SeriesQuery:
 def _phi_terms(ctx, s, a, z, n_start=0):
     """Yield (T_n, rho_n) for n >= n_start, T_n built from the definition.
 
+    A caller that knows every term before n_start is 0 (a half-integer
+    a <= 0, whose reciprocal binomial sits on gamma poles) starts there.
     The lead (2z)^(2 nu)/C(2 nu, nu) starts from hyper's split power and seed
     at nu = a + n_start and steps by the exact ratio (2z)^2 (nu+1)/(2(2nu+1)),
     rounded once; T_n is the lead times nu^-s.  For nu = n + a > 0 past the
@@ -63,8 +68,6 @@ def _phi_terms(ctx, s, a, z, n_start=0):
     8.5 ulp and 1 per step (the ratio and the product), then nu^-s at most
     2.5 and the product 0.5.
     """
-    if z == 0:  # every term vanishes, and so does the tail
-        yield from itertools.repeat((ctx.mpf(0), ctx.mpf(0)))
     z_sq = to_mpf(ctx, z * z)
     two_z_sq = 2 * z * z
     lead = rational_power(ctx, 2 * z, 2 * (a + n_start)) * central_binomial_reciprocal_seed(ctx, a + n_start)
@@ -79,25 +82,10 @@ def _phi_terms(ctx, s, a, z, n_start=0):
         lead *= to_mpf(ctx, two_z_sq * (nu + 1) / (2 * nu + 1))
 
 
-def _phi_sum(ctx, s, a, z, max_terms, target_scale, allow_shifted=False):
-    """Sum the series; returns (value, error_bound, terms_used).
-
-    With ``allow_shifted`` the shifted half-integer a <= 0 is admitted: its
-    leading terms vanish because the reciprocal binomial sits on gamma poles.
-    """
-    n_start = 0
-    if allow_shifted and a <= 0:
-        # reciprocal binomial vanishes while 2(n+a)+1 <= 0
-        while 2 * (n_start + a) + 1 <= 0:
-            n_start += 1
-    return tail_bounded_sum(ctx, _phi_terms(ctx, s, a, z, n_start), target_scale, max_terms)
-
-
 def phi_numeric(query: SeriesQuery) -> BigFloat:
     """Brute-force sum of Phi(s, a, z) with a guaranteed error bound."""
     ctx = context(query.precision_bits)
-    target = ctx.ldexp(1, -(query.precision_bits + 8))
-    value, bound, _ = _phi_sum(ctx, query.s, query.a, query.z, query.max_terms, target)
+    value, bound, _ = tail_bounded_sum(ctx, _phi_terms(ctx, query.s, query.a, query.z), query.max_terms)
     return BigFloat(value, query.precision_bits, bound)
 
 

@@ -78,16 +78,23 @@ PRECISION = st.sampled_from([32, 64, 128, 256, 512])
 
 
 @st.composite
-def unit_z(draw, high=F(9, 10)):
+def unit_z(draw, a, high=F(9, 10)):
+    """z in [0, high]; 0 only at a > 0, since at a < 0 the first term (2z)^(2a)
+    diverges as z -> 0."""
     w = draw(st.integers(2, 100))
-    return F(draw(st.integers(1, max(1, int(high * w)))), w)
+    return F(draw(st.integers(0 if a > 0 else 1, max(1, int(high * w)))), w)
+
+
+def a_and_z(a_draws):
+    """(a, z): a from ``a_draws``, then z from :func:`unit_z` at that a."""
+    return a_draws.flatmap(lambda a: st.tuples(st.just(a), unit_z(a)))
 
 
 @st.composite
-def k_and_z(draw, k_min):
+def k_a_z(draw, k_min):
     """k up to 80 where z <= 1/2; up to 12 nearer 1, where (k+1)Fk sums run long."""
-    z = draw(unit_z())
-    return draw(st.integers(k_min, 80 if z <= F(1, 2) else 12)), z
+    a, z = draw(a_and_z(A_ANY))
+    return draw(st.integers(k_min, 80 if z <= F(1, 2) else 12)), a, z
 
 
 # ---------------------------------------------------------------------------
@@ -95,47 +102,51 @@ def k_and_z(draw, k_min):
 
 
 @CERTIFY
-@given(s=st.integers(-80, 80), a=A_ANY, z=unit_z(), precision=PRECISION)
-@example(s=72, a=F(-140, 3), z=F(1, 50), precision=32)
-def test_phi_numeric_integer_s(s, a, z, precision):
+@given(s=st.integers(-80, 80), az=a_and_z(A_ANY), precision=PRECISION)
+@example(s=72, az=(F(-140, 3), F(1, 50)), precision=32)
+def test_phi_numeric_integer_s(s, az, precision):
+    a, z = az
     assert_certified(series.phi_numeric(series.SeriesQuery(s, a, z, precision)), ref_phi(s, a, z, precision))
 
 
 @CERTIFY
-@given(s=rationals(-20, 20), a=A_POS, z=unit_z(), precision=PRECISION)
-def test_phi_numeric_rational_s(s, a, z, precision):
+@given(s=rationals(-20, 20), az=a_and_z(A_POS), precision=PRECISION)
+def test_phi_numeric_rational_s(s, az, precision):
+    a, z = az
     assert_certified(series.phi_numeric(series.SeriesQuery(s, a, z, precision)), ref_phi(s, a, z, precision))
 
 
 @CERTIFY
-@given(kz=k_and_z(1), a=A_ANY, precision=PRECISION)
-@example(kz=(2, F(1, 2)), a=F(-1000, 3), precision=128)
-@example(kz=(2, F(9, 10)), a=F(1000, 3), precision=128)
-@example(kz=(2, F(9, 10)), a=F(-1000, 3), precision=128)
-def test_phi_pos_hyper(kz, a, precision):
-    k, z = kz
+@given(kaz=k_a_z(1), precision=PRECISION)
+@example(kaz=(2, F(-1000, 3), F(1, 2)), precision=128)
+@example(kaz=(2, F(1000, 3), F(9, 10)), precision=128)
+@example(kaz=(2, F(-1000, 3), F(9, 10)), precision=128)
+def test_phi_pos_hyper(kaz, precision):
+    k, a, z = kaz
     assert_certified(closedform.phi_pos_hyper(k, a, z, precision), ref_phi(k, a, z, precision))
 
 
 @CERTIFY
-@given(kz=k_and_z(1), a=A_ANY, precision=PRECISION)
-def test_phi_neg_hyper(kz, a, precision):
-    k, z = kz
+@given(kaz=k_a_z(1), precision=PRECISION)
+def test_phi_neg_hyper(kaz, precision):
+    k, a, z = kaz
     assert_certified(closedform.phi_neg_hyper(k, a, z, precision), ref_phi(1 - k, a, z, precision))
 
 
 @CERTIFY
-@given(k=st.integers(0, 80), a=A_ANY, z=unit_z(), precision=PRECISION)
-@example(k=40, a=F(7, 2), z=F(9, 10), precision=128)
-@example(k=80, a=F(7, 2), z=F(9, 10), precision=128)
-@example(k=80, a=F(7, 2), z=F(9, 10), precision=64)
-def test_phi_neg_closed(k, a, z, precision):
+@given(k=st.integers(0, 80), az=a_and_z(A_ANY), precision=PRECISION)
+@example(k=40, az=(F(7, 2), F(9, 10)), precision=128)
+@example(k=80, az=(F(7, 2), F(9, 10)), precision=128)
+@example(k=80, az=(F(7, 2), F(9, 10)), precision=64)
+def test_phi_neg_closed(k, az, precision):
+    a, z = az
     assert_certified(closedform.phi_neg_closed(k, a, z, precision), ref_phi(1 - k, a, z, precision))
 
 
 @CERTIFY
-@given(a=A_ANY, z=unit_z(), precision=PRECISION)
-def test_phi_one_closed(a, z, precision):
+@given(az=a_and_z(A_ANY), precision=PRECISION)
+def test_phi_one_closed(az, precision):
+    a, z = az
     assert_certified(closedform.phi_one_closed(a, z, precision), ref_phi(1, a, z, precision))
 
 
@@ -165,9 +176,10 @@ def test_real_central_binomial(a, precision):
 
 
 @CERTIFY
-@given(z=unit_z(), alpha=A_POS, beta=rationals(0, 10).filter(lambda b: b > 0), precision=PRECISION)
-@example(z=F(9, 10), alpha=F(1000, 3), beta=F(1, 2), precision=128)
-def test_incomplete_beta_numeric(z, alpha, beta, precision):
+@given(alpha_z=a_and_z(A_POS), beta=rationals(0, 10).filter(lambda b: b > 0), precision=PRECISION)
+@example(alpha_z=(F(1000, 3), F(9, 10)), beta=F(1, 2), precision=128)
+def test_incomplete_beta_numeric(alpha_z, beta, precision):
+    alpha, z = alpha_z
     c = _ctx(precision)
     reference = c.betainc(_mp(c, alpha), _mp(c, beta), 0, _mp(c, z))
     assert_certified(hyper.incomplete_beta_numeric(z, alpha, beta, precision), reference)

@@ -118,6 +118,28 @@ class TestEvalCommand:
         code, _, err = run_cli(capsys, "eval", "phi", "--s", "1", "--a=-1/2", "--z", "0.3")
         assert code == 1
         assert "error:" in err
+        # z = 0 needs a > 0: the first term (2z)^(2a) diverges there
+        code, _, err = run_cli(capsys, "eval", "phi", "--s", "1", "--a=-1/3", "--z", "0")
+        assert code == 1
+        assert "error: z = 0 needs a > 0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "phi", "--s", "1", "--a", "1", "--z", "1/0"), ("eval", "phi", "--s", "1", "--a", "1")],
+        ids=["not_a_rational", "missing_argument"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        """argparse's own exit code 2 would read as a failed verification."""
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "phi", "--help"])
+        assert exc.value.code == 0
+        assert "--precision" in capsys.readouterr().out
 
     def test_pfq_precision_below_minimum(self, capsys):
         code, _, err = run_cli(capsys, "eval", "pfq", "--upper", "1,1/2", "--lower", "3/2", "--z", "1/4", "--precision", "16")
@@ -165,6 +187,15 @@ class TestTableCommand:
         lines = out.strip().splitlines()
         assert lines[1].split("\t") == ["-1", "0", "0", "1"]
         assert lines[-1].split("\t")[3] == "8*x^3 + 60*x^2 + 36*x + 1"
+
+    @pytest.mark.parametrize(
+        "argv", [("polybernoulli", "--n", "-1"), ("polybernoulli", "--k=-1"), ("polys", "--n", "-5")]
+    )
+    def test_negative_index_is_a_domain_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "table", *argv)
+        assert code == 1
+        assert not out
+        assert err.startswith("error: table ")
 
     def test_polys_table_json_lines_match_the_tsv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "polys", "--n", "3", "--json")

@@ -59,6 +59,16 @@ class TestHypergeometricForms:
         assert phi_pos_hyper(2, F(1), F(0)).value == 0
         assert phi_neg_hyper(2, F(2), F(0)).value == 0
         assert phi_one_closed(F(1), F(0)).value == 0
+        assert phi_neg_closed(3, F(5, 2), F(0)).value == 0
+        # at a < 0 the first term (2z)^(2a) diverges as z -> 0
+        for at_zero in (
+            lambda a: phi_pos_hyper(2, a, F(0)),
+            lambda a: phi_neg_hyper(2, a, F(0)),
+            lambda a: phi_one_closed(a, F(0)),
+            lambda a: phi_neg_closed(3, a, F(0)),
+        ):
+            with pytest.raises(DomainError):
+                at_zero(F(-1, 3))
 
     def test_phi_one_arcsine_case(self, ctx):
         out = phi_one_closed(F(1), F(3, 10), 160)

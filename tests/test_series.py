@@ -83,6 +83,9 @@ class TestPhiNumeric:
 
     def test_z_zero(self):
         assert phi_numeric(SeriesQuery(1, F(1), F(0))).value == 0
+        # at a < 0 the first term (2z)^(2a) diverges as z -> 0
+        with pytest.raises(DomainError):
+            phi_numeric(SeriesQuery(1, F(-1, 3), F(0)))
 
     def test_leading_term_dominates_near_zero(self, ctx):
         # at tiny z the n = 0 term carries the whole sum
