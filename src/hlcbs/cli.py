@@ -4,10 +4,11 @@ zeta values, table generation, and the verification harness.
 Rational arguments are written as "P/Q" (decimal strings like "0.25" are
 also accepted and parsed exactly); a negative one is joined to its flag, as
 in --a=-1/3, since argparse reads "--a -1/3" as two options.  z = 0 needs
-a > 0.  Numeric values print only the digits their error bound certifies.
-Exit codes: 0 success, 1 domain error or usage error (a precision below
-32 bits and a series that does not converge within its budget included),
-2 verification failure.
+a > 0.  Numeric values print only the digits their error bound certifies;
+a value whose bound certifies no digit is an error that asks for more
+--precision.  Exit codes: 0 success, 1 domain error or usage error (a
+precision below 32 bits, a series that does not converge within its budget
+and a value with no certified digit included), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ class OutputRecord:
         return json.dumps(record)
 
 
+def _numeric(mode: str, result, meta: dict) -> OutputRecord:
+    """The record of a numeric result, refused when its bound certifies no
+    digit: floor(log10(|value| / bound)) < 1."""
+    if abs(result.value) < 10 * result.error_bound:
+        raise DomainError(f"error bound {result.bound_str()} certifies no digit; rerun with a higher --precision")
+    return OutputRecord(mode, str(result), error_bound=result.bound_str(), metadata=meta)
+
+
 def _emit(record: OutputRecord, as_json: bool):
     if as_json:
         print(record.to_json())
@@ -71,7 +80,7 @@ def _cmd_zeta(args) -> int:
     elif args.mode == "structured":
         record, numeric = closedform.zeta_structured(k, a, args.precision)
         meta.update({"rational_part": str(record.rational_part), "q_part": str(record.q_part)})
-        out = OutputRecord("structured", str(numeric), error_bound=numeric.bound_str(), metadata=meta)
+        out = _numeric("structured", numeric, meta)
         if args.json:
             _emit(out, True)
         else:
@@ -80,7 +89,7 @@ def _cmd_zeta(args) -> int:
             print(f"value         = {out.value}")
     else:
         numeric = series.zeta_hcb_numeric(1 - k, a, args.precision, args.max_terms)
-        _emit(OutputRecord("numeric", str(numeric), error_bound=numeric.bound_str(), metadata=meta), args.json)
+        _emit(_numeric("numeric", numeric, meta), args.json)
     return 0
 
 
@@ -114,8 +123,7 @@ def _cmd_poly(args) -> int:
 def _cmd_eval(args) -> int:
     prec = args.precision
     if args.what == "phi":
-        query = series.SeriesQuery(args.s, args.a, args.z, prec, args.max_terms)
-        result = series.phi_numeric(query)
+        result = series.phi_numeric(series.SeriesQuery(args.s, args.a, args.z, prec, args.max_terms))
         meta = {"s": str(args.s), "a": str(args.a), "z": str(args.z), "precision": prec}
     elif args.what == "pfq":
         result = pfq_eval(PFQParams(args.upper, args.lower, args.z), prec)
@@ -128,7 +136,7 @@ def _cmd_eval(args) -> int:
     else:  # beta
         result = incomplete_beta_numeric(args.z, args.alpha, args.beta, prec)
         meta = {"z": str(args.z), "alpha": str(args.alpha), "beta": str(args.beta), "precision": prec}
-    _emit(OutputRecord("numeric", str(result), error_bound=result.bound_str(), metadata=meta), args.json)
+    _emit(_numeric("numeric", result, meta), args.json)
     return 0
 
 

@@ -8,6 +8,10 @@ polynomial ladders serve only :func:`phi_neg_closed`, at a general z, where
 they, (1-z^2)^k and the rational weights are evaluated exactly and rounded
 once.  Every gamma ratio and power in a comes from :mod:`hlcbs.hyper`,
 which splits a = floor(a) + a0 and hands only a0 in [0, 1) to mpmath.
+
+Each numeric closed form is one expression in :class:`~hlcbs.floats.BigFloat`
+balls and exact rationals, so its error bound follows from the ball rule and
+the trust rule alone; no rounding is counted by hand.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, PiExtValue, as_fraction
-from .floats import BigFloat, context, to_mpf, ulp_scale
+from .floats import BigFloat, context, rational
 from .hyper import (
     PFQParams,
     central_binomial_reciprocal_seed,
@@ -32,9 +36,8 @@ from .hyper import (
 from .polyfam import alpha, p_a_ladder, q_poly
 
 
-def _prefactor(ctx, a: Fraction, z):
-    """4^a z^(2a) / C(2a, a) = (2z)^(2a) g(a) as an mpf, the series' first term
-    at s = 0.  Error <= 8.5 ulp: the power 2.5, the seed 5.5, the product 0.5."""
+def _prefactor(ctx, a: Fraction, z) -> BigFloat:
+    """4^a z^(2a) / C(2a, a) = (2z)^(2a) g(a), the series' first term at s = 0."""
     return rational_power(ctx, 2 * z, 2 * a) * central_binomial_reciprocal_seed(ctx, a)
 
 
@@ -43,18 +46,12 @@ def _phi_hyper(s: int, a, z, precision_bits: int) -> BigFloat:
     for s >= 1 and its a <-> a+1 mirror, :func:`phi_neg_hyper`, for s <= 0.
     Either way the prefactor is 4^a a^(-s) z^(2a) / C(2a, a)."""
     a, z = check_domain(a, z)
-    ctx = context(precision_bits)
     if s >= 1:
         upper, lower, copies = a, a + 1, s
     else:
         upper, lower, copies = a + 1, a, 1 - s
     params = PFQParams((Fraction(1),) + (upper,) * copies, (a + Fraction(1, 2),) + (lower,) * (copies - 1), z * z)
-    f = pfq_eval(params, precision_bits + 16)
-    pre = _prefactor(ctx, a, z) * to_mpf(ctx, a ** -s)
-    value = pre * f.value
-    # 16 ulp: the prefactor 8.5, a^-s and its product 1, the product with F 0.5
-    err = abs(pre) * f.error_bound + 16 * ulp_scale(ctx) * abs(value)
-    return BigFloat(value, precision_bits, err)
+    return _prefactor(context(precision_bits), a, z) * a**-s * pfq_eval(params, precision_bits + 16)
 
 
 def phi_pos_hyper(k: int, a, z, precision_bits: int = 128) -> BigFloat:
@@ -104,20 +101,13 @@ def phi_neg_closed(k: int, a, z, precision_bits: int = 128) -> BigFloat:
     a, z = check_domain(a, z)
     ctx = context(precision_bits)
     f = pfq_eval(PFQParams((Fraction(1, 2), a - Fraction(1, 2)), (a + Fraction(1, 2),), z * z), precision_bits + 16)
-    # the ladders and (1-z^2)^k are exact rationals, each quotient rounded once:
+    # the ladders and (1-z^2)^k are exact rationals:
     # value = (2z)^(2a) g(a) (p_part + q_part F / sqrt(1-z^2))
     x = z * z
     weight = Fraction(2) ** (1 - k) / (2 * a * (1 - x) ** k)
-    p_part = to_mpf(ctx, weight * (2 * a - 1) * p_a_ladder(k - 1, a)(x))
-    q_part = to_mpf(ctx, weight * q_poly(k - 1)(x)) / ctx.sqrt(to_mpf(ctx, 1 - x))
-    pre = _prefactor(ctx, a, z)
-    q_term = q_part * f.value
-    value = pre * (p_part + q_term)
-    # 32 ulp: the prefactor 8.5; p_part 0.5 or q_term 2.75 (its rational 0.5,
-    # sqrt(1-z^2) 1.25 with its argument, the quotient and the product 1);
-    # their sum and product 1
-    err = abs(pre * q_part) * f.error_bound + 32 * ulp_scale(ctx) * abs(pre) * (abs(p_part) + abs(q_term))
-    return BigFloat(value, precision_bits, err)
+    p_part = weight * (2 * a - 1) * p_a_ladder(k - 1, a)(x)
+    q_part = rational(ctx, weight * q_poly(k - 1)(x)) / rational(ctx, 1 - x).sqrt()
+    return _prefactor(ctx, a, z) * (p_part + q_part * f)
 
 
 def euler_transform_defect(n: int, a) -> Fraction:
@@ -216,11 +206,6 @@ def zeta_structured(k: int, a, precision_bits: int = 128):
 
     ctx = context(precision_bits)
     beta = incomplete_beta_numeric(Fraction(1, 4), a - Fraction(1, 2), Fraction(1, 2), precision_bits + 16)
-    pre = to_mpf(ctx, (2 * a - 1) / a * Fraction(2, 3) ** k) * central_binomial_reciprocal_seed(ctx, a)
-    beta_weight = rational_power(ctx, 4, a - 1) * 2 / ctx.sqrt(3)
-    value = pre * (to_mpf(ctx, rational_part) + beta_weight * beta.value * to_mpf(ctx, q_part))
-    # 32 ulp: pre 6.5 (its rational 0.5, the seed 5.5, the product 0.5), the
-    # beta weight 4 (4^(a-1) 2.5, sqrt3 1, the quotient 0.5), the parts' two
-    # roundings and two products 2, their sum and the product 1
-    err = abs(pre) * beta_weight * abs(to_mpf(ctx, q_part)) * beta.error_bound + 32 * ulp_scale(ctx) * abs(value)
-    return record, BigFloat(value, precision_bits, err)
+    pre = (2 * a - 1) / a * Fraction(2, 3) ** k * central_binomial_reciprocal_seed(ctx, a)
+    beta_weight = rational_power(ctx, 4, a - 1) * 2 / rational(ctx, 3).sqrt()
+    return record, pre * (rational_part + beta_weight * beta * q_part)

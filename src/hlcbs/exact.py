@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .floats import BigFloat, DomainError, context, to_mpf, ulp_scale
+from .floats import BigFloat, DomainError, ball, context, rational
 
 Rational = Fraction
 
@@ -387,20 +387,11 @@ class PiExtValue:
 
 
 def piext_to_float(value: PiExtValue, precision_bits: int = 128) -> BigFloat:
-    """Numeric image of an exact value, with pi and sqrt3 at guard precision."""
+    """Numeric image of an exact value: a ball, with mpmath's pi and sqrt3
+    under the trust rule."""
     ctx = context(precision_bits)
-    sqrt3 = ctx.sqrt(3)
-    terms = (
-        to_mpf(ctx, value.c_one),
-        to_mpf(ctx, value.c_sqrt3) * sqrt3,
-        to_mpf(ctx, value.c_pi) * ctx.pi,
-        to_mpf(ctx, value.c_sqrt3pi) * sqrt3 * ctx.pi,
-    )
-    total = ctx.fsum(terms)
-    # 8 ulp: the sqrt3*pi term takes 3.5 (its coefficient 0.5, sqrt3 and pi 1
-    # each, two products 1), the sum 0.5
-    err = 8 * ulp_scale(ctx) * ctx.fsum(abs(t) for t in terms)
-    return BigFloat(total, precision_bits, err)
+    sqrt3, pi = rational(ctx, 3).sqrt(), ball(ctx, +ctx.pi)
+    return value.c_one + value.c_sqrt3 * sqrt3 + value.c_pi * pi + value.c_sqrt3pi * sqrt3 * pi
 
 
 # ---------------------------------------------------------------------------

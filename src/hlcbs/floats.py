@@ -1,17 +1,24 @@
-"""Arbitrary-precision floating-point plumbing shared by the numeric layers.
+"""Arbitrary-precision ball arithmetic shared by the numeric layers.
 
 Every numeric routine works inside a private mpmath context created at the
 requested precision plus guard bits, so nothing mutates global mpmath state.
-Results are returned as :class:`BigFloat`, which pairs the value with the
-precision it was requested at and an absolute error bound the computation
-actually guarantees.
+Results are :class:`BigFloat` balls: a midpoint, the precision it was
+requested at, and a radius that bounds its distance from the true value.
+
+Two rules form every radius.  The ball rule: ``+ - * /`` on balls and exact
+rationals widen the radius by what the operands' radii can move the result
+and by the operation's own rounding, 2^-prec of the result.  The trust rule:
+an mpmath result (gamma, power, sqrt, pi) enters through :func:`ball`,
+within 1 ulp of the exact function at its argument.  No caller counts
+roundings by hand.
 
 :func:`tail_bounded_sum` is the one place that sums a series: it derives the
 stop target from the context's precision, decides when to stop, states the
-error bound, and raises the one budget error, :class:`BudgetExceeded`.  The
-series oracle and the pFq evaluator only supply terms and ratio caps; the
-oracle builds its terms from the definition of the series, never from a
-closed form.
+error bound, and raises the one budget error, :class:`BudgetExceeded`.  Its
+terms carry a count of roundings relative to themselves, not a ball each,
+which keeps the loop as cheap as a plain sum.  The series oracle and the pFq
+evaluator only supply terms, counts and ratio caps; the oracle builds its
+terms from the definition of the series, never from a closed form.
 """
 
 from __future__ import annotations
@@ -22,9 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import from_float, from_rational, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sub, to_float
 
 MIN_PRECISION_BITS = 32
 GUARD_BITS = 32
+# the trust rule in units of 2^-prec: an mpmath result is within 1 ulp
+TRUST_UNITS = 2
 
 
 class DomainError(ValueError):
@@ -57,49 +67,70 @@ def to_mpf(ctx, value):
     """Convert ``value`` (Fraction, int, float, str, mpf) in ``ctx``; a
     Fraction is rounded once, however long its numerator."""
     if isinstance(value, Fraction):
-        return ctx.fdiv(value.numerator, value.denominator)
+        return ctx.make_mpf(from_rational(value.numerator, value.denominator, ctx.prec, "n"))
     return ctx.convert(value)
 
 
-def ulp_scale(ctx) -> "mpmath.mpf":
-    """One unit of relative rounding error at the context's working precision.
+def ball(ctx, value, units=TRUST_UNITS) -> "BigFloat":
+    """``value`` as a ball of radius ``units`` 2^-prec |value|, rounded up.
 
-    The error counts next to each ulp constant use this unit: an arithmetic
-    operation or :func:`to_mpf` rounds once, at most 0.5 ulp; an mpmath
-    function (power, gamma, sqrt, asin) is counted at 1 ulp.
+    2^-prec is one rounding at the working precision ``prec``, so a rational
+    rounded once carries 1 unit.  The default is the trust rule.
     """
-    return ctx.ldexp(1, -ctx.prec + 1)
+    return BigFloat(value, ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_mul, from_float(units), _unit(ctx, value._mpf_))))
+
+
+def rational(ctx, q) -> "BigFloat":
+    """The ball of an exact rational: an int is exact, a Fraction rounded once."""
+    return ball(ctx, to_mpf(ctx, q), 0 if isinstance(q, int) else 1)
+
+
+def _up(op, x, y):
+    """A libmp operation on raw mpf values, rounded up to 30 bits: radius
+    arithmetic, as with Arb's mag_t (a lower bound rounds down instead)."""
+    return op(x, y, 30, "u")
+
+
+def _unit(ctx, x):
+    """2^-prec |x| as a raw mpf value: one rounding of x at the working precision."""
+    return mpf_shift(mpf_abs(x), -ctx.prec)
+
+
+def _rounded(ctx, mid, spread) -> "BigFloat":
+    """The ball around the raw ``mid``, rounded once in ``ctx``: ``spread`` plus 2^-prec |mid|."""
+    return BigFloat(ctx.make_mpf(mid), ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_add, spread, _unit(ctx, mid))))
 
 
 def tail_bounded_sum(ctx, terms, max_terms: int):
     """Sum a series until a geometric tail bound meets the context's target.
 
     The target is 2^-(P+8), P = ``ctx.prec - GUARD_BITS`` the requested
-    precision.  ``terms`` yields pairs ``(t_n, rho_n)``, where ``rho_n`` caps
-    |t_{m+1}/t_m| for every m >= n, or is None while no cap is known.  The
-    sum stops after the first t_n with |t_n| rho/(1-rho) <= target *
-    max(|sum|, 1), rho carrying 1 + 2^-24 slack for the rounding of the cap
-    itself.  An iterator that runs out means the series terminated: its tail
-    is 0.  The bound adds (3n + 12) ulp sum|t| of rounding: each caller's
-    t_m carries at most 12 + 2.5m ulp (see ``series._phi_terms`` and
-    ``hyper._pfq_terms``), and each of the n additions 0.5 ulp of a partial
-    sum.
+    precision.  ``terms`` yields triples ``(t_n, units_n, rho_n)``: t_n lies
+    within units_n 2^-prec |t_n| of the exact term (each rounding adds 1, as
+    in :func:`ball`), and ``rho_n`` caps |t_{m+1}/t_m| for every m >= n, or
+    is None while no cap is known.  The sum stops after the first t_n with
+    |t_n| rho/(1-rho) <= target * max(|sum|, 1), rho carrying 1 + 2^-24
+    slack for the rounding of the cap itself.  An iterator that runs out
+    means the series terminated: its tail is 0.  The rounding radius is
+    (u + n) 2^-prec sum|t|, u the largest units_n and n the additions, each
+    within 2^-prec of a partial sum; the same slack covers the counts'
+    second-order terms and the rounding of this product.
 
-    Returns ``(sum, error_bound, terms_used)``; raises :class:`BudgetExceeded`
-    when ``max_terms`` terms do not meet the target.
+    Returns ``(ball, terms_used)``; raises :class:`BudgetExceeded` when
+    ``max_terms`` terms do not meet the target.
     """
     target = ctx.ldexp(1, -(ctx.prec - GUARD_BITS + 8))
-    total = ctx.mpf(0)
-    abs_sum = ctx.mpf(0)
+    total = abs_sum = tail = ctx.mpf(0)
     slack = 1 + ctx.ldexp(1, -24)
-    tail = ctx.mpf(0)
-    n = -1
-    for term, rho in terms:
+    units, n = 0, -1
+    for term, term_units, rho in terms:
         if n + 1 == max_terms:
             raise BudgetExceeded(f"error bound not met within {max_terms} terms")
         n += 1
         total += term
         abs_sum += abs(term)
+        if term_units > units:
+            units = term_units
         if rho is not None:
             rho *= slack
             if rho < 1:
@@ -107,21 +138,83 @@ def tail_bounded_sum(ctx, terms, max_terms: int):
                 if bound <= target * max(abs(total), ctx.mpf(1)):
                     tail = bound
                     break
-    rounding = (3 * n + 12) * ulp_scale(ctx) * abs_sum
-    return total, tail + rounding, n + 1
+    rounding = (units + n) * ctx.ldexp(abs_sum, -ctx.prec) * slack
+    return BigFloat(total, ctx.prec - GUARD_BITS, tail + rounding), n + 1
 
 
 @dataclass(frozen=True)
 class BigFloat:
-    """An arbitrary-precision value with a guaranteed absolute error bound.
+    """A ball: the midpoint ``value`` and the radius ``error_bound``, an
+    absolute bound on ``|value - true value|``.
 
-    ``value`` was computed at ``precision_bits`` plus internal guard bits;
-    ``error_bound`` is an absolute bound on ``|value - true value|``.
+    ``value`` was computed at ``precision_bits`` plus guard bits.  ``+ - * /``
+    take BigFloats, ints (exact) and Fractions (rounded once, as
+    :func:`rational`) on either side: the midpoint is the operation on the
+    midpoints, rounded once at the lower of the two precisions, and the
+    radius adds how far the operands' radii can move the result and
+    2^-prec |midpoint| for that rounding, all rounded up.
     """
 
-    value: object  # mpmath.mpf
+    value: object  # mpmath.mpf, the midpoint
     precision_bits: int
-    error_bound: object  # mpmath.mpf, absolute
+    error_bound: object  # mpmath.mpf, the radius
+
+    def _with(self, other):
+        """(ctx, self's raw midpoint and radius, other's) at the lower of the two precisions."""
+        if not isinstance(other, BigFloat):
+            other = rational(context(self.precision_bits), other)
+        ctx = context(min(self.precision_bits, other.precision_bits))
+        return ctx, self.value._mpf_, self.error_bound._mpf_, other.value._mpf_, other.error_bound._mpf_
+
+    def __add__(self, other):
+        ctx, x, rx, y, ry = self._with(other)
+        return _rounded(ctx, mpf_add(x, y, ctx.prec, "n"), _up(mpf_add, rx, ry))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return BigFloat(-self.value, self.precision_bits, self.error_bound)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        ctx, x, rx, y, ry = self._with(other)
+        # |XY - xy| <= |x| ry + (|y| + ry) rx for X, Y in the balls
+        spread = _up(mpf_add, _up(mpf_mul, mpf_abs(x), ry), _up(mpf_mul, _up(mpf_add, mpf_abs(y), ry), rx))
+        return _rounded(ctx, mpf_mul(x, y, ctx.prec, "n"), spread)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        ctx, x, rx, y, ry = self._with(other)
+        low = mpf_sub(mpf_abs(y), ry, 30, "d")
+        if ctx.make_mpf(low) <= 0:
+            raise ZeroDivisionError("the divisor's ball contains 0")
+        # |X/Y - x/y| <= (rx + |x/y| ry) / (|y| - ry) for X, Y in the balls
+        spread = _up(mpf_add, rx, _up(mpf_div, _up(mpf_mul, mpf_abs(x), ry), mpf_abs(y)))
+        return _rounded(ctx, mpf_div(x, y, ctx.prec, "n"), _up(mpf_div, spread, low))
+
+    def __rtruediv__(self, other):
+        return rational(context(self.precision_bits), other) / self
+
+    def sqrt(self) -> "BigFloat":
+        """The root of a ball of positive numbers: mpmath's sqrt under the trust
+        rule, widened by radius/sqrt(value) >= |sqrt(X) - sqrt(value)|."""
+        ctx = context(self.precision_bits)
+        root = ball(ctx, ctx.sqrt(self.value))
+        below = mpf_sub(root.value._mpf_, root.error_bound._mpf_, 30, "d")  # <= sqrt(value)
+        spread = _up(mpf_div, self.error_bound._mpf_, below)
+        return BigFloat(root.value, self.precision_bits, ctx.make_mpf(_up(mpf_add, root.error_bound._mpf_, spread)))
+
+    def units(self) -> float:
+        """The radius in units 2^-prec of |value|, rounded up: the count a
+        kernel term carries (0 for an exact ball)."""
+        unit = _unit(context(self.precision_bits), self.value._mpf_)
+        return to_float(mpf_div(self.error_bound._mpf_, unit, 53, "u")) if self.error_bound else 0.0
 
     def __float__(self) -> float:
         return float(self.value)

@@ -9,7 +9,10 @@ Gamma(a+1)^2/Gamma(2a+1) is an exact rational shift from a0 times 1, pi/4
 or one gamma pair at a0 (:func:`central_binomial_reciprocal_seed`,
 :func:`exact_gamma_ratio`), and q^e is q^floor(e) exactly times mpmath's
 power at the fractional part (:func:`rational_power`).  A rounded input is
-thus never amplified by |a psi(a)| or |a ln q|.
+thus never amplified by |a psi(a)| or |a ln q|.  Every value here is a
+:class:`~hlcbs.floats.BigFloat` ball: arithmetic follows the ball rule, and
+mpmath's gamma, power and pi enter under the trust rule, with
+:func:`rational_power` adding the |ln q| amplification of mpmath's power.
 
 The pFq evaluator supplies the terms of the defining series to the one
 summation kernel, :func:`hlcbs.floats.tail_bounded_sum`, which owns the stop
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import DomainError, PiExtValue, as_fraction
-from .floats import BigFloat, NoConvergence, context, tail_bounded_sum, to_mpf, ulp_scale
+from .exact import DomainError, PiExtValue, as_fraction, piext_to_float
+from .floats import GUARD_BITS, TRUST_UNITS, BigFloat, NoConvergence, ball, context, tail_bounded_sum, to_mpf
 
 
 class LowerParamPole(DomainError):
@@ -108,22 +111,15 @@ class PFQParams:
         object.__setattr__(self, "z", as_fraction(z))
 
 
-def _ratio_pairs(upper, lower):
-    """Pair each upper with a lower (including the implicit 1 from n!)."""
-    ups = sorted(upper)
-    lows = sorted(lower + (Fraction(1),))
-    return list(zip(ups, lows))
-
-
 def _pfq_terms(ctx, params: PFQParams):
-    """Yield (t_n, rho_n) of the series from t_0 = 1; stop at a zero term.
+    """Yield (t_n, units_n, rho_n) of the series from t_0 = 1; stop at a zero term.
 
     Each step rounds the ratio, z (the same rounding every step) and two
-    products, 0.5 ulp each, so t_n carries 2n ulp, within the kernel's
-    12 + 2.5n.
+    products, so t_n carries 4n units.
     """
     zf = to_mpf(ctx, params.z)
-    pairs = _ratio_pairs(params.upper, params.lower)
+    # each upper paired with a lower, the implicit 1 of n! among them
+    pairs = list(zip(sorted(params.upper), sorted(params.lower + (Fraction(1),))))
     # below n_safe a ratio factor may still be negative or non-monotone
     n_safe = 1 + max(
         [0] + [math.ceil(-u) for u, _ in pairs if u < 0] + [math.ceil(-l) for _, l in pairs if l < 0]
@@ -139,7 +135,7 @@ def _pfq_terms(ctx, params: PFQParams):
                 h = (u + n) / (l + n)
                 if h > 1:
                     rho *= to_mpf(ctx, h)
-        yield term, rho
+        yield term, 4 * n, rho
         ratio = Fraction(1, n + 1)
         for u in params.upper:
             ratio *= u + n
@@ -159,8 +155,7 @@ def pfq_eval(params: PFQParams, precision_bits: int = 128) -> BigFloat:
     if abs(params.z) >= 1:
         raise NoConvergence(f"pFq series needs |z| < 1, got z = {params.z}")
     ctx = context(precision_bits)
-    total, bound, _ = tail_bounded_sum(ctx, _pfq_terms(ctx, params), _MAX_PFQ_TERMS)
-    return BigFloat(total, precision_bits, bound)
+    return tail_bounded_sum(ctx, _pfq_terms(ctx, params), _MAX_PFQ_TERMS)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +173,8 @@ def incomplete_beta_numeric(z, alpha, beta, precision_bits: int = 128) -> BigFlo
     if alpha <= 0 or beta <= 0:
         raise DomainError(f"incomplete beta needs alpha, beta > 0, got {alpha}, {beta}")
     alpha, z = check_domain(alpha, z)
-    ctx = context(precision_bits)
     f = pfq_eval(PFQParams((alpha, 1 - beta), (alpha + 1,), z), precision_bits + 16)
-    prefactor = rational_power(ctx, z, alpha) / to_mpf(ctx, alpha)
-    value = prefactor * f.value
-    # 8 ulp: z^alpha 2.5, alpha and the quotient 1, the product 0.5
-    err = abs(prefactor) * f.error_bound + 8 * ulp_scale(ctx) * abs(value)
-    return BigFloat(value, precision_bits, err)
+    return rational_power(context(precision_bits), z, alpha) / alpha * f
 
 
 @lru_cache(maxsize=None)
@@ -268,43 +258,46 @@ def _wide(ctx, q: Fraction):
     return ctx.fdiv(q.numerator, q.denominator, prec=ctx.prec + 64)
 
 
-def central_binomial_reciprocal_seed(ctx, a: Fraction):
-    """Gamma(a+1)^2/Gamma(2a+1) as an mpf: the exact shift num/den times g(a0).
+def central_binomial_reciprocal_seed(ctx, a: Fraction) -> BigFloat:
+    """Gamma(a+1)^2/Gamma(2a+1) as a ball: the exact shift num/den times g(a0).
 
-    g(a0) is 1 at a0 = 0, pi/4 at a0 = 1/2 and one gamma pair otherwise.
-    Error <= 5.5 ulp: the gamma pair 4 (two calls, the first squared, 3; two
-    operations 1; its arguments are wide), then num, the product and den 1.5.
+    g(a0) is the lattice value 1 or pi/4 at a0 = 0 or 1/2, and one gamma pair
+    at wide arguments otherwise; num is rounded once, den divides exactly.
     """
     a0, num, den = gamma_ratio_shift(a)
-    if a0 == 0:
-        g0 = ctx.mpf(1)
-    elif a0 == Fraction(1, 2):
-        g0 = ctx.pi / 4
+    if a0 in _LATTICE_G:
+        g0 = piext_to_float(_LATTICE_G[a0], ctx.prec - GUARD_BITS)
     else:
-        g0 = ctx.gamma(_wide(ctx, a0 + 1)) ** 2 / ctx.gamma(_wide(ctx, 2 * a0 + 1))
-    return ctx.mpf(num) * g0 / den
+        gamma = ball(ctx, ctx.gamma(_wide(ctx, a0 + 1)))
+        g0 = gamma * gamma / ball(ctx, ctx.gamma(_wide(ctx, 2 * a0 + 1)))
+    return Fraction(num) * g0 / den
 
 
-def rational_power(ctx, q, e):
-    """q^e for rational q > 0 (any q != 0 at integer e) and rational e, as an mpf.
+def rational_power_units(ctx, q, e):
+    """(q^e as an mpf, its error in units 2^-prec of it) for rational q > 0
+    (any q != 0 at integer e) and rational e: :func:`rational_power` without
+    the ball, for the oracle's per-term count.
 
     q^floor(e) is exact and rounded once; only e0 = e - floor(e) in [0, 1)
-    goes to ``ctx.power``, with q and e0 wide.  Error <= 2.5 ulp while
-    |ln q| < 500: q^floor(e) 0.5, the power 1 plus |ln q|/1024 (it takes
-    ln q at 10 extra bits), the product 0.5.
+    goes to ``ctx.power``, with q and e0 wide, and one product joins them.
     """
     q, e = as_fraction(q), as_fraction(e)
     m = math.floor(e)
     whole = to_mpf(ctx, q**m)
     if e == m:
-        return whole
-    return whole * ctx.power(_wide(ctx, q), _wide(ctx, e - m))
+        return whole, 1
+    # mpmath takes ln q at 10 extra bits, which adds |e0 ln q| 2^-10 units to
+    # the power's 1 ulp; the wide arguments add under 2^-60 of a unit
+    ln_q = abs(math.log(q.numerator) - math.log(q.denominator)) if q else 0
+    return whole * ctx.power(_wide(ctx, q), _wide(ctx, e - m)), 2 + TRUST_UNITS + (ln_q + 1) / 1024
+
+
+def rational_power(ctx, q, e) -> BigFloat:
+    """q^e as a ball, from :func:`rational_power_units`."""
+    return ball(ctx, *rational_power_units(ctx, q, e))
 
 
 def real_central_binomial(a, precision_bits: int = 128) -> BigFloat:
     """C(2a, a) = Gamma(2a+1)/Gamma(a+1)^2 for real a outside the poles."""
     a, _ = check_domain(a)
-    ctx = context(precision_bits)
-    value = 1 / central_binomial_reciprocal_seed(ctx, a)
-    # 16 ulp: the seed 5.5, the reciprocal 0.5
-    return BigFloat(value, precision_bits, 16 * ulp_scale(ctx) * abs(value))
+    return 1 / central_binomial_reciprocal_seed(context(precision_bits), a)

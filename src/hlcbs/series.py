@@ -12,9 +12,11 @@ power of 2z times the reciprocal binomial, updated by (2z)^2 r(nu+1)/r(nu) =
 yields a provable geometric tail bound; the one summation kernel,
 :func:`hlcbs.floats.tail_bounded_sum`, owns the stop target and the budget
 error (:class:`~hlcbs.floats.BudgetExceeded`), stops on the bound and states
-it.  Where the series is defined is :func:`hlcbs.hyper.check_domain`'s call
-alone.  This module only sums; the checks on the series live in
-:mod:`hlcbs.verify`.
+it.  Each term carries its count of roundings, in units 2^-prec relative to
+itself: the first lead's count comes from its ball (the ball rule and the
+trust rule, as everywhere), and each later rounding adds 1.  Where the
+series is defined is :func:`hlcbs.hyper.check_domain`'s call alone.  This
+module only sums; the checks on the series live in :mod:`hlcbs.verify`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from .exact import DomainError, as_fraction
 from .floats import BigFloat, context, tail_bounded_sum, to_mpf
 from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
-from .hyper import central_binomial_reciprocal_seed, check_domain, rational_power
+from .hyper import central_binomial_reciprocal_seed, check_domain, rational_power, rational_power_units
 
 DEFAULT_MAX_TERMS = 10_000
 
@@ -55,7 +57,7 @@ class SeriesQuery:
 
 
 def _phi_terms(ctx, s, a, z, n_start=0):
-    """Yield (T_n, rho_n) for n >= n_start, T_n built from the definition.
+    """Yield (T_n, units_n, rho_n) for n >= n_start, T_n built from the definition.
 
     A caller that knows every term before n_start is 0 (a half-integer
     a <= 0, whose reciprocal binomial sits on gamma poles) starts there.
@@ -64,13 +66,13 @@ def _phi_terms(ctx, s, a, z, n_start=0):
     rounded once; T_n is the lead times nu^-s.  For nu = n + a > 0 past the
     first term, |T_{m+1}/T_m| for m >= n is capped by
     z^2 (1 + 1/(2 nu + 1)) max(1, (nu/(nu+1))^s): both factors are monotone.
-    Rounding, against the kernel's 12 + 2.5n ulp: T_n carries the lead's
-    8.5 ulp and 1 per step (the ratio and the product), then nu^-s at most
-    2.5 and the product 0.5.
+    The count of T_n starts from the lead's ball, adds 2 per step (the ratio
+    and the product), then nu^-s's count and 1 for the product.
     """
     z_sq = to_mpf(ctx, z * z)
     two_z_sq = 2 * z * z
     lead = rational_power(ctx, 2 * z, 2 * (a + n_start)) * central_binomial_reciprocal_seed(ctx, a + n_start)
+    lead, units = lead.value, lead.units()
     for n in itertools.count(n_start):
         nu = a + n
         rho = None
@@ -78,21 +80,22 @@ def _phi_terms(ctx, s, a, z, n_start=0):
             rho = z_sq * to_mpf(ctx, (4 * nu + 4) / (4 * nu + 2))
             if s < 0:
                 rho *= ctx.power(to_mpf(ctx, nu / (nu + 1)), to_mpf(ctx, s))
-        yield lead * rational_power(ctx, nu, -s), rho
+        power, power_units = rational_power_units(ctx, nu, -s)
+        yield lead * power, units + power_units + 1, rho
         lead *= to_mpf(ctx, two_z_sq * (nu + 1) / (2 * nu + 1))
+        units += 2
 
 
 def phi_numeric(query: SeriesQuery) -> BigFloat:
     """Brute-force sum of Phi(s, a, z) with a guaranteed error bound."""
     ctx = context(query.precision_bits)
-    value, bound, _ = tail_bounded_sum(ctx, _phi_terms(ctx, query.s, query.a, query.z), query.max_terms)
-    return BigFloat(value, query.precision_bits, bound)
+    return tail_bounded_sum(ctx, _phi_terms(ctx, query.s, query.a, query.z), query.max_terms)[0]
 
 
 def phi_terms(query: SeriesQuery, count: int):
     """First ``count`` series terms as mpf values (diagnostic/monotonicity aid)."""
     terms = _phi_terms(context(query.precision_bits), query.s, query.a, query.z)
-    return [term for term, _ in itertools.islice(terms, count)]
+    return [term for term, _, _ in itertools.islice(terms, count)]
 
 
 def zeta_hcb_numeric(s, a, precision_bits: int = 128, max_terms: int = DEFAULT_MAX_TERMS) -> BigFloat:

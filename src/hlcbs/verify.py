@@ -4,7 +4,10 @@ This module holds every check.  Each compares an exact or numeric left side
 against the corresponding right side over a fixed grid and yields a
 :class:`CheckReport`.  A closed form compared with the series oracle is judged
 by :meth:`Tally.agree`: the tolerance is twice the sum of both sides' reported
-error bounds, so honest bounds make every such check self-calibrating.  Only
+error bounds, so honest bounds make every such check self-calibrating.  A
+closed side is a :class:`~hlcbs.floats.BigFloat` expression, its bound formed
+by the ball rule and the trust rule, and the arcsine of ``lehmer1`` and
+``lehmer2`` is the kernel's z 2F1(1/2, 1/2; 3/2; z^2).  Only
 the finite difference in ``diff_relation`` states its own tolerance;
 rational-arithmetic checks have none at all.  Random rational sweeps draw from
 a seeded generator whose seed is recorded in the report.
@@ -19,8 +22,8 @@ from fractions import Fraction
 
 from . import closedform, polyfam, series
 from .exact import PiExtValue, piext_to_float
-from .floats import BigFloat, context, tail_bounded_sum, to_mpf, ulp_scale
-from .hyper import central_binomial_reciprocal_seed, exact_gamma_ratio, gamma_ratio_shift, rational_power
+from .floats import context, rational, tail_bounded_sum
+from .hyper import PFQParams, central_binomial_reciprocal_seed, exact_gamma_ratio, gamma_ratio_shift, pfq_eval, rational_power
 from .report import CheckReport, Tally, sci
 
 
@@ -45,19 +48,13 @@ def _random_rationals(rng, count, lattice_free=True):
     return out
 
 
-def _closed_side_err(ctx, value):
-    # 32 ulp: the costliest closed side, lehmer2's at k = 4, z = 3/5, takes
-    # 12.7: 1 - z^2 rounds to 1.34 ulp, so its power k + 1/2 takes 7; the sqrt
-    # with its argument 1.7 (the asin branch takes less); z twice and a ladder
-    # 1.5; five operations 2.5
-    # (ode_phi1's takes 9.5: its rational 0.5, the power 2.5, the seed 5.5,
-    # two products 1)
-    return 32 * ulp_scale(ctx) * abs(value)
-
-
-def _closed_side(ctx, value, precision_bits):
-    """A closed form evaluated as a bare mpf, with 32 ulp of rounding slack."""
-    return BigFloat(value, precision_bits, _closed_side_err(ctx, value))
+def _asin_and_cos(z: Fraction, precision_bits: int):
+    """(arcsin z, cos(arcsin z) = sqrt(1 - z^2)) as balls; arcsin z is
+    z 2F1(1/2, 1/2; 3/2; z^2), summed by the kernel 16 bits past the precision
+    as the closed forms sum theirs."""
+    half = Fraction(1, 2)
+    arcsin = z * pfq_eval(PFQParams((half, half), (3 * half,), z * z), precision_bits + 16)
+    return arcsin, rational(context(precision_bits), 1 - z * z).sqrt()
 
 
 # ---------------------------------------------------------------------------
@@ -66,39 +63,28 @@ def _closed_side(ctx, value, precision_bits):
 
 def _check_lehmer1(cfg):
     """Series against 2z arcsin(z)/sqrt(1-z^2) at a = 1, s = 1."""
-    ctx = context(cfg.precision_bits)
     zs = [Fraction(1, 10), Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(13, 20), Fraction(4, 5)]
     tally = Tally()
     for z in zs:
-        lhs = series.phi_numeric(series.SeriesQuery(1, Fraction(1), z, cfg.precision_bits))
-        zf = to_mpf(ctx, z)
-        rhs = 2 * zf * ctx.asin(zf) / ctx.sqrt(1 - zf * zf)
-        tally.agree(lhs, _closed_side(ctx, rhs, cfg.precision_bits))
+        arcsin, root = _asin_and_cos(z, cfg.precision_bits)
+        tally.agree(series.phi_numeric(series.SeriesQuery(1, Fraction(1), z, cfg.precision_bits)), 2 * z * arcsin / root)
     return f"z in {{{', '.join(str(z) for z in zs)}}}", tally
 
 
 def _check_lehmer2(cfg):
     """sum_{n>=1} (2n)^(k-1) (2z)^(2n) / C(2n,n) against the arcsine polynomial
     ladder; exact zeta membership."""
-    ctx = context(cfg.precision_bits)
     ks = [0, 1, 2, 3, 4]
     zs = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 5)]
     tally = Tally()
-    for k in ks:
-        for z in zs:
+    for z in zs:
+        x = z * z
+        arcsin, root = _asin_and_cos(z, cfg.precision_bits)
+        for k in ks:
             # the weighted series is exactly 2^(k-1) Phi(1-k, 1, z)
             phi = series.phi_numeric(series.SeriesQuery(1 - k, Fraction(1), z, cfg.precision_bits))
-            lhs = BigFloat(ctx.ldexp(phi.value, k - 1), cfg.precision_bits, ctx.ldexp(phi.error_bound, k - 1))
-            zf = to_mpf(ctx, z)
-            zsq = z * z
-            p_val = to_mpf(ctx, polyfam.p_poly(k - 1)(zsq))
-            q_val = to_mpf(ctx, polyfam.q_poly(k - 1)(zsq))
-            rhs = (
-                zf
-                / ctx.power(1 - zf * zf, to_mpf(ctx, Fraction(2 * k + 1, 2)))
-                * (zf * ctx.sqrt(1 - zf * zf) * p_val + ctx.asin(zf) * q_val)
-            )
-            tally.agree(lhs, _closed_side(ctx, rhs, cfg.precision_bits))
+            rhs = z / (1 - x) ** k / root * (z * root * polyfam.p_poly(k - 1)(x) + arcsin * polyfam.q_poly(k - 1)(x))
+            tally.agree(phi * Fraction(2) ** (k - 1), rhs)
     # zeta_CB(1-k) = (2/3)^k ( p_{k-1}(1/4)/2 + q_{k-1}(1/4) * pi/(3 sqrt3) ), exactly;
     # zeta_exact reads p and q off alpha, so this cross-checks the ladders
     for k in range(0, 7):
@@ -161,23 +147,19 @@ def _euler_operator_point(tally, s: int, a: Fraction, z: Fraction, precision_bit
     s -> s-1 term.
     """
     prec = precision_bits + 64
-    ctx = context(prec)
     h = Fraction(1, 2 ** ((precision_bits + 2) // 3))
 
     def phi_at(s_val, z_val):
         return series.phi_numeric(series.SeriesQuery(s_val, a, z_val, prec))
 
-    hf = to_mpf(ctx, h)
-    zf = to_mpf(ctx, z)
+    half_z = rational(context(prec), z) / 2
     plus, minus, lowered = phi_at(s, z + h), phi_at(s, z - h), phi_at(s - 1, z)
-    fd = zf / 2 * (plus.value - minus.value) / (2 * hf)
+    fd = half_z * (plus - minus) / (2 * h)
     # Richardson estimate of the O(h^2) truncation error from halving h
     plus2, minus2 = phi_at(s, z + h / 2), phi_at(s, z - h / 2)
-    fd2 = zf / 2 * (plus2.value - minus2.value) / hf
-    richardson = abs(fd - fd2) * 4 / 3
-    bounds = plus.error_bound + minus.error_bound + plus2.error_bound + minus2.error_bound
-    series_err = zf / 2 * bounds / hf + lowered.error_bound
-    tally.numeric(abs(fd - lowered.value), 4 * richardson + 2 * series_err)
+    fd2 = half_z * (plus2 - minus2) / h
+    richardson = abs(fd.value - fd2.value) * 4 / 3
+    tally.numeric(abs(fd.value - lowered.value), 4 * richardson + 2 * (fd.error_bound + fd2.error_bound + lowered.error_bound))
 
     # exact term-by-term check (rational cofactors; any pi factor is common)
     if (2 * a).denominator == 1:
@@ -236,11 +218,9 @@ def _check_ode_phi1(cfg):
         for z in zs:
             phi0 = series.phi_numeric(series.SeriesQuery(0, a, z, cfg.precision_bits))
             phi1 = series.phi_numeric(series.SeriesQuery(1, a, z, cfg.precision_bits))
-            zf = to_mpf(ctx, z)
-            lhs_value = (1 - zf * zf) * 2 * phi0.value - phi1.value
-            rhs = to_mpf(ctx, (2 * a - 1) / a) * rational_power(ctx, 2 * z, 2 * a) * central_binomial_reciprocal_seed(ctx, a)
-            lhs_err = (1 - zf * zf) * 2 * phi0.error_bound + phi1.error_bound + _closed_side_err(ctx, phi1.value)
-            tally.agree(BigFloat(lhs_value, cfg.precision_bits, lhs_err), _closed_side(ctx, rhs, cfg.precision_bits))
+            zf = rational(ctx, z)
+            rhs = (2 * a - 1) / a * rational_power(ctx, 2 * z, 2 * a) * central_binomial_reciprocal_seed(ctx, a)
+            tally.agree((1 - zf * zf) * 2 * phi0 - phi1, rhs)
     return f"a in {{{', '.join(str(a) for a in az)}}}, z in {{{', '.join(str(z) for z in zs)}}}", tally
 
 
@@ -317,14 +297,12 @@ def _check_zetatokushu(cfg):
     lattice = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 2), Fraction(4)]
     for k in ks:
         for a in lattice:
-            exact_val = piext_to_float(closedform.zeta_exact(k, a), cfg.precision_bits)
             num = series.zeta_hcb_numeric(1 - k, a, cfg.precision_bits)
-            tally.agree(exact_val, num)
+            tally.agree(piext_to_float(closedform.zeta_exact(k, a), cfg.precision_bits), num)
     for k in [0, 1, 2]:
         for a in [Fraction(5, 4), Fraction(7, 4)]:
-            _, assembled = closedform.zeta_structured(k, a, cfg.precision_bits)
             num = series.zeta_hcb_numeric(1 - k, a, cfg.precision_bits)
-            tally.agree(assembled, num)
+            tally.agree(closedform.zeta_structured(k, a, cfg.precision_bits)[1], num)
     return f"exact: k in {ks} x lattice a <= 4; structured: k <= 2, a in {{5/4, 7/4}}", tally
 
 
@@ -342,10 +320,7 @@ def _check_shift(cfg):
         for s in [-2, -1, 0, 1]:
             big = series.zeta_hcb_numeric(s, a, cfg.precision_bits)
             small = series.zeta_hcb_numeric(s, a + 1, cfg.precision_bits)
-            step_f = central_binomial_reciprocal_seed(ctx, a) * to_mpf(ctx, a ** -s)
-            # 16 ulp, doubled by agree: the seed 5.5, a^-s 0.5, the product 0.5
-            shifted = BigFloat(big.value - step_f, cfg.precision_bits, big.error_bound + 16 * ulp_scale(ctx) * abs(step_f))
-            tally.agree(small, shifted)
+            tally.agree(small, big - central_binomial_reciprocal_seed(ctx, a) * a**-s)
     return "exact: integer a in {1,2,3}, k <= 5; numeric: a in {1, 3/2, 2}, s in -2..1", tally
 
 
@@ -363,10 +338,8 @@ def _check_half_shift(cfg):
     ctx = context(cfg.precision_bits)
     for s, m, z in _HALF_SHIFT_POINTS:
         a = Fraction(1 - 2 * m, 2)
-        terms = series._phi_terms(ctx, s, a, z, m)
-        value, bound, _ = tail_bounded_sum(ctx, terms, series.DEFAULT_MAX_TERMS)
-        base = series.phi_numeric(series.SeriesQuery(s, Fraction(1, 2), z, cfg.precision_bits))
-        tally.agree(BigFloat(value, cfg.precision_bits, bound), base)
+        shifted, _ = tail_bounded_sum(ctx, series._phi_terms(ctx, s, a, z, m), series.DEFAULT_MAX_TERMS)
+        tally.agree(shifted, series.phi_numeric(series.SeriesQuery(s, Fraction(1, 2), z, cfg.precision_bits)))
     return "; ".join(f"(s={s}, m={m}, z={z})" for s, m, z in _HALF_SHIFT_POINTS), tally
 
 
@@ -380,11 +353,8 @@ def _check_examples(cfg):
     ]
     tally = Tally()
     for k, a, value in expected:
-        got = closedform.zeta_exact(k, a)
-        tally.exact(got == value)
-        num = series.zeta_hcb_numeric(1 - k, a, cfg.precision_bits)
-        approx = piext_to_float(value, cfg.precision_bits)
-        tally.agree(approx, num)
+        tally.exact(closedform.zeta_exact(k, a) == value)
+        tally.agree(piext_to_float(value, cfg.precision_bits), series.zeta_hcb_numeric(1 - k, a, cfg.precision_bits))
     return "zeta(1,1), zeta(-3,2), zeta(1,3/2), zeta(-2,7/2)", tally
 
 

@@ -159,6 +159,19 @@ class TestEvalCommand:
         assert record["value"] == "1.1794912545437e-30"
         assert record["error_bound"] == "1.71565715e-45"
 
+    @pytest.mark.parametrize("upper,precision", [("-60,1", "32"), ("-200,1", "64")])
+    def test_no_certified_digit_exits_1(self, capsys, upper, precision):
+        # 2F1(-n, 1; 1; 1/2) = 2^-n, but its terms cancel below the bound
+        argv = ["eval", "pfq", f"--upper={upper}", "--lower", "1", "--z", "1/2", "--precision", precision]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: error bound ") and "--precision" in err
+
+    def test_more_precision_certifies_the_digits(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "pfq", "--upper=-60,1", "--lower", "1", "--z", "1/2", "--json")
+        assert code == 0
+        assert json.loads(out)["value"].startswith("8.67361737988403")  # 2^-60
+
 
 class TestTableCommand:
     def test_poly_bernoulli_reproduces_reference_grid(self, capsys):

@@ -24,7 +24,7 @@ from hlcbs.hyper import (
     rational_power,
     real_central_binomial,
 )
-from hlcbs.floats import context, ulp_scale
+from hlcbs.floats import context
 
 
 def beta_quadrature_oracle(ctx, z, alpha, beta):
@@ -270,19 +270,21 @@ class TestSplitAtFloor:
     def test_negative_half_integer_is_the_pole(self):
         for a in (F(-1, 2), F(-3, 2), F(-9, 2)):
             assert gamma_ratio_shift(a)[1] == 0
-            assert central_binomial_reciprocal_seed(context(64), a) == 0
+            seed = central_binomial_reciprocal_seed(context(64), a)
+            assert seed.value == 0 and seed.error_bound == 0
 
-    def test_lattice_seed_is_the_exact_ratio(self):
-        ctx = context(128)
-        for a in (F(1), F(3, 2), F(40), F(81, 2)):
-            exact = piext_to_float(exact_gamma_ratio(a), 128).value
-            assert abs(central_binomial_reciprocal_seed(ctx, a) / exact - 1) <= 2 * ulp_scale(ctx)
+    @pytest.mark.parametrize("a", [F(1), F(3, 2), F(40), F(81, 2), F(5, 4), F(-140, 3)])
+    def test_seed_contains_the_gamma_quotient(self, a, ctx):
+        seed = central_binomial_reciprocal_seed(context(128), a)
+        x = ctx.mpf(a.numerator) / a.denominator
+        assert abs(seed.value - ctx.gamma(x + 1) ** 2 / ctx.gamma(2 * x + 1)) <= seed.error_bound
+        assert seed.error_bound <= abs(seed.value) * mpmath.mpf(2) ** -150
 
     @pytest.mark.parametrize(
         "q,e", [(F(9, 5), F(2000, 3)), (F(1, 25), F(-280, 3)), (F(4), F(397, 3)), (F(1, 4), F(5, 2)), (F(-3, 2), F(-7))]
     )
-    def test_rational_power_within_its_count(self, q, e, ctx):
-        work = context(128)
-        got = rational_power(work, q, e)
+    def test_rational_power_contains_the_power(self, q, e, ctx):
+        got = rational_power(context(128), q, e)
         expected = ctx.power(ctx.mpf(q.numerator) / q.denominator, ctx.mpf(e.numerator) / e.denominator)
-        assert abs(got / expected - 1) <= F(5, 2) * ulp_scale(work)
+        assert abs(got.value - expected) <= got.error_bound
+        assert got.error_bound <= abs(got.value) * mpmath.mpf(2) ** -150

@@ -57,6 +57,17 @@ class TestRegistry:
         assert [r.check_id for r in reports] == ["ptoE", "bm1"]
 
 
+class TestClosedSides:
+    def test_lehmer_arcsine_comes_from_the_kernel(self, monkeypatch):
+        # arcsin z is z 2F1(1/2, 1/2; 3/2; z^2) through pfq_eval, never mpmath's asin
+        def refuse(*args):
+            raise AssertionError("mpmath asin called")
+
+        monkeypatch.setattr(context(128), "asin", refuse)
+        for check_id in ("lehmer1", "lehmer2"):
+            assert run_check(check_id).passed
+
+
 class TestDeterminism:
     def test_same_config_same_reports(self):
         config = VerifyConfig(precision_bits=96, seed=777)
@@ -102,7 +113,9 @@ with open(os.path.join(os.path.dirname(__file__), "data", "verify_parity.json"))
 class TestParity:
     """Reports at 128 bits against ``data/verify_parity.json``, recorded
     before every closed-form comparison went through :meth:`Tally.agree`;
-    ``diff_relation`` has since moved to a precision-dependent step."""
+    ``diff_relation`` has since moved to a precision-dependent step, and the
+    tolerances (and lehmer1/lehmer2's deviations) were re-recorded when every
+    bound became a ball."""
 
     @pytest.fixture(scope="class")
     def reports(self):
