@@ -273,6 +273,15 @@ class TestSplitAtFloor:
             seed = central_binomial_reciprocal_seed(context(64), a)
             assert seed.value == 0 and seed.error_bound == 0
 
+    def test_lattice_seed_is_the_exact_ratio(self):
+        work = context(128)
+        ulp = work.ldexp(1, 1 - work.prec)
+        for a in (F(1), F(3, 2), F(40), F(81, 2)):
+            exact = piext_to_float(exact_gamma_ratio(a), 128)
+            seed = central_binomial_reciprocal_seed(work, a)
+            assert abs(seed.value / exact.value - 1) <= 2 * ulp
+            assert abs(seed.value - exact.value) <= seed.error_bound + exact.error_bound
+
     @pytest.mark.parametrize("a", [F(1), F(3, 2), F(40), F(81, 2), F(5, 4), F(-140, 3)])
     def test_seed_contains_the_gamma_quotient(self, a, ctx):
         seed = central_binomial_reciprocal_seed(context(128), a)
@@ -283,8 +292,10 @@ class TestSplitAtFloor:
     @pytest.mark.parametrize(
         "q,e", [(F(9, 5), F(2000, 3)), (F(1, 25), F(-280, 3)), (F(4), F(397, 3)), (F(1, 4), F(5, 2)), (F(-3, 2), F(-7))]
     )
-    def test_rational_power_contains_the_power(self, q, e, ctx):
-        got = rational_power(context(128), q, e)
+    def test_rational_power_within_its_count(self, q, e, ctx):
+        work = context(128)
+        got = rational_power(work, q, e)
         expected = ctx.power(ctx.mpf(q.numerator) / q.denominator, ctx.mpf(e.numerator) / e.denominator)
+        assert abs(got.value / expected - 1) <= F(5, 2) * work.ldexp(1, 1 - work.prec)
         assert abs(got.value - expected) <= got.error_bound
         assert got.error_bound <= abs(got.value) * mpmath.mpf(2) ** -150
