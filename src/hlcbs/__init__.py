@@ -12,7 +12,6 @@ from .exact import (
     DomainError,
     MultiplicationOutOfBasis,
     PiExtValue,
-    Rational,
     UniPoly,
     piext_to_float,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "PFQParams",
     "PiExtValue",
     "PoleError",
-    "Rational",
     "SeriesQuery",
     "UniPoly",
     "UnknownCheck",

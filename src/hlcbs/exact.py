@@ -22,8 +22,6 @@ from fractions import Fraction
 
 from .floats import BigFloat, DomainError, ball, context, rational
 
-Rational = Fraction
-
 
 class MultiplicationOutOfBasis(ArithmeticError):
     """A PiExtValue product would need pi^2, which the basis cannot hold."""
@@ -388,10 +386,15 @@ class PiExtValue:
 
 def piext_to_float(value: PiExtValue, precision_bits: int = 128) -> BigFloat:
     """Numeric image of an exact value: a ball, with mpmath's pi and sqrt3
-    under the trust rule."""
+    under the trust rule, summed over the nonzero coefficients only."""
     ctx = context(precision_bits)
-    sqrt3, pi = rational(ctx, 3).sqrt(), ball(ctx, +ctx.pi)
-    return value.c_one + value.c_sqrt3 * sqrt3 + value.c_pi * pi + value.c_sqrt3pi * sqrt3 * pi
+    sqrt3 = rational(ctx, 3).sqrt() if value.c_sqrt3 or value.c_sqrt3pi else None
+    pi = ball(ctx, +ctx.pi) if value.c_pi or value.c_sqrt3pi else None
+    parts = [rational(ctx, value.c_one)] if value.c_one else []
+    parts += [c * x for c, x in ((value.c_sqrt3, sqrt3), (value.c_pi, pi)) if c]
+    if value.c_sqrt3pi:
+        parts.append(value.c_sqrt3pi * sqrt3 * pi)
+    return sum(parts[1:], parts[0]) if parts else rational(ctx, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ roundings by hand.
 
 :func:`tail_bounded_sum` is the one place that sums a series: it derives the
 stop target from the context's precision, decides when to stop, states the
-error bound, and raises the one budget error, :class:`BudgetExceeded`.  Its
-terms carry a count of roundings relative to themselves, not a ball each,
-which keeps the loop as cheap as a plain sum.  The series oracle and the pFq
-evaluator only supply terms, counts and ratio caps; the oracle builds its
-terms from the definition of the series, never from a closed form.
+error bound, and raises the one budget error, :class:`BudgetExceeded`.  It
+takes the series as its factors, t_0 = f_0 and t_n = t_{n-1} f_n, each an
+exact int, a Fraction or a ball, with an exact rational cap on the later
+ratios.  The kernel keeps the running product (:func:`products`) and takes
+each rounding count from the factor's type, not a ball per term, which
+keeps the loop as cheap as a plain sum.  The series oracle and the pFq
+evaluator only supply exact term ratios and caps; the oracle's ratios are
+the definition's, never a closed form's.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import from_float, from_rational, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_shift, mpf_sub, to_float
+from mpmath.libmp import fone, fzero, from_float, from_int, from_rational, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_shift, mpf_sub, to_float
 
 MIN_PRECISION_BITS = 32
 GUARD_BITS = 32
@@ -63,14 +66,6 @@ def context(precision_bits: int) -> mpmath.ctx_mp.MPContext:
     return ctx
 
 
-def to_mpf(ctx, value):
-    """Convert ``value`` (Fraction, int, float, str, mpf) in ``ctx``; a
-    Fraction is rounded once, however long its numerator."""
-    if isinstance(value, Fraction):
-        return ctx.make_mpf(from_rational(value.numerator, value.denominator, ctx.prec, "n"))
-    return ctx.convert(value)
-
-
 def ball(ctx, value, units=TRUST_UNITS) -> "BigFloat":
     """``value`` as a ball of radius ``units`` 2^-prec |value|, rounded up.
 
@@ -80,9 +75,21 @@ def ball(ctx, value, units=TRUST_UNITS) -> "BigFloat":
     return BigFloat(value, ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_mul, from_float(units), _unit(ctx, value._mpf_))))
 
 
+def _midpoint(ctx, x):
+    """(raw mpf, units) of a ball, or of an exact rational: an integer (an
+    int, or a Fraction that is one) exact and unrounded, any other Fraction
+    rounded once."""
+    if isinstance(x, BigFloat):
+        return x.value._mpf_, x.units()
+    if x.denominator == 1:
+        return from_int(x.numerator), 0
+    return from_rational(x.numerator, x.denominator, ctx.prec, "n"), 1
+
+
 def rational(ctx, q) -> "BigFloat":
-    """The ball of an exact rational: an int is exact, a Fraction rounded once."""
-    return ball(ctx, to_mpf(ctx, q), 0 if isinstance(q, int) else 1)
+    """The ball of an exact rational: an integer is exact, any other Fraction rounded once."""
+    value, units = _midpoint(ctx, q)
+    return ball(ctx, ctx.make_mpf(value), units)
 
 
 def _up(op, x, y):
@@ -101,20 +108,46 @@ def _rounded(ctx, mid, spread) -> "BigFloat":
     return BigFloat(ctx.make_mpf(mid), ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_add, spread, _unit(ctx, mid))))
 
 
-def tail_bounded_sum(ctx, terms, max_terms: int):
-    """Sum a series until a geometric tail bound meets the context's target.
+def products(ctx, factors):
+    """The terms of a series given by its factors: t_0 = f_0, t_n = t_{n-1} f_n.
 
-    The target is 2^-(P+8), P = ``ctx.prec - GUARD_BITS`` the requested
-    precision.  ``terms`` yields triples ``(t_n, units_n, rho_n)``: t_n lies
-    within units_n 2^-prec |t_n| of the exact term (each rounding adds 1, as
-    in :func:`ball`), and ``rho_n`` caps |t_{m+1}/t_m| for every m >= n, or
-    is None while no cap is known.  The sum stops after the first t_n with
-    |t_n| rho/(1-rho) <= target * max(|sum|, 1), rho carrying 1 + 2^-24
-    slack for the rounding of the cap itself.  An iterator that runs out
-    means the series terminated: its tail is 0.  The rounding radius is
-    (u + n) 2^-prec sum|t|, u the largest units_n and n the additions, each
-    within 2^-prec of a partial sum; the same slack covers the counts'
-    second-order terms and the rounding of this product.
+    ``factors`` yields pairs ``(f_n, cap_n)``, f_n as :func:`tail_bounded_sum`
+    takes them.  Yields ``(t_n, units_n, cap_n)``: t_n an mpf in ``ctx``,
+    within units_n 2^-prec |t_n| of the exact term.  Each product adds the
+    factor's units and 1 if it rounds, so an exact term times an integer
+    stays exact while it fits the precision; the counts only grow.  The
+    stream ends at the first zero term: the series terminated.
+    """
+    term, units = fone, 0
+    for factor, cap in factors:
+        value, factor_units = _midpoint(ctx, factor)
+        exact = mpf_mul(term, value)  # normalized operands: odd mantissas, so bc is the exact length
+        term = mpf_pos(exact, ctx.prec, "n")
+        units += factor_units + (exact[3] > ctx.prec)
+        if not term[1]:
+            return
+        yield ctx.make_mpf(term), units, cap
+
+
+def tail_bounded_sum(ctx, factors, max_terms: int):
+    """Sum a series, given by its factors, until a geometric tail bound meets
+    the context's target.
+
+    ``factors`` yields pairs ``(f_n, cap_n)`` with t_0 = f_0 and
+    t_n = t_{n-1} f_n (:func:`products` keeps the running product and the
+    rounding counts).  f_n is an int (exact), a Fraction (rounded once, unless
+    it is an integer) or a :class:`BigFloat` ball at ``ctx``'s precision, its
+    radius in :meth:`BigFloat.units`; cap_n is an exact rational
+    with |f_m| <= cap_n for every m > n, or None while no cap is known.  The
+    target is 2^-(P+8), P = ``ctx.prec - GUARD_BITS`` the requested
+    precision.  The sum stops after the first t_n with
+    |t_n| rho/(1-rho) <= target * max(|sum|, 1), rho the cap rounded with
+    1 + 2^-24 slack.  A stream that runs out, or reaches a zero term, means
+    the series terminated: its tail is 0.  The rounding radius is
+    (u + n) 2^-prec sum|t|, u the last (largest) term count and n the
+    additions, each within 2^-prec of a partial sum; the same slack covers
+    the counts' second-order terms and the rounding of this product.  While
+    every term and partial sum is exact, the radius is 0.
 
     Returns ``(ball, terms_used)``; raises :class:`BudgetExceeded` when
     ``max_terms`` terms do not meet the target.
@@ -122,23 +155,24 @@ def tail_bounded_sum(ctx, terms, max_terms: int):
     target = ctx.ldexp(1, -(ctx.prec - GUARD_BITS + 8))
     total = abs_sum = tail = ctx.mpf(0)
     slack = 1 + ctx.ldexp(1, -24)
-    units, n = 0, -1
-    for term, term_units, rho in terms:
+    units, n, exact = 0, -1, True
+    for term, units, cap in products(ctx, factors):
         if n + 1 == max_terms:
             raise BudgetExceeded(f"error bound not met within {max_terms} terms")
         n += 1
-        total += term
+        exact = exact and not units
+        # while every term is exact, add exactly and see whether the sum fits
+        raw = mpf_add(total._mpf_, term._mpf_, 0 if exact else ctx.prec, "n")
+        total, exact = ctx.make_mpf(mpf_pos(raw, ctx.prec, "n")), exact and raw[3] <= ctx.prec
         abs_sum += abs(term)
-        if term_units > units:
-            units = term_units
-        if rho is not None:
-            rho *= slack
+        if cap is not None:
+            rho = ctx.make_mpf(_midpoint(ctx, cap)[0]) * slack
             if rho < 1:
                 bound = abs(term) * rho / (1 - rho)
                 if bound <= target * max(abs(total), ctx.mpf(1)):
                     tail = bound
                     break
-    rounding = (units + n) * ctx.ldexp(abs_sum, -ctx.prec) * slack
+    rounding = 0 if exact else (units + n) * ctx.ldexp(abs_sum, -ctx.prec) * slack
     return BigFloat(total, ctx.prec - GUARD_BITS, tail + rounding), n + 1
 
 
@@ -148,8 +182,8 @@ class BigFloat:
     absolute bound on ``|value - true value|``.
 
     ``value`` was computed at ``precision_bits`` plus guard bits.  ``+ - * /``
-    take BigFloats, ints (exact) and Fractions (rounded once, as
-    :func:`rational`) on either side: the midpoint is the operation on the
+    take BigFloats, ints (exact) and Fractions (rounded once unless integral,
+    as :func:`rational`) on either side: the midpoint is the operation on the
     midpoints, rounded once at the lower of the two precisions, and the
     radius adds how far the operands' radii can move the result and
     2^-prec |midpoint| for that rounding, all rounded up.
@@ -161,8 +195,10 @@ class BigFloat:
 
     def _with(self, other):
         """(ctx, self's raw midpoint and radius, other's) at the lower of the two precisions."""
-        if not isinstance(other, BigFloat):
-            other = rational(context(self.precision_bits), other)
+        if not isinstance(other, BigFloat):  # a rational, as :func:`rational` without the ball
+            ctx = context(self.precision_bits)
+            y, units = _midpoint(ctx, other)
+            return ctx, self.value._mpf_, self.error_bound._mpf_, y, _unit(ctx, y) if units else fzero
         ctx = context(min(self.precision_bits, other.precision_bits))
         return ctx, self.value._mpf_, self.error_bound._mpf_, other.value._mpf_, other.error_bound._mpf_
 
@@ -212,7 +248,7 @@ class BigFloat:
 
     def units(self) -> float:
         """The radius in units 2^-prec of |value|, rounded up: the count a
-        kernel term carries (0 for an exact ball)."""
+        kernel factor carries (0 for an exact ball)."""
         unit = _unit(context(self.precision_bits), self.value._mpf_)
         return to_float(mpf_div(self.error_bound._mpf_, unit, 53, "u")) if self.error_bound else 0.0
 

@@ -14,12 +14,13 @@ thus never amplified by |a psi(a)| or |a ln q|.  Every value here is a
 mpmath's gamma, power and pi enter under the trust rule, with
 :func:`rational_power` adding the |ln q| amplification of mpmath's power.
 
-The pFq evaluator supplies the terms of the defining series to the one
-summation kernel, :func:`hlcbs.floats.tail_bounded_sum`, which owns the stop
-target and the budget error and stops only once a provable geometric tail
-bound falls below that target: each ratio factor (alpha+n)/(beta+n) is
-monotone in n with limit 1, so past any index N the term ratio is bounded by
-|z| * prod_c max(h_c(N), 1).
+The pFq evaluator supplies the exact term ratios of the defining series,
+z prod(alpha+n) / (prod(beta+n) (n+1)), to the one summation kernel,
+:func:`hlcbs.floats.tail_bounded_sum`, which keeps the running product,
+owns the stop target and the budget error and stops only once a provable
+geometric tail bound falls below that target: each ratio factor
+(alpha+n)/(beta+n) is monotone in n with limit 1, so past any index N the
+term ratio is bounded by the exact |z| * prod_c max(h_c(N), 1).
 
 :func:`check_domain` is the one place that decides where the series is
 defined.  At z = 0 it needs a > 0, where the factor (2z)^(2a) is 0, so every
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import DomainError, PiExtValue, as_fraction, piext_to_float
-from .floats import GUARD_BITS, TRUST_UNITS, BigFloat, NoConvergence, ball, context, tail_bounded_sum, to_mpf
+from .floats import GUARD_BITS, TRUST_UNITS, BigFloat, NoConvergence, ball, context, rational, tail_bounded_sum
 
 
 class LowerParamPole(DomainError):
@@ -111,39 +112,27 @@ class PFQParams:
         object.__setattr__(self, "z", as_fraction(z))
 
 
-def _pfq_terms(ctx, params: PFQParams):
-    """Yield (t_n, units_n, rho_n) of the series from t_0 = 1; stop at a zero term.
-
-    Each step rounds the ratio, z (the same rounding every step) and two
-    products, so t_n carries 4n units.
-    """
-    zf = to_mpf(ctx, params.z)
+def _pfq_factors(params: PFQParams):
+    """Yield (f_n, cap_n) of the series: f_0 = 1 and the exact term ratio
+    f_{n+1} = z prod(u+n) / (prod(l+n) (n+1)), z folded in.  An upper
+    parameter that reaches 0 makes a factor 0, where the kernel stops."""
     # each upper paired with a lower, the implicit 1 of n! among them
     pairs = list(zip(sorted(params.upper), sorted(params.lower + (Fraction(1),))))
     # below n_safe a ratio factor may still be negative or non-monotone
     n_safe = 1 + max(
         [0] + [math.ceil(-u) for u, _ in pairs if u < 0] + [math.ceil(-l) for _, l in pairs if l < 0]
     )
-    term = ctx.mpf(1)
+    rising = [(u, l) for u, l in pairs if u > l]
+    # u + n = (num + n den)/den: the parameters' denominators go into one
+    # fixed rational scale, and each ratio is built from integer products
+    scale = params.z * math.prod(l.denominator for l in params.lower) / math.prod(u.denominator for u in params.upper)
+    factor = 1
     for n in itertools.count():
-        # each (u+m)/(l+m) is monotone with limit 1 for m >= n, so it is
-        # capped by max(value, 1)
-        rho = None
-        if n >= n_safe:
-            rho = abs(zf)
-            for u, l in pairs:
-                h = (u + n) / (l + n)
-                if h > 1:
-                    rho *= to_mpf(ctx, h)
-        yield term, 4 * n, rho
-        ratio = Fraction(1, n + 1)
-        for u in params.upper:
-            ratio *= u + n
-        for l in params.lower:
-            ratio /= l + n
-        term = term * to_mpf(ctx, ratio) * zf
-        if term == 0:  # an upper parameter reached 0: the series terminated
-            return
+        # past n_safe each (u+m)/(l+m) is positive and monotone with limit 1
+        # for m >= n, so it is capped by max(value, 1): above 1 only if u > l
+        yield factor, abs(params.z) * math.prod((u + n) / (l + n) for u, l in rising) if n >= n_safe else None
+        top = math.prod(u.numerator + n * u.denominator for u in params.upper)
+        factor = scale * Fraction(top, (n + 1) * math.prod(l.numerator + n * l.denominator for l in params.lower))
 
 
 def pfq_eval(params: PFQParams, precision_bits: int = 128) -> BigFloat:
@@ -154,8 +143,7 @@ def pfq_eval(params: PFQParams, precision_bits: int = 128) -> BigFloat:
     """
     if abs(params.z) >= 1:
         raise NoConvergence(f"pFq series needs |z| < 1, got z = {params.z}")
-    ctx = context(precision_bits)
-    return tail_bounded_sum(ctx, _pfq_terms(ctx, params), _MAX_PFQ_TERMS)[0]
+    return tail_bounded_sum(context(precision_bits), _pfq_factors(params), _MAX_PFQ_TERMS)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +261,22 @@ def central_binomial_reciprocal_seed(ctx, a: Fraction) -> BigFloat:
     return Fraction(num) * g0 / den
 
 
-def rational_power_units(ctx, q, e):
-    """(q^e as an mpf, its error in units 2^-prec of it) for rational q > 0
-    (any q != 0 at integer e) and rational e: :func:`rational_power` without
-    the ball, for the oracle's per-term count.
+def rational_power(ctx, q, e) -> BigFloat:
+    """q^e as a ball for rational q > 0 (any q != 0 at integer e) and rational e.
 
     q^floor(e) is exact and rounded once; only e0 = e - floor(e) in [0, 1)
-    goes to ``ctx.power``, with q and e0 wide, and one product joins them.
+    goes to ``ctx.power``, with q and e0 wide, and one product joins them
+    (none when floor(e) = 0).
     """
     q, e = as_fraction(q), as_fraction(e)
     m = math.floor(e)
-    whole = to_mpf(ctx, q**m)
     if e == m:
-        return whole, 1
+        return rational(ctx, q**m)
     # mpmath takes ln q at 10 extra bits, which adds |e0 ln q| 2^-10 units to
     # the power's 1 ulp; the wide arguments add under 2^-60 of a unit
     ln_q = abs(math.log(q.numerator) - math.log(q.denominator)) if q else 0
-    return whole * ctx.power(_wide(ctx, q), _wide(ctx, e - m)), 2 + TRUST_UNITS + (ln_q + 1) / 1024
-
-
-def rational_power(ctx, q, e) -> BigFloat:
-    """q^e as a ball, from :func:`rational_power_units`."""
-    return ball(ctx, *rational_power_units(ctx, q, e))
+    power = ball(ctx, ctx.power(_wide(ctx, q), _wide(ctx, e - m)), TRUST_UNITS + (ln_q + 1) / 1024)
+    return power if m == 0 else rational(ctx, q**m) * power
 
 
 def real_central_binomial(a, precision_bits: int = 128) -> BigFloat:

@@ -51,12 +51,7 @@ def p_poly(k: int) -> UniPoly:
         return UniPoly()
     for j in range(-1, k - 1):  # fill the cache bottom-up: recursion stays shallow
         p_poly(j)
-    prev = p_poly(k - 1)
-    return (
-        UniPoly((2, 2 * (k - 1))) * prev
-        + 2 * _X_ONE_MINUS_X * prev.derivative()
-        + q_poly(k - 1)
-    )
+    return _p_step(p_poly(k - 1), k, 1)
 
 
 def _p_step(p, j: int, a):

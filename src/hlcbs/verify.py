@@ -338,7 +338,7 @@ def _check_half_shift(cfg):
     ctx = context(cfg.precision_bits)
     for s, m, z in _HALF_SHIFT_POINTS:
         a = Fraction(1 - 2 * m, 2)
-        shifted, _ = tail_bounded_sum(ctx, series._phi_terms(ctx, s, a, z, m), series.DEFAULT_MAX_TERMS)
+        shifted, _ = tail_bounded_sum(ctx, series._phi_factors(ctx, s, a, z, m), series.DEFAULT_MAX_TERMS)
         tally.agree(shifted, series.phi_numeric(series.SeriesQuery(s, Fraction(1, 2), z, cfg.precision_bits)))
     return "; ".join(f"(s={s}, m={m}, z={z})" for s, m, z in _HALF_SHIFT_POINTS), tally
 

@@ -216,6 +216,10 @@ class TestPiExtToFloat:
             out = piext_to_float(v, bits)
             reference = piext_to_float(v, bits + 96)
             assert abs(out.value - reference.value) <= ctx.mpf(2) ** (-bits + 2) * abs(reference.value)
+            # each basis element alone, built without the others, holds its exact value
+            for i, basis in enumerate((1, ctx.sqrt(3), ctx.pi, ctx.sqrt(3) * ctx.pi)):
+                single = piext_to_float(PiExtValue(*(F(-935, 2048) if j == i else 0 for j in range(4))), bits)
+                assert abs(single.value - basis * -935 / 2048) <= single.error_bound
 
     def test_precision_validation(self):
         with pytest.raises(DomainError):

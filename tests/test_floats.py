@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from hlcbs import hyper
 from hlcbs.exact import DomainError
-from hlcbs.floats import BigFloat, BudgetExceeded, ball, context, rational, tail_bounded_sum
+from hlcbs.floats import BigFloat, BudgetExceeded, ball, context, products, rational, tail_bounded_sum
 from hlcbs.hyper import NoConvergence, PFQParams, pfq_eval
 
 
-def geometric(ctx, ratio):
-    """(t_n, units_n, rho_n) of sum ratio^n, exact terms, with an exact cap."""
-    for n in itertools.count():
-        yield ctx.mpf(ratio) ** n, 0, ctx.mpf(ratio)
+def geometric(ratio):
+    """(f_n, cap_n) of sum ratio^n: t_0 = 1, every later factor the ratio, an exact cap."""
+    yield 1, ratio
+    while True:
+        yield ratio, ratio
 
 
 def exact(x) -> F:
@@ -38,9 +39,9 @@ def to_mid(ctx, q):
 class TestTailBoundedSum:
     def test_finished_iterator_has_no_tail(self):
         ctx = context(64)
-        # 1/3 and 2/3 rounded once each, so 1 unit; 1 exact
-        terms = [(ctx.mpf(1) / 3, 1, None), (ctx.mpf(2) / 3, 1, None), (ctx.mpf(1), 0, None)]
-        out, used = tail_bounded_sum(ctx, iter(terms), 10)
+        # terms 1/3, 2/3 and 1: each rounded factor and each rounded product adds a unit
+        factors = [(F(1, 3), None), (2, None), (F(3, 2), None)]
+        out, used = tail_bounded_sum(ctx, iter(factors), 10)
         assert used == 3
         assert 0 < out.error_bound < ctx.ldexp(1, -ctx.prec + 4)
         assert contains(out, F(2))
@@ -52,10 +53,23 @@ class TestTailBoundedSum:
         assert out.error_bound > abs(out.value)
 
     def test_rounded_additions_are_in_the_bound(self):
-        # exact terms, but 1 + 2^-100 rounds to 1 at 64 bits
+        # exact terms 1 and 2^100, but their sum needs 101 bits, more than 64
         ctx = context(32)
-        out, _ = tail_bounded_sum(ctx, iter([(ctx.mpf(1), 0, None), (ctx.ldexp(1, -100), 0, None)]), 10)
-        assert out.value == 1 and contains(out, 1 + F(1, 2**100))
+        out, _ = tail_bounded_sum(ctx, iter([(1, None), (2**100, None)]), 10)
+        assert out.value == 2**100 and out.error_bound > 0
+        assert contains(out, 2**100 + 1)
+
+    def test_all_int_series_is_exact(self):
+        # terms 1, 2, 6, 24: every product and partial sum fits, so the bound stays 0
+        out, used = tail_bounded_sum(context(64), iter([(1, None), (2, None), (3, None), (4, None)]), 10)
+        assert (out.value, out.error_bound, used) == (33, 0, 4)
+
+    def test_zero_term_ends_the_series(self):
+        # an upper parameter reaching 0: nothing after the zero factor is read
+        factors = iter([(5, None), (F(2, 3), None), (0, None), (7, None)])
+        out, used = tail_bounded_sum(context(64), factors, 10)
+        assert used == 2 and contains(out, F(5) + F(10, 3))
+        assert next(factors) == (7, None)
 
     def test_empty_iterator(self):
         ctx = context(64)
@@ -64,29 +78,52 @@ class TestTailBoundedSum:
 
     def test_geometric_series_contained(self):
         ctx = context(128)
-        out, used = tail_bounded_sum(ctx, geometric(ctx, 0.5), 1000)
+        out, used = tail_bounded_sum(ctx, geometric(F(1, 2)), 1000)
         assert contains(out, F(2))
         assert out.error_bound <= ctx.ldexp(1, -130)
         assert 130 < used < 145
 
+    def test_ball_factor_at_the_edge_of_its_radius(self):
+        # the true ratio 1/3 sits on the edge of each factor's ball, 2^-70
+        # relative off its midpoint: far beyond the kernel's own roundings at
+        # 96 bits, so only the ball's units keep the exact sum 3/2 inside
+        precision = 64
+        ctx = context(precision)
+        mid = to_mid(ctx, F(1, 3) * (1 + F(1, 2**70)))
+        edge = BigFloat(mid, precision, to_mid(ctx, (exact(mid) - F(1, 3)) * (1 + F(1, 2**40))))
+        assert exact(edge.value) - exact(edge.error_bound) <= F(1, 3)
+        out, _ = tail_bounded_sum(ctx, itertools.chain([(1, F(1, 2))], itertools.repeat((edge, F(1, 2)))), 1000)
+        assert contains(out, F(3, 2))
+
     def test_no_cap_never_stops_early(self):
         ctx = context(64)
-        terms = ((ctx.ldexp(1, -n), 0, None) for n in range(50))
-        out, used = tail_bounded_sum(ctx, terms, 100)
+        factors = itertools.chain([(1, None)], itertools.repeat((F(1, 2), None), 49))
+        out, used = tail_bounded_sum(ctx, factors, 100)
         assert used == 50
         assert out.value == 2 - ctx.ldexp(1, -49)
 
     def test_budget_raises(self):
         ctx = context(64)
         with pytest.raises(BudgetExceeded):
-            tail_bounded_sum(ctx, geometric(ctx, 0.5), 5)
+            tail_bounded_sum(ctx, geometric(F(1, 2)), 5)
 
     def test_budget_met_on_last_allowed_term(self):
         ctx = context(64)
-        _, used = tail_bounded_sum(ctx, geometric(ctx, 0.5), 1000)
-        assert tail_bounded_sum(ctx, geometric(ctx, 0.5), used)[1] == used
+        _, used = tail_bounded_sum(ctx, geometric(F(1, 2)), 1000)
+        assert tail_bounded_sum(ctx, geometric(F(1, 2)), used)[1] == used
         with pytest.raises(BudgetExceeded):
-            tail_bounded_sum(ctx, geometric(ctx, 0.5), used - 1)
+            tail_bounded_sum(ctx, geometric(F(1, 2)), used - 1)
+
+    def test_products_count_each_rounding(self):
+        ctx = context(64)
+        third = rational(ctx, F(1, 3))
+        factors = [(3, None), (F(1, 3), None), (F(5), None), (third, F(1, 2))]
+        terms, counts = zip(*((term, units) for term, units, _ in products(ctx, factors)))
+        # 3 is exact; 1/3 and 3 (1/3) round, though the product lands on 1; an
+        # integral Fraction times 1 is exact; the ball's unit and its product round
+        assert terms[:3] == (3, 1, 5)
+        assert counts[:3] == (0, 2, 2) and 4 <= counts[3] <= 4 + 2**-20
+        assert [cap for _, _, cap in products(ctx, factors)] == [None, None, None, F(1, 2)]
 
     def test_pfq_budget_raises_no_convergence(self, monkeypatch):
         monkeypatch.setattr(hyper, "_MAX_PFQ_TERMS", 5)
@@ -170,7 +207,7 @@ class TestBallRule:
     @BALLS
     @given(start=NONZERO, ratios=st.lists(NONZERO, min_size=50, max_size=50), precision=PRECISIONS)
     def test_chain_of_products(self, start, ratios, precision):
-        # like the oracle's lead: one running product, each ratio rounded once
+        # a running product of balls, each ratio rounded once
         lead, exact_lead = rational(context(precision), start), start
         for r in ratios:
             lead, exact_lead = lead * r, exact_lead * r

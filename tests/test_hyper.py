@@ -1,5 +1,6 @@
 """Hypergeometric evaluator, incomplete beta, and gamma-ratio lattice values."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from hlcbs.hyper import (
     NoConvergence,
     PFQParams,
     PoleError,
+    _pfq_factors,
     central_binomial_reciprocal_seed,
     exact_gamma_ratio,
     gamma_ratio_shift,
@@ -106,6 +108,44 @@ class TestPFQ:
         lo = pfq_eval(PFQParams(upper, lower, z), 96)
         hi = pfq_eval(PFQParams(upper, lower, z), 192)
         assert abs(lo.value - hi.value) <= lo.error_bound
+
+
+class TestPFQFactors:
+    """pFq hands the kernel its exact term ratios, z folded in."""
+
+    @pytest.mark.parametrize(
+        "upper,lower,z",
+        [
+            ((F(-4), F(1, 2)), (F(3, 2),), F(3, 4)),  # terminates after n = 4
+            ((F(-5, 2), F(1)), (F(-7, 2),), F(-1, 3)),  # n_safe = 5: no cap before n = 5
+            ((F(1, 2), F(3, 4)), (F(7, 4),), F(9, 10)),
+        ],
+    )
+    def test_factors_are_the_pochhammer_ratios(self, upper, lower, z):
+        def term(n):
+            t = z**n / math.factorial(n)
+            for u in upper:
+                t *= pochhammer(u, n)
+            for l in lower:
+                t /= pochhammer(l, n)
+            return t
+
+        factors, caps = zip(*itertools.islice(_pfq_factors(PFQParams(upper, lower, z)), 40))
+        assert factors[0] == 1
+        for n in itertools.takewhile(lambda n: term(n), range(39)):
+            assert type(factors[n + 1]) in (int, F) and factors[n + 1] == term(n + 1) / term(n)
+        assert all(cap is None or type(cap) is F for cap in caps)
+        live = list(itertools.takewhile(lambda f: f, factors))  # up to the zero factor, if any
+        assert all(cap is None or all(abs(f) <= cap for f in live[n + 1 :]) for n, cap in enumerate(caps))
+
+    def test_caps_start_at_n_safe(self):
+        caps = [cap for _, cap in itertools.islice(_pfq_factors(PFQParams((F(-5, 2), 1), (F(-7, 2),), F(1, 3))), 8)]
+        assert caps[:5] == [None] * 5 and None not in caps[5:]
+
+    def test_exact_terms_keep_bound_zero(self):
+        # a zero upper parameter leaves t_0 = 1 alone; z = 0 likewise
+        for out in (pfq_eval(PFQParams((0, F(5, 4)), (F(7, 4),), F(1, 2))), pfq_eval(PFQParams((F(1, 3), F(2, 3)), (F(3, 2),), 0))):
+            assert (out.value, out.error_bound) == (1, 0)
 
 
 def _mp(ctx, x):

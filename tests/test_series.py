@@ -1,16 +1,20 @@
 """Brute-force series oracle: domain checks, known values, honest bounds,
 and the two verify checks on the series itself."""
 
+import itertools
+import math
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
 from hlcbs.exact import DomainError
+from hlcbs.floats import BigFloat, context
 from hlcbs.report import Tally
 from hlcbs.series import (
     BudgetExceeded,
     SeriesQuery,
+    _phi_factors,
     phi_numeric,
     phi_terms,
     zeta_hcb_numeric,
@@ -82,7 +86,8 @@ class TestPhiNumeric:
         assert abs(out.value - closed) < ctx.mpf(10) ** -36
 
     def test_z_zero(self):
-        assert phi_numeric(SeriesQuery(1, F(1), F(0))).value == 0
+        out = phi_numeric(SeriesQuery(1, F(1), F(0)))
+        assert (out.value, out.error_bound) == (0, 0)
         # at a < 0 the first term (2z)^(2a) diverges as z -> 0
         with pytest.raises(DomainError):
             phi_numeric(SeriesQuery(1, F(-1, 3), F(0)))
@@ -124,6 +129,54 @@ class TestPhiNumeric:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
             phi_numeric(SeriesQuery(1, F(1), F(1, 2), 128, max_terms=3))
+
+
+def _caps_hold(factors, caps):
+    """Each cap bounds every later factor of the window."""
+    return all(cap is None or all(abs(f) <= cap for f in factors[n + 1 :]) for n, cap in enumerate(caps))
+
+
+class TestOracleFactors:
+    """The oracle hands the kernel the definition's term ratios, never a closed form."""
+
+    @pytest.mark.parametrize("s", [-2, 0, 1, 3])
+    @pytest.mark.parametrize("z", [F(1, 3), F(1, 2)])
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_factors_are_the_exact_term_ratios(self, s, a, z, ctx):
+        def term(n):  # T_n from the definition; nu = n + a is an integer here
+            nu = n + a
+            return (2 * z) ** (2 * nu) / math.comb(2 * nu, nu) / F(nu) ** s
+
+        first, *rest = itertools.islice(_phi_factors(context(128), F(s), F(a), z), 31)
+        lead = ctx.mpf(term(0).numerator) / term(0).denominator
+        assert isinstance(first[0], BigFloat) and abs(first[0].value - lead) <= first[0].error_bound
+        for n, (factor, cap) in enumerate(rest):  # factor n + 1 is T_{n+1}/T_n
+            assert type(factor) in (int, F) and factor == term(n + 1) / term(n)
+            assert cap is None or type(cap) in (int, F)
+        assert _caps_hold([f for f, _ in rest], [cap for _, cap in rest])
+
+    @pytest.mark.parametrize("s", [F(-5, 2), F(-1, 3), F(3, 2)])
+    def test_non_integer_s_factors_are_balls_with_rational_caps(self, s, ctx):
+        a, z = F(5, 4), F(1, 2)
+
+        def mp(q):
+            return ctx.mpf(q.numerator) / q.denominator
+
+        def ratio(nu):  # T_{n+1}/T_n at nu = a + n, in 256-bit mpmath
+            x = mp(nu)
+            return 2 * mp(z) ** 2 * (x + 1) / (2 * x + 1) * (x / (x + 1)) ** mp(s)
+
+        _, *rest = itertools.islice(_phi_factors(context(128), s, a, z), 31)
+        for n, (factor, cap) in enumerate(rest):
+            assert abs(factor.value - ratio(a + n)) <= factor.error_bound
+            assert cap is None or type(cap) is F
+        # the caps, Bernoulli's at s < 0, bound the exact ratios
+        assert _caps_hold([ratio(a + n) for n in range(30)], [cap and mp(cap) for _, cap in rest])
+
+    def test_caps_are_tight_at_integer_s(self):
+        # at s < 0 the cap is the next ratio itself, not a rounded-up power
+        factors = list(itertools.islice(_phi_factors(context(128), F(-3), F(2), F(1, 2)), 10))
+        assert all(cap == factors[n + 1][0] for n, (_, cap) in enumerate(factors[:-1]) if cap is not None)
 
 
 class TestBuiltInChecks:

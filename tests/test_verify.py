@@ -115,7 +115,8 @@ class TestParity:
     before every closed-form comparison went through :meth:`Tally.agree`;
     ``diff_relation`` has since moved to a precision-dependent step, and the
     tolerances (and lehmer1/lehmer2's deviations) were re-recorded when every
-    bound became a ball."""
+    bound became a ball, and the tolerances again when the kernel took exact
+    term ratios."""
 
     @pytest.fixture(scope="class")
     def reports(self):
