@@ -29,8 +29,8 @@ from .hyper import (
     exact_gamma_ratio,
     incomplete_beta_exact,
     incomplete_beta_numeric,
+    lattice,
     pfq_eval,
-    pochhammer,
     rational_power,
 )
 from .polyfam import alpha, p_a_ladder, q_poly
@@ -126,14 +126,23 @@ def euler_transform_defect(n: int, a) -> Fraction:
     a = as_fraction(a)
     if (2 * a).denominator == 1:
         raise DomainError("a on the half-integer lattice makes a denominator vanish")
-    half = Fraction(1, 2)
-    term = Fraction(1)  # the m = 0 summand; each step multiplies in the term ratio
-    total = Fraction(0)
-    for m in range(n + 1):
-        total += term
-        term *= (m - half) * (half - a - n + m) / ((1 - a - n + m) * (m + 1))
-    closed = pochhammer(half, n) * pochhammer(a - half, n) / (pochhammer(a, n) * math.factorial(n))
+    total, closed = _euler_sides(n, a)
     return total - closed
+
+
+def _euler_sides(n: int, a: Fraction):
+    """The two sides of :func:`euler_transform_defect`, each one Fraction of
+    integer products.  With a = c/d the sum's term ratio is
+    r_m = (2m-1)(d-2c+2d(m-n)) / (4(d-c+d(m-n))(m+1)), summed by Horner from
+    the inside, and the closed side is prod_{l<n} (2l+1)(2c-d+2dl) / (4(c+dl)(l+1))."""
+    c, d = a.numerator, a.denominator
+    num, den = 1, 1
+    for m in range(n - 1, -1, -1):
+        top, bottom = (2 * m - 1) * (d - 2 * c + 2 * d * (m - n)), 4 * (d - c + d * (m - n)) * (m + 1)
+        num, den = bottom * den + top * num, bottom * den
+    closed_num = math.prod((2 * l + 1) * (2 * c - d + 2 * d * l) for l in range(n))
+    closed_den = math.prod(4 * (c + d * l) * (l + 1) for l in range(n))
+    return Fraction(num, den), Fraction(closed_num, closed_den)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +159,6 @@ class ZetaStructured:
     with rational_part = p_{k-1}(a, 1/4) and q_part = q_{k-1}(1/4), from alpha.
     """
 
-    k: int
-    a: Fraction
     rational_part: Fraction
     q_part: Fraction
 
@@ -175,9 +182,7 @@ def zeta_exact(k: int, a) -> PiExtValue:
     """
     if k < 0:
         raise DomainError(f"zeta_exact needs k >= 0, got {k}")
-    a = as_fraction(a)
-    if a <= 0 or (2 * a).denominator != 1:
-        raise DomainError(f"zeta_exact needs a in {{1/2, 1, 3/2, ...}}, got {a} (use zeta_structured)")
+    a = lattice(a)
     p_val, q_val = _ladders_at_quarter(k, a)
     gamma_ratio = exact_gamma_ratio(a)
     weight = (2 * a - 1) / a
@@ -202,7 +207,7 @@ def zeta_structured(k: int, a, precision_bits: int = 128):
     if a <= Fraction(1, 2):
         raise DomainError(f"zeta_structured needs a > 1/2, got {a}")
     rational_part, q_part = _ladders_at_quarter(k, a)
-    record = ZetaStructured(k=k, a=a, rational_part=rational_part, q_part=q_part)
+    record = ZetaStructured(rational_part, q_part)
 
     ctx = context(precision_bits)
     beta = incomplete_beta_numeric(Fraction(1, 4), a - Fraction(1, 2), Fraction(1, 2), precision_bits + 16)

@@ -13,10 +13,17 @@ set the cost.  :class:`PiExtValue` holds every exact
 special value produced by the kit: all of them live in the Q-vector space
 spanned by 1, sqrt3, pi and sqrt3*pi, and that basis is Q-linearly
 independent, so the representation is unique.
+
+Both value types print canonical text through :func:`format_terms` and read
+it back through the one reader :func:`_read`, which walks the text's Python
+syntax tree (``^`` read as ``**``), admits only int literals, the type's
+symbols and + - * / and powers to an int literal, and evaluates nothing.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -189,22 +196,7 @@ class UniPoly:
     @classmethod
     def parse(cls, text: str, var: str = "x") -> "UniPoly":
         """Inverse of :meth:`to_text` (also accepts '**' for powers)."""
-        coeffs = {}
-        for sign, factors in _split_terms(text):
-            coeff = Fraction(sign)
-            degree = 0
-            for f in factors:
-                if f == var:
-                    degree += 1
-                elif f.startswith(var + "^"):
-                    degree += int(f[len(var) + 1 :])
-                else:
-                    coeff *= Fraction(f)
-            coeffs[degree] = coeffs.get(degree, Fraction(0)) + coeff
-        out = [Fraction(0)] * (max(coeffs, default=0) + 1)
-        for d, c in coeffs.items():
-            out[d] = c
-        return cls(out)
+        return cls.const(0) + _read(text, {var: cls.x()})
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +360,7 @@ class PiExtValue:
     @classmethod
     def parse(cls, text: str) -> "PiExtValue":
         """Inverse of :meth:`to_text`."""
-        comps = {"": Fraction(0), "sqrt3": Fraction(0), "pi": Fraction(0), "sqrt3*pi": Fraction(0)}
-        for sign, factors in _split_terms(text):
-            coeff = Fraction(sign)
-            basis = []
-            for f in factors:
-                if f in ("sqrt3", "pi"):
-                    basis.append(f)
-                else:
-                    coeff *= Fraction(f)
-            key = "*".join(basis)
-            if key not in comps:
-                raise ValueError(f"unknown basis element {key!r}")
-            comps[key] += coeff
-        return cls(comps[""], comps["sqrt3"], comps["pi"], comps["sqrt3*pi"])
+        return cls() + _read(text, {"sqrt3": cls(c_sqrt3=1), "pi": cls(c_pi=1)})
 
 
 def piext_to_float(value: PiExtValue, precision_bits: int = 128) -> BigFloat:
@@ -437,31 +416,36 @@ def format_terms(terms) -> str:
     return text
 
 
-def _split_terms(text: str):
-    """Yield (sign, [factor, ...]) for each +/- separated term."""
-    s = text.replace("**", "^").replace(" ", "")
-    if not s:
-        raise ValueError("empty expression")
-    if s == "0":
-        return
-    terms = []
-    current = ""
-    sign = 1
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and current:
-            terms.append((sign, current))
-            sign = 1 if ch == "+" else -1
-            current = ""
-        elif ch == "-" and not current:
-            sign = -sign
-        elif ch == "+" and not current:
-            pass
-        else:
-            current += ch
-        i += 1
-    if current:
-        terms.append((sign, current))
-    for sign, term in terms:
-        yield sign, [f for f in term.split("*") if f]
+# the binary operators of exact text; a divisor must be a rational
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: lambda x, y: x * (1 / y)}
+
+
+def _read(text: str, symbols: dict):
+    """The value of exact text, read from its Python syntax tree.
+
+    Int literals become Fractions, a name must be one of ``symbols`` (name
+    to value), and the operators are unary +/-, + - * /, and ** (or ^) to an
+    int literal.  Anything else, and an operation the values do not support
+    (a division by a symbol, pi^2), raises ValueError; no text is evaluated
+    as Python.
+    """
+
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return Fraction(node.value)
+        if isinstance(node, ast.Name) and node.id in symbols:
+            return symbols[node.id]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            value = walk(node.operand)
+            return -value if isinstance(node.op, ast.USub) else value
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if isinstance(node.right, ast.Constant) and type(node.right.value) is int:
+                return walk(node.left) ** node.right.value
+        elif isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return _OPERATORS[type(node.op)](walk(node.left), walk(node.right))
+        raise ValueError(f"not exact text: {ast.unparse(node)!r}")
+
+    try:
+        return walk(ast.parse(text.strip().replace("^", "**"), mode="eval").body)
+    except (SyntaxError, TypeError, ArithmeticError) as exc:
+        raise ValueError(f"not exact text: {text!r}") from exc

@@ -25,7 +25,10 @@ term ratio is bounded by the exact |z| * prod_c max(h_c(N), 1).
 :func:`check_domain` is the one place that decides where the series is
 defined.  At z = 0 it needs a > 0, where the factor (2z)^(2a) is 0, so every
 value of Phi and of the incomplete beta at z = 0 comes out 0 with bound 0 on
-the general path, and no caller forks on z = 0.
+the general path, and no caller forks on z = 0.  :func:`lattice` is the one
+place that decides where an exact value exists: the half-integers
+a in {1/2, 1, 3/2, ...}, shared by the exact gamma ratio, the exact
+incomplete beta and :func:`hlcbs.closedform.zeta_exact`.
 """
 
 from __future__ import annotations
@@ -72,6 +75,15 @@ def check_domain(a, z=None):
     if z == 0 and a < 0:
         raise DomainError(f"z = 0 needs a > 0: the first term (2z)^(2a) diverges there, got a = {a}")
     return a, z
+
+
+def lattice(a) -> Fraction:
+    """a as a Fraction on the half-integer lattice {1/2, 1, 3/2, ...}, where
+    every exact value of the kit lives; :class:`DomainError` elsewhere."""
+    a = as_fraction(a)
+    if a <= 0 or (2 * a).denominator != 1:
+        raise DomainError(f"exact values need a in {{1/2, 1, 3/2, ...}}, got {a}")
+    return a
 
 
 def pochhammer(alpha, n: int) -> Fraction:
@@ -174,9 +186,7 @@ def incomplete_beta_exact(alpha) -> PiExtValue:
     b = 1/2 the subtracted term is rational * sqrt3, so the half-integer
     chain stays in Q*pi + Q*sqrt3 and the integer chain in Q + Q*sqrt3.
     """
-    alpha = as_fraction(alpha)
-    if alpha <= 0 or (2 * alpha).denominator != 1:
-        raise DomainError(f"exact incomplete beta needs alpha in {{1/2, 1, 3/2, ...}}, got {alpha}")
+    alpha = lattice(alpha)
     if alpha == Fraction(1, 2):
         return PiExtValue(c_pi=Fraction(1, 3))
     if alpha == 1:
@@ -199,14 +209,6 @@ def incomplete_beta_exact(alpha) -> PiExtValue:
 # amplified by |a psi(a)| or |a ln q|.
 
 
-def _product(values) -> int:
-    """Product of integers by a balanced tree, so a long product multiplies like-sized operands."""
-    values = list(values) or [1]
-    while len(values) > 1:
-        values = [math.prod(values[i : i + 2]) for i in range(0, len(values), 2)]
-    return values[0]
-
-
 def gamma_ratio_shift(a):
     """(a0, num, den) with g(a) = g(a0) num/den, a0 = a - floor(a) in [0, 1).
 
@@ -219,8 +221,8 @@ def gamma_ratio_shift(a):
     a0 = a - m
     p, d = a0.numerator, a0.denominator
     steps = range(min(m, 0), max(m, 0))
-    up = _product(p + (j + 1) * d for j in steps)  # d (x+1) at x = a0 + j
-    down = _product(2 * p + (2 * j + 1) * d for j in steps)  # d (2x+1)
+    up = math.prod(p + (j + 1) * d for j in steps)  # d (x+1) at x = a0 + j
+    down = math.prod(2 * p + (2 * j + 1) * d for j in steps)  # d (2x+1)
     if m >= 0:
         return a0, up, down << m
     return a0, down << -m, up
@@ -233,10 +235,7 @@ _LATTICE_G = {Fraction(0): PiExtValue(c_one=1), Fraction(1, 2): PiExtValue(c_pi=
 def exact_gamma_ratio(a) -> PiExtValue:
     """Gamma(a+1)^2 / Gamma(2a+1), exact on the half-integer lattice a > 0:
     the exact shift of :func:`gamma_ratio_shift` times g(0) = 1 or g(1/2) = pi/4."""
-    a = as_fraction(a)
-    if a <= 0 or (2 * a).denominator != 1:
-        raise DomainError(f"exact gamma ratio needs a in {{1/2, 1, 3/2, ...}}, got {a}")
-    a0, num, den = gamma_ratio_shift(a)
+    a0, num, den = gamma_ratio_shift(lattice(a))
     return _LATTICE_G[a0].scale(Fraction(num, den))
 
 

@@ -44,14 +44,11 @@ def q_poly(k: int) -> UniPoly:
 
 @lru_cache(maxsize=None)
 def p_poly(k: int) -> UniPoly:
-    """p_k(x):  p_{k+1} = 2(kx+1) p_k + 2x(1-x) p_k' + q_k,  p_{-1} = 0."""
+    """p_k(x):  p_{k+1} = 2(kx+1) p_k + 2x(1-x) p_k' + q_k,  p_{-1} = 0,
+    which is :func:`p_a_ladder` at a = 1."""
     if k < -1:
         raise DomainError(f"p_poly needs k >= -1, got {k}")
-    if k == -1:
-        return UniPoly()
-    for j in range(-1, k - 1):  # fill the cache bottom-up: recursion stays shallow
-        p_poly(j)
-    return _p_step(p_poly(k - 1), k, 1)
+    return p_a_ladder(k, 1)
 
 
 def _p_step(p, j: int, a):
@@ -81,8 +78,9 @@ def p_a_poly(k: int) -> BiPoly:
 
 def p_a_ladder(k: int, a) -> UniPoly:
     """p_k(a, x) at one rational a: the :func:`p_a_poly` step run in x
-    alone, O(k^2) rather than the O(k^3) of the bivariate ladder."""
-    a = as_fraction(a)
+    alone, O(k^2) rather than the O(k^3) of the bivariate ladder.  An int a
+    stays an int, so p_k(1, x) = p_k(x) is built in integers."""
+    a = a if isinstance(a, int) else as_fraction(a)
     p = UniPoly()
     for j in range(k + 1):
         p = _p_step(p, j, a)

@@ -15,6 +15,7 @@ a seeded generator whose seed is recorded in the report.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -141,10 +142,11 @@ def _euler_operator_point(tally, s: int, a: Fraction, z: Fraction, precision_bit
 
     Numerically via a central difference at step h = 2^-floor((P+2)/3), so
     its O(h^2) error is near 2^(-2P/3), estimated by Richardson halving; the
-    sums run at P + 64 bits to absorb the cancellation.  Exactly term by term
-    in rational arithmetic on the half-integer lattice: applying (1/2) z d/dz
-    to the n-th summand multiplies it by (n+a), which is precisely the
-    s -> s-1 term.
+    sums run at P + 64 bits to absorb the cancellation.  Exactly on the
+    oracle's own term ratios f_n = T_n/T_{n-1}, Fractions at integer s:
+    applying (1/2) z d/dz to the n-th summand multiplies it by nu_n = a+n,
+    which is precisely the s -> s-1 term, so f_n(s-1) (a+n-1) = f_n(s) (a+n)
+    for n = 1..20.
     """
     prec = precision_bits + 64
     h = Fraction(1, 2 ** ((precision_bits + 2) // 3))
@@ -152,7 +154,8 @@ def _euler_operator_point(tally, s: int, a: Fraction, z: Fraction, precision_bit
     def phi_at(s_val, z_val):
         return series.phi_numeric(series.SeriesQuery(s_val, a, z_val, prec))
 
-    half_z = rational(context(prec), z) / 2
+    ctx = context(prec)
+    half_z = rational(ctx, z) / 2
     plus, minus, lowered = phi_at(s, z + h), phi_at(s, z - h), phi_at(s - 1, z)
     fd = half_z * (plus - minus) / (2 * h)
     # Richardson estimate of the O(h^2) truncation error from halving h
@@ -161,23 +164,9 @@ def _euler_operator_point(tally, s: int, a: Fraction, z: Fraction, precision_bit
     richardson = abs(fd.value - fd2.value) * 4 / 3
     tally.numeric(abs(fd.value - lowered.value), 4 * richardson + 2 * (fd.error_bound + fd2.error_bound + lowered.error_bound))
 
-    # exact term-by-term check (rational cofactors; any pi factor is common)
-    if (2 * a).denominator == 1:
-        for n in range(21):
-            lhs = (a + n) * _term_rational_cofactor(n, s, a, z)
-            tally.exact(lhs == _term_rational_cofactor(n, s - 1, a, z))
-
-
-def _term_rational_cofactor(n: int, s: int, a: Fraction, z: Fraction) -> Fraction:
-    """Rational part of the n-th summand for lattice a > 0 and integer s.
-
-    The reciprocal binomial is g(a0) times the exact shift of
-    :func:`hlcbs.hyper.gamma_ratio_shift`; g(a0) is 1 or pi/4, the same for
-    every n, so it cancels in the identity being tested.
-    """
-    nu = a + n
-    _, num, den = gamma_ratio_shift(nu)
-    return (2 * z) ** int(2 * nu) * Fraction(num, den) * nu ** (-s)
+    ratios = zip(series._phi_factors(ctx, s, a, z), series._phi_factors(ctx, s - 1, a, z))
+    for n, ((f_s, _), (f_lowered, _)) in itertools.islice(enumerate(ratios), 1, 21):
+        tally.exact(f_lowered * (a + n - 1) == f_s * (a + n))
 
 
 def _check_thm31(cfg):
@@ -330,14 +319,18 @@ _HALF_SHIFT_POINTS = [(1, 1, Fraction(2, 5)), (0, 2, Fraction(1, 4)), (2, 3, Fra
 def _check_half_shift(cfg):
     """Phi(s, 1/2 - m, z) = Phi(s, 1/2, z) for integer m >= 1.
 
-    The left side is the shifted parameter's series summed from n = m: its
-    first m terms vanish because the reciprocal real binomial hits gamma
-    poles, which is why :func:`hlcbs.hyper.check_domain` refuses this a.
+    The first m terms of the shifted parameter's series vanish because the
+    reciprocal real binomial hits gamma poles, which is why
+    :func:`hlcbs.hyper.check_domain` refuses this a: exactly, the shift of
+    :func:`~hlcbs.hyper.gamma_ratio_shift` has numerator 0 at each of them.
+    From n = m on, its terms are those of a = 1/2, summed and compared.
     """
     tally = Tally()
     ctx = context(cfg.precision_bits)
     for s, m, z in _HALF_SHIFT_POINTS:
         a = Fraction(1 - 2 * m, 2)
+        for n in range(m):
+            tally.exact(gamma_ratio_shift(a + n)[1] == 0)
         shifted, _ = tail_bounded_sum(ctx, series._phi_factors(ctx, s, a, z, m), series.DEFAULT_MAX_TERMS)
         tally.agree(shifted, series.phi_numeric(series.SeriesQuery(s, Fraction(1, 2), z, cfg.precision_bits)))
     return "; ".join(f"(s={s}, m={m}, z={z})" for s, m, z in _HALF_SHIFT_POINTS), tally

@@ -1,7 +1,9 @@
 """Closed forms against the brute-force oracle; exact zeta assembly."""
 
 import json
+import math
 import os
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +19,7 @@ from hlcbs.closedform import (
     zeta_exact,
     zeta_structured,
 )
-from hlcbs.hyper import exact_gamma_ratio
+from hlcbs.hyper import exact_gamma_ratio, incomplete_beta_exact, lattice, pochhammer
 from hlcbs.series import SeriesQuery, phi_numeric, zeta_hcb_numeric
 
 EXAMPLE_VALUES = [
@@ -105,6 +107,21 @@ class TestVanishingCoefficient:
             for n in range(0, 16):
                 assert euler_transform_defect(n, a) == 0
 
+    def test_each_side_is_the_pochhammer_form(self):
+        # the defect is always 0, so each side is pinned on its own
+        half = F(1, 2)
+        rng = random.Random(31)
+        for _ in range(60):
+            n, a = rng.randint(0, 30), F(rng.randint(-40, 40), rng.randint(2, 12))
+            if (2 * a).denominator == 1:
+                continue
+            total = sum(
+                pochhammer(-half, m) * pochhammer(half - a - n, m) / (pochhammer(1 - a - n, m) * math.factorial(m))
+                for m in range(n + 1)
+            )
+            closed = pochhammer(half, n) * pochhammer(a - half, n) / (pochhammer(a, n) * math.factorial(n))
+            assert closedform._euler_sides(n, a) == (total, closed), (n, a)
+
     def test_lattice_rejected(self):
         with pytest.raises(DomainError):
             euler_transform_defect(3, F(1, 2))
@@ -150,6 +167,20 @@ class TestZetaExact:
                 zeta_exact(0, a)
 
 
+@pytest.mark.parametrize("a", [F(0), F(-1, 2), F(5, 4)])
+def test_exact_values_share_one_lattice(a):
+    for exact in (exact_gamma_ratio, incomplete_beta_exact, lambda b: zeta_exact(2, b)):
+        with pytest.raises(DomainError):
+            exact(a)
+    with pytest.raises(DomainError):
+        lattice(a)
+
+
+def test_lattice_gives_the_fraction():
+    assert lattice(3) == 3 and type(lattice(3)) is F
+    assert lattice("5/2") == F(5, 2)
+
+
 class TestZetaStructured:
     def test_rational_ingredients(self):
         record, _ = zeta_structured(0, F(5, 4))
@@ -190,6 +221,10 @@ class TestAlphaRoute:
     def test_exact_values_unchanged(self):
         for k, a, text in ZETA_PARITY["zeta_exact"]:
             assert zeta_exact(k, F(a)).to_text() == text, (k, a)
+
+    def test_stored_text_round_trips(self):
+        for k, a, text in ZETA_PARITY["zeta_exact"]:
+            assert PiExtValue.parse(text).to_text() == text, (k, a)
 
     def test_structured_parts_exact_and_numbers_within_bounds(self, ctx):
         # the parts are exact; the number now takes the split seed and power,

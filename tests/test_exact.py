@@ -94,6 +94,11 @@ class TestUniPoly:
         assert UniPoly.parse("x**2 - x") == UniPoly((0, -1, 1))
         assert UniPoly().to_text() == "0"
 
+    @pytest.mark.parametrize("text", ["", "x^-1", "1.5", "y", "f(x)", "x/x", "1/0"])
+    def test_parse_refuses_what_is_not_exact_text(self, text):
+        with pytest.raises(ValueError):
+            UniPoly.parse(text)
+
 
 class TestBiPoly:
     def test_substitute_matches_coefficientwise(self):
@@ -184,6 +189,11 @@ class TestPiExtValue:
     def test_text_round_trip(self, parts):
         v = PiExtValue(*parts)
         assert PiExtValue.parse(v.to_text()) == v
+
+    @pytest.mark.parametrize("text", ["", "pi^-1", "1.5", "e", "sqrt(3)", "pi*pi", "1/pi"])
+    def test_parse_refuses_what_is_not_exact_text(self, text):
+        with pytest.raises(ValueError):
+            PiExtValue.parse(text)
 
 
 class TestPiExtToFloat:

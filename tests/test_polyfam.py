@@ -99,7 +99,8 @@ class TestLadders:
         assert p_a_poly(n).substitute_a(1) == p_poly(n)
 
     def test_integer_ladders_keep_integer_coefficients(self):
-        assert all(type(c) is int for c in q_poly(30).coeffs)
+        for family in (q_poly(30), p_poly(30)):
+            assert all(type(c) is int for c in family.coeffs)
         for family in (p_a_poly(10), eulerian(10)):
             assert all(type(c) is int for coeff in family.coeffs for c in coeff.coeffs)
 
@@ -311,3 +312,9 @@ def test_text_parity(name):
         assert family(n).to_text() == text, n
     for n, digest in TEXT_PARITY["sha256"][name]:
         assert hashlib.sha256(family(n).to_text().encode()).hexdigest() == digest, n
+
+
+@pytest.mark.parametrize("name", ["p_poly", "q_poly"])
+def test_stored_text_round_trips(name):
+    for n, text in TEXT_PARITY["text"][name]:
+        assert UniPoly.parse(text).to_text() == text, n

@@ -186,15 +186,16 @@ class TestBuiltInChecks:
     def test_half_integer_shift(self, s, m, z):
         report = run_check("half_shift")
         assert report.passed
-        assert report.comparisons == 3
+        # per point, the m exact zero terms and one numeric comparison
+        assert report.comparisons == 9
         assert f"(s={s}, m={m}, z={z})" in report.parameter_grid
 
     def test_euler_operator_lattice(self):
         tally = Tally()
         _euler_operator_point(tally, 1, F(1), F(1, 4), 128)
         assert tally.passed
-        # one finite-difference comparison plus 21 exact term-wise ones
-        assert tally.comparisons == 22
+        # one finite-difference comparison plus 20 exact term-ratio ones
+        assert tally.comparisons == 21
         assert tally.max_dev < mpmath.mpf(10) ** -20
 
     def test_euler_operator_more_points(self):
@@ -203,17 +204,18 @@ class TestBuiltInChecks:
             _euler_operator_point(tally, s, a, z, 128)
             assert tally.passed, (s, a, z)
 
-    def test_euler_operator_off_lattice_skips_exact_part(self):
+    def test_euler_operator_off_lattice_checks_exact_part(self):
+        # the oracle's term ratios are Fractions at any rational a
         tally = Tally()
         _euler_operator_point(tally, 1, F(5, 4), F(1, 4), 128)
         assert tally.passed
-        assert tally.comparisons == 1
+        assert tally.comparisons == 21
 
     def test_diff_relation_check(self):
-        # 4 finite differences plus 21 exact comparisons at each of the 3 lattice points
+        # 4 finite differences plus 20 exact term-ratio comparisons at each of the 4 points
         report = run_check("diff_relation")
         assert report.passed
-        assert report.comparisons == 67
+        assert report.comparisons == 84
 
     def test_diff_relation_tightens_with_precision(self):
         low = run_check("diff_relation", VerifyConfig(precision_bits=128))

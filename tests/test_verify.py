@@ -116,7 +116,10 @@ class TestParity:
     ``diff_relation`` has since moved to a precision-dependent step, and the
     tolerances (and lehmer1/lehmer2's deviations) were re-recorded when every
     bound became a ball, and the tolerances again when the kernel took exact
-    term ratios."""
+    term ratios.  The comparison counts of ``diff_relation`` (67 -> 84) and
+    ``half_shift`` (3 -> 9) were re-recorded when the one came to check the
+    oracle's own term ratios at all four points and the other the m zero
+    terms of the shifted series."""
 
     @pytest.fixture(scope="class")
     def reports(self):
