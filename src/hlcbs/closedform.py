@@ -1,13 +1,17 @@
 """Closed-form evaluation of the series at integer first argument.
 
 Numeric paths cover general parameters through hypergeometric
-representations; on the integer/half-integer lattice the zeta-type values
-are assembled exactly in the {1, sqrt3, pi, sqrt3*pi} basis from two alpha
-values, the exact gamma ratio and the exact incomplete beta chain; the
-polynomial ladders serve only :func:`phi_neg_closed`, at a general z, where
-they, (1-z^2)^k and the rational weights are evaluated exactly and rounded
-once.  Every gamma ratio and power in a comes from :mod:`hlcbs.hyper`,
-which splits a = floor(a) + a0 and hands only a0 in [0, 1) to mpmath.
+representations.  Every value at s = 1-k comes from one ladder formula,
+:func:`_ladder`, one expression that runs in balls or in exact values.
+:func:`phi_neg_closed` hands it the polynomial ladders at a general z, with
+the 2F1 from the pFq evaluator; :func:`zeta_structured` hands it the same
+balls at z = 1/2, with the two ladder values read off alpha; and
+:func:`zeta_exact` hands it those alpha values with every factor exact in
+the {1, sqrt3, pi, sqrt3*pi} basis, the 2F1 from the exact incomplete beta
+chain.  The ladder values, (1-z^2)^k and the rational weights are exact
+rationals, rounded once where the value is a ball.  Every gamma ratio and
+power in a comes from :mod:`hlcbs.hyper`, which splits a = floor(a) + a0
+and hands only a0 in [0, 1) to mpmath.
 
 Each numeric closed form is one expression in :class:`~hlcbs.floats.BigFloat`
 balls and exact rationals, so its error bound follows from the ball rule and
@@ -28,12 +32,13 @@ from .hyper import (
     check_domain,
     exact_gamma_ratio,
     incomplete_beta_exact,
-    incomplete_beta_numeric,
     lattice,
     pfq_eval,
     rational_power,
 )
 from .polyfam import alpha, p_a_ladder, q_poly
+
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
 def _prefactor(ctx, a: Fraction, z) -> BigFloat:
@@ -88,26 +93,41 @@ def phi_one_closed(a, z, precision_bits: int = 128) -> BigFloat:
     return phi_neg_closed(0, a, z, precision_bits)
 
 
-def phi_neg_closed(k: int, a, z, precision_bits: int = 128) -> BigFloat:
-    """Phi(1-k, a, z) for k >= 0 from the polynomial ladder formula.
+def _ladder(k: int, a: Fraction, x: Fraction, p, q, prefactor, f_over_root):
+    """Phi(1-k, a, z) by the ladder formula, x = z^2:
 
-    2^(k-1) Phi(1-k,a,z) = 4^a z^(2a) / (2a C(2a,a) (1-z^2)^(k+1/2))
-        * ( (2a-1) sqrt(1-z^2) p_{k-1}(a, z^2)
-            + 2F1(1/2, a-1/2; a+1/2; z^2) q_{k-1}(z^2) ).
+    2^(k-1) Phi(1-k,a,z) = (2z)^(2a) g(a) / (2a (1-x)^k)
+        * ( (2a-1) p_{k-1}(a, x) + q_{k-1}(x) F / sqrt(1-x) ),
+    F = 2F1(1/2, a-1/2; a+1/2; x), g(a) = Gamma(a+1)^2/Gamma(2a+1).
+
+    p and q are the exact ladder values, ``prefactor`` is (2z)^(2a) g(a) and
+    ``f_over_root`` is F / sqrt(1-x), both balls or both exact values in the
+    :class:`PiExtValue` basis; the same expression serves either.
+    """
+    weight = Fraction(2) ** (1 - k) / (2 * a * (1 - x) ** k)
+    return prefactor * (weight * (2 * a - 1) * p + f_over_root * (weight * q))
+
+
+def _numeric_ladder(k: int, a: Fraction, z: Fraction, p, q, precision_bits: int) -> BigFloat:
+    """:func:`_ladder` in balls at z: the prefactor from :mod:`hlcbs.hyper` and
+    F from the pFq evaluator, 32 bits deeper than the result."""
+    ctx = context(precision_bits)
+    x = z * z
+    f = pfq_eval(PFQParams((_HALF, a - _HALF), (a + _HALF,), x), precision_bits + 32)
+    return _ladder(k, a, x, p, q, _prefactor(ctx, a, z), f / rational(ctx, 1 - x).sqrt())
+
+
+def phi_neg_closed(k: int, a, z, precision_bits: int = 128) -> BigFloat:
+    """Phi(1-k, a, z) for k >= 0 from the polynomial ladder formula
+    (:func:`_ladder`), with p_{k-1}(a, z^2) and q_{k-1}(z^2) from the ladders
+    and the 2F1 summed 32 bits deep.
     At k = 0 (p_{-1} = 0, q_{-1} = 1) this is :func:`phi_one_closed`.
     """
     if k < 0:
         raise DomainError(f"phi_neg_closed needs k >= 0, got {k}")
     a, z = check_domain(a, z)
-    ctx = context(precision_bits)
-    f = pfq_eval(PFQParams((Fraction(1, 2), a - Fraction(1, 2)), (a + Fraction(1, 2),), z * z), precision_bits + 16)
-    # the ladders and (1-z^2)^k are exact rationals:
-    # value = (2z)^(2a) g(a) (p_part + q_part F / sqrt(1-z^2))
     x = z * z
-    weight = Fraction(2) ** (1 - k) / (2 * a * (1 - x) ** k)
-    p_part = weight * (2 * a - 1) * p_a_ladder(k - 1, a)(x)
-    q_part = rational(ctx, weight * q_poly(k - 1)(x)) / rational(ctx, 1 - x).sqrt()
-    return _prefactor(ctx, a, z) * (p_part + q_part * f)
+    return _numeric_ladder(k, a, z, p_a_ladder(k - 1, a)(x), q_poly(k - 1)(x), precision_bits)
 
 
 def euler_transform_defect(n: int, a) -> Fraction:
@@ -151,12 +171,9 @@ def _euler_sides(n: int, a: Fraction):
 
 @dataclass(frozen=True)
 class ZetaStructured:
-    """Exact rational ingredients of zeta(1-k, a) per the ladder formula.
-
-    The value reassembles as
-        (2a-1) Gamma(a+1)^2 / (a Gamma(2a+1)) * (2/3)^k
-        * ( rational_part + 4^(a-1) * (2/sqrt3) * B(1/4; a-1/2, 1/2) * q_part )
-    with rational_part = p_{k-1}(a, 1/4) and q_part = q_{k-1}(1/4), from alpha.
+    """Exact rational ingredients of zeta(1-k, a) = Phi(1-k, a, 1/2): the
+    ladder values at x = 1/4 that :func:`_ladder` takes, read off alpha,
+    rational_part = p_{k-1}(a, 1/4) and q_part = q_{k-1}(1/4).
     """
 
     rational_part: Fraction
@@ -175,42 +192,29 @@ def _ladders_at_quarter(k: int, a: Fraction):
 def zeta_exact(k: int, a) -> PiExtValue:
     """Exact zeta(1-k, a) on the lattice a in {1/2, 1, 3/2, 2, ...}.
 
-    zeta(1-k, a) = (2/3)^k (g (2a-1)/a p_{k-1}(a, 1/4) + q_{k-1}(1/4) zeta(1, a)),
-    g = Gamma(a+1)^2/Gamma(2a+1), zeta(1, a) = g B(1/4; a-1/2, 1/2) (2/sqrt3)
-    (2a-1)/a 2^(2a-2), and zeta(1, 1/2) = pi/sqrt3.  Integer a lands in
-    Q + Q*sqrt3*pi, half-integer a in Q*pi + Q*sqrt3*pi.
+    :func:`_ladder` at z = 1/2 with every factor exact: (2z)^(2a) = 1,
+    g(a) from :func:`exact_gamma_ratio`, 1/sqrt(3/4) = (2/3) sqrt3, and
+    F = 1 at a = 1/2, F = (a-1/2) 2^(2a-1) B(1/4; a-1/2, 1/2) above it.
+    Integer a lands in Q + Q*sqrt3*pi, half-integer a in Q*pi + Q*sqrt3*pi.
     """
     if k < 0:
         raise DomainError(f"zeta_exact needs k >= 0, got {k}")
     a = lattice(a)
-    p_val, q_val = _ladders_at_quarter(k, a)
-    gamma_ratio = exact_gamma_ratio(a)
-    weight = (2 * a - 1) / a
-    if a == Fraction(1, 2):
-        zeta_one = PiExtValue(c_sqrt3pi=Fraction(1, 3))  # pi/sqrt3 = sqrt3*pi/3
-    else:
-        beta = incomplete_beta_exact(a - Fraction(1, 2))
-        zeta_one = (gamma_ratio * beta).scale(0, Fraction(2, 3) * weight * Fraction(2) ** int(2 * a - 2))
-    return (gamma_ratio.scale(weight * p_val) + zeta_one.scale(q_val)).scale(Fraction(2, 3) ** k)
+    f = 1 if a == _HALF else incomplete_beta_exact(a - _HALF).scale((a - _HALF) * Fraction(2) ** int(2 * a - 1))
+    root = PiExtValue(c_sqrt3=Fraction(2, 3))  # 1/sqrt(1 - 1/4)
+    return _ladder(k, a, _QUARTER, *_ladders_at_quarter(k, a), exact_gamma_ratio(a), root * f)
 
 
 def zeta_structured(k: int, a, precision_bits: int = 128):
-    """Exact rational skeleton plus numeric value of zeta(1-k, a), a > 1/2.
+    """Exact rational skeleton plus numeric value of zeta(1-k, a) for any a
+    in :func:`check_domain`'s domain.
 
-    Returns ``(ZetaStructured, BigFloat)``.  The incomplete beta factor needs
-    a - 1/2 > 0, so a <= 1/2 is rejected (the numeric series path still
-    covers those parameters).
+    Returns ``(ZetaStructured, BigFloat)``; the number is
+    :func:`phi_neg_closed` at z = 1/2, taking its ladder values from the
+    record rather than from the polynomial ladders.
     """
     if k < 0:
         raise DomainError(f"zeta_structured needs k >= 0, got {k}")
-    a = as_fraction(a)
-    if a <= Fraction(1, 2):
-        raise DomainError(f"zeta_structured needs a > 1/2, got {a}")
-    rational_part, q_part = _ladders_at_quarter(k, a)
-    record = ZetaStructured(rational_part, q_part)
-
-    ctx = context(precision_bits)
-    beta = incomplete_beta_numeric(Fraction(1, 4), a - Fraction(1, 2), Fraction(1, 2), precision_bits + 16)
-    pre = (2 * a - 1) / a * Fraction(2, 3) ** k * central_binomial_reciprocal_seed(ctx, a)
-    beta_weight = rational_power(ctx, 4, a - 1) * 2 / rational(ctx, 3).sqrt()
-    return record, pre * (rational_part + beta_weight * beta * q_part)
+    a, _ = check_domain(a)
+    record = ZetaStructured(*_ladders_at_quarter(k, a))
+    return record, _numeric_ladder(k, a, _HALF, record.rational_part, record.q_part, precision_bits)

@@ -417,22 +417,26 @@ def format_terms(terms) -> str:
 
 
 # the binary operators of exact text; a divisor must be a rational
-_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: lambda x, y: x * (1 / y)}
+_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: lambda x, y: x * Fraction(1, y)
+}
 
 
 def _read(text: str, symbols: dict):
     """The value of exact text, read from its Python syntax tree.
 
-    Int literals become Fractions, a name must be one of ``symbols`` (name
+    Int literals stay ints, a name must be one of ``symbols`` (name
     to value), and the operators are unary +/-, + - * /, and ** (or ^) to an
     int literal.  Anything else, and an operation the values do not support
     (a division by a symbol, pi^2), raises ValueError; no text is evaluated
-    as Python.
+    as Python.  A sum nests to the left, one level per term, so its left
+    spine is walked in a loop; a text too long for ``ast.parse`` itself
+    (about 3,000 terms) raises ValueError too.
     """
 
     def walk(node):
         if isinstance(node, ast.Constant) and type(node.value) is int:
-            return Fraction(node.value)
+            return node.value
         if isinstance(node, ast.Name) and node.id in symbols:
             return symbols[node.id]
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
@@ -441,11 +445,20 @@ def _read(text: str, symbols: dict):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             if isinstance(node.right, ast.Constant) and type(node.right.value) is int:
                 return walk(node.left) ** node.right.value
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            spine = []
+            while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+                spine.append(node)
+                node = node.left
+            value = walk(node)
+            for step in reversed(spine):
+                value = _OPERATORS[type(step.op)](value, walk(step.right))
+            return value
         elif isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
             return _OPERATORS[type(node.op)](walk(node.left), walk(node.right))
         raise ValueError(f"not exact text: {ast.unparse(node)!r}")
 
     try:
         return walk(ast.parse(text.strip().replace("^", "**"), mode="eval").body)
-    except (SyntaxError, TypeError, ArithmeticError) as exc:
+    except (SyntaxError, TypeError, ArithmeticError, RecursionError) as exc:
         raise ValueError(f"not exact text: {text!r}") from exc

@@ -265,11 +265,11 @@ def rational_power(ctx, q, e) -> BigFloat:
 
     q^floor(e) is exact and rounded once; only e0 = e - floor(e) in [0, 1)
     goes to ``ctx.power``, with q and e0 wide, and one product joins them
-    (none when floor(e) = 0).
+    (none when floor(e) = 0).  1^e is 1, exact, at every e.
     """
     q, e = as_fraction(q), as_fraction(e)
     m = math.floor(e)
-    if e == m:
+    if e == m or q == 1:
         return rational(ctx, q**m)
     # mpmath takes ln q at 10 extra bits, which adds |e0 ln q| 2^-10 units to
     # the power's 1 ulp; the wide arguments add under 2^-60 of a unit

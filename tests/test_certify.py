@@ -151,9 +151,11 @@ def test_phi_one_closed(az, precision):
 
 
 @CERTIFY
-@given(k=st.integers(0, 80), a=A_POS.filter(lambda a: a > F(1, 2)), precision=PRECISION)
+@given(k=st.integers(0, 80), a=A_ANY, precision=PRECISION)
 @example(k=2, a=F(400, 3), precision=128)
 @example(k=2, a=F(1000, 3), precision=128)
+@example(k=5, a=F(1, 2), precision=128)
+@example(k=40, a=F(-1000, 3), precision=128)
 def test_zeta_structured(k, a, precision):
     _, out = closedform.zeta_structured(k, a, precision)
     assert_certified(out, ref_phi(1 - k, a, F(1, 2), precision))

@@ -19,7 +19,7 @@ from hlcbs.closedform import (
     zeta_exact,
     zeta_structured,
 )
-from hlcbs.hyper import exact_gamma_ratio, incomplete_beta_exact, lattice, pochhammer
+from hlcbs.hyper import PoleError, exact_gamma_ratio, incomplete_beta_exact, lattice, pochhammer
 from hlcbs.series import SeriesQuery, phi_numeric, zeta_hcb_numeric
 
 EXAMPLE_VALUES = [
@@ -201,12 +201,25 @@ class TestZetaStructured:
         assert abs(assembled.value - exact.value) < tol(ctx, -30)
 
     def test_domain_validation(self):
-        with pytest.raises(DomainError):
-            zeta_structured(0, F(1, 2))
-        with pytest.raises(DomainError):
-            zeta_structured(0, F(1, 4))
+        with pytest.raises(PoleError):
+            zeta_structured(0, F(-1, 2))
         with pytest.raises(DomainError):
             zeta_structured(-2, F(5, 4))
+
+    @pytest.mark.parametrize("a", [F(1, 2), F(5, 4), F(-7, 3), F(3)])
+    @pytest.mark.parametrize("k", [0, 1, 3, 8])
+    def test_number_is_phi_neg_closed_at_one_half(self, k, a):
+        for precision in (64, 128):
+            _, numeric = zeta_structured(k, a, precision)
+            closed = phi_neg_closed(k, a, F(1, 2), precision)
+            assert (numeric.value, numeric.error_bound) == (closed.value, closed.error_bound), (k, a, precision)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7])
+    def test_contains_exact_at_one_half(self, k):
+        _, numeric = zeta_structured(k, F(1, 2), 128)
+        exact = piext_to_float(zeta_exact(k, F(1, 2)), 256)
+        assert abs(numeric.value - exact.value) <= numeric.error_bound + exact.error_bound
+        assert exact.error_bound < numeric.error_bound / 2**100
 
 
 with open(os.path.join(os.path.dirname(__file__), "data", "zeta_exact_parity.json")) as _fh:

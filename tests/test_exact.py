@@ -99,6 +99,15 @@ class TestUniPoly:
         with pytest.raises(ValueError):
             UniPoly.parse(text)
 
+    def test_long_sum_round_trips(self):
+        # a sum nests one syntax-tree level per term; the reader walks it in a loop
+        p = UniPoly(tuple((-1) ** d * (d + 1) for d in range(2500)))
+        assert UniPoly.parse(p.to_text()) == p
+
+    def test_text_past_the_parser_limit_is_refused(self):
+        with pytest.raises(ValueError):
+            UniPoly.parse(UniPoly(tuple(range(1, 5001))).to_text())
+
 
 class TestBiPoly:
     def test_substitute_matches_coefficientwise(self):

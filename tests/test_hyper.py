@@ -339,3 +339,8 @@ class TestSplitAtFloor:
         assert abs(got.value / expected - 1) <= F(5, 2) * work.ldexp(1, 1 - work.prec)
         assert abs(got.value - expected) <= got.error_bound
         assert got.error_bound <= abs(got.value) * mpmath.mpf(2) ** -150
+
+    @pytest.mark.parametrize("e", [F(1, 2), F(2000, 3), F(-7, 3), F(5)])
+    def test_rational_power_of_one_is_exact(self, e):
+        got = rational_power(context(128), 1, e)
+        assert got.value == 1 and got.error_bound == 0

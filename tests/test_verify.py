@@ -119,7 +119,10 @@ class TestParity:
     term ratios.  The comparison counts of ``diff_relation`` (67 -> 84) and
     ``half_shift`` (3 -> 9) were re-recorded when the one came to check the
     oracle's own term ratios at all four points and the other the m zero
-    terms of the shifted series."""
+    terms of the shifted series.  ``thm31``'s and ``zenka``'s tolerance and
+    deviation were re-recorded when the ladder formula came to be written
+    once, with its 2F1 summed 32 bits deep and 1^e exact; both tolerances
+    went down."""
 
     @pytest.fixture(scope="class")
     def reports(self):
