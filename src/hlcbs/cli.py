@@ -53,9 +53,8 @@ class OutputRecord:
 
 
 def _numeric(mode: str, result, meta: dict) -> OutputRecord:
-    """The record of a numeric result, refused when its bound certifies no
-    digit: floor(log10(|value| / bound)) < 1."""
-    if abs(result.value) < 10 * result.error_bound:
+    """The record of a numeric result, refused when its bound certifies no digit."""
+    if result.certified_digits() < 1:
         raise DomainError(f"error bound {result.bound_str()} certifies no digit; rerun with a higher --precision")
     return OutputRecord(mode, str(result), error_bound=result.bound_str(), metadata=meta)
 

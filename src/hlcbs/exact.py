@@ -164,6 +164,8 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
+        if self.coeffs and not any(self.coeffs[:-1]):  # a monomial c x^k: c^n x^(kn)
+            return self._of([self._coefficient(0)] * (self.degree * n) + [self.coeffs[-1] ** n])
         result = self.const(1)
         base = self
         while n:
@@ -276,11 +278,9 @@ class PiExtValue:
     c_pi: Fraction = Fraction(0)
     c_sqrt3pi: Fraction = Fraction(0)
 
-    def __init__(self, c_one=0, c_sqrt3=0, c_pi=0, c_sqrt3pi=0):
-        object.__setattr__(self, "c_one", as_fraction(c_one))
-        object.__setattr__(self, "c_sqrt3", as_fraction(c_sqrt3))
-        object.__setattr__(self, "c_pi", as_fraction(c_pi))
-        object.__setattr__(self, "c_sqrt3pi", as_fraction(c_sqrt3pi))
+    def __post_init__(self):
+        for name in ("c_one", "c_sqrt3", "c_pi", "c_sqrt3pi"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
 
     @classmethod
     def rational(cls, q) -> "PiExtValue":

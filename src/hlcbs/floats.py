@@ -19,9 +19,12 @@ takes the series as its factors, t_0 = f_0 and t_n = t_{n-1} f_n, each an
 exact int, a Fraction or a ball, with an exact rational cap on the later
 ratios.  The kernel keeps the running product (:func:`products`) and takes
 each rounding count from the factor's type, not a ball per term, which
-keeps the loop as cheap as a plain sum.  The series oracle and the pFq
-evaluator only supply exact term ratios and caps; the oracle's ratios are
-the definition's, never a closed form's.
+keeps the loop as cheap as a plain sum.  Its bounds are raw libmp values
+rounded up, as the ball rule's radii are (Arb's mag_t): the tail and the
+rounding radius at 30 bits, and sum|t| at the working precision, with no
+slack factor.  The series oracle and the pFq evaluator only supply exact
+term ratios and caps; the oracle's ratios are the definition's, never a
+closed form's.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import fone, fzero, from_float, from_int, from_rational, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_pos, mpf_shift, mpf_sub, to_float
+from mpmath.libmp import fone, fzero, from_float, from_int, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_shift, mpf_sub, to_float
 
 MIN_PRECISION_BITS = 32
 GUARD_BITS = 32
@@ -98,6 +101,11 @@ def _up(op, x, y):
     return op(x, y, 30, "u")
 
 
+def _magnitude(x) -> Fraction:
+    """|x| of an mpf, exactly (``man_exp`` drops the sign)."""
+    return Fraction(x.man_exp[0]) * Fraction(2) ** x.man_exp[1]
+
+
 def _unit(ctx, x):
     """2^-prec |x| as a raw mpf value: one rounding of x at the working precision."""
     return mpf_shift(mpf_abs(x), -ctx.prec)
@@ -112,11 +120,13 @@ def products(ctx, factors):
     """The terms of a series given by its factors: t_0 = f_0, t_n = t_{n-1} f_n.
 
     ``factors`` yields pairs ``(f_n, cap_n)``, f_n as :func:`tail_bounded_sum`
-    takes them.  Yields ``(t_n, units_n, cap_n)``: t_n an mpf in ``ctx``,
-    within units_n 2^-prec |t_n| of the exact term.  Each product adds the
-    factor's units and 1 if it rounds, so an exact term times an integer
-    stays exact while it fits the precision; the counts only grow.  The
-    stream ends at the first zero term: the series terminated.
+    takes them.  Yields ``(t_n, units_n, cap_n)``: t_n an mpf in ``ctx``
+    whose units_n relative errors of 2^-prec, compounded, put it within
+    c/(1-c) |t_n| of the exact term, c = units_n 2^-prec.  Each product
+    adds the factor's units and 1 if it rounds, so an exact term times an
+    integer stays exact while it fits the precision; the counts only grow,
+    and a ball's fractional count is summed rounding up.  The stream ends
+    at the first zero term: the series terminated.
     """
     term, units = fone, 0
     for factor, cap in factors:
@@ -124,6 +134,8 @@ def products(ctx, factors):
         exact = mpf_mul(term, value)  # normalized operands: odd mantissas, so bc is the exact length
         term = mpf_pos(exact, ctx.prec, "n")
         units += factor_units + (exact[3] > ctx.prec)
+        if isinstance(units, float):  # a float sum rounds to nearest: step it up
+            units = math.nextafter(units, math.inf)
         if not term[1]:
             return
         yield ctx.make_mpf(term), units, cap
@@ -141,39 +153,49 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     with |f_m| <= cap_n for every m > n, or None while no cap is known.  The
     target is 2^-(P+8), P = ``ctx.prec - GUARD_BITS`` the requested
     precision.  The sum stops after the first t_n with
-    |t_n| rho/(1-rho) <= target * max(|sum|, 1), rho the cap rounded with
-    1 + 2^-24 slack.  A stream that runs out, or reaches a zero term, means
-    the series terminated: its tail is 0.  The rounding radius is
-    (u + n) 2^-prec sum|t|, u the last (largest) term count and n the
-    additions, each within 2^-prec of a partial sum; the same slack covers
-    the counts' second-order terms and the rounding of this product.  While
-    every term and partial sum is exact, the radius is 0.
+    |t_n| rho/(1-rho) <= target * max(|sum|, 1), rho = cap_n < 1.  A stream
+    that runs out, or reaches a zero term, means the series terminated: its
+    tail is 0.
+
+    The midpoint is summed at the working precision ``prec``, exactly while
+    every term and partial sum fits, and sum|t| beside it, rounded up.  The
+    other bounds are radius arithmetic at 30 bits, rounded up as the ball
+    rule's: rho/(1-rho) = num/(den-num) from the exact cap, rounded up once,
+    and the tail |t_n| rho/(1-rho).  With c = (u + n) 2^-prec, u the last
+    (largest) term count and n the additions, each within 2^-prec of a
+    partial sum, the radius is tail + c/(1-c) (sum|t| + tail).  The u + n
+    relative errors of at most 2^-prec compound to at most c/(1-c), against
+    the computed terms and sums, so that factor covers the rounded terms and
+    partial sums and the rounded t_n under the tail, with no higher-order
+    term left over.  While every term and partial sum is exact, the radius
+    is the tail.
 
     Returns ``(ball, terms_used)``; raises :class:`BudgetExceeded` when
-    ``max_terms`` terms do not meet the target.
+    ``max_terms`` terms do not meet the target, and :class:`NoConvergence`
+    when c >= 1: the factors' radii swamp the sum.
     """
-    target = ctx.ldexp(1, -(ctx.prec - GUARD_BITS + 8))
-    total = abs_sum = tail = ctx.mpf(0)
-    slack = 1 + ctx.ldexp(1, -24)
+    stop = ctx.prec - GUARD_BITS + 8  # the target is 2^-stop
+    total = abs_sum = tail = fzero
     units, n, exact = 0, -1, True
-    for term, units, cap in products(ctx, factors):
-        if n + 1 == max_terms:
+    for n, (term, units, cap) in enumerate(products(ctx, factors)):
+        if n == max_terms:
             raise BudgetExceeded(f"error bound not met within {max_terms} terms")
-        n += 1
         exact = exact and not units
         # while every term is exact, add exactly and see whether the sum fits
-        raw = mpf_add(total._mpf_, term._mpf_, 0 if exact else ctx.prec, "n")
-        total, exact = ctx.make_mpf(mpf_pos(raw, ctx.prec, "n")), exact and raw[3] <= ctx.prec
-        abs_sum += abs(term)
-        if cap is not None:
-            rho = ctx.make_mpf(_midpoint(ctx, cap)[0]) * slack
-            if rho < 1:
-                bound = abs(term) * rho / (1 - rho)
-                if bound <= target * max(abs(total), ctx.mpf(1)):
-                    tail = bound
-                    break
-    rounding = 0 if exact else (units + n) * ctx.ldexp(abs_sum, -ctx.prec) * slack
-    return BigFloat(total, ctx.prec - GUARD_BITS, tail + rounding), n + 1
+        raw = mpf_add(total, term._mpf_, 0 if exact else ctx.prec, "n")
+        total, exact = mpf_pos(raw, ctx.prec, "n"), exact and raw[3] <= ctx.prec
+        # at the working precision: rounded up at 30 bits, every term would add an ulp
+        abs_sum = mpf_add(abs_sum, mpf_abs(term._mpf_), ctx.prec, "u")
+        if cap is not None and cap.numerator < cap.denominator:
+            bound = _up(mpf_mul, mpf_abs(term._mpf_), from_rational(cap.numerator, cap.denominator - cap.numerator, 30, "u"))
+            if mpf_le(mpf_shift(bound, stop), fone) or mpf_le(mpf_shift(bound, stop), mpf_abs(total)):
+                tail = bound
+                break
+    c = fzero if exact else mpf_shift(_up(mpf_add, from_float(units), from_int(n)), -ctx.prec)
+    if not mpf_lt(c, fone):
+        raise NoConvergence("the factors' radii swamp the sum")
+    radius = _up(mpf_add, tail, _up(mpf_mul, _up(mpf_div, c, mpf_sub(fone, c, 30, "d")), _up(mpf_add, abs_sum, tail)))
+    return BigFloat(ctx.make_mpf(total), ctx.prec - GUARD_BITS, ctx.make_mpf(radius)), n + 1
 
 
 @dataclass(frozen=True)
@@ -255,24 +277,24 @@ class BigFloat:
     def __float__(self) -> float:
         return float(self.value)
 
-    def __str__(self) -> str:
-        """The value to the significant digits its bound certifies.
-
-        That is min(0.301 precision_bits (at least 8), floor(log10(|value| /
-        error_bound))) digits, and at least 1.
-        """
+    def certified_digits(self) -> int:
+        """The significant digits the bound certifies, the one rule for what
+        may be printed: the largest d <= 0.301 precision_bits (at least 8)
+        with |value| >= 10^d error_bound, decided exactly, or 0 when the
+        ball certifies no digit."""
         digits = max(8, int(self.precision_bits * 0.301))
-        if self.error_bound:
-            ratio = abs(self.value) / self.error_bound
-            certified = int(mpmath.floor(mpmath.log10(ratio))) if ratio else 1
-            digits = max(1, min(digits, certified))
-        return mpmath.nstr(self.value, digits)
+        whole = int(_magnitude(self.value) / _magnitude(self.error_bound)) if self.error_bound else 10**digits
+        # log10(whole) < 0.30103 bit_length, so the first d tried is never too low
+        return next((d for d in range(min(digits, int(whole.bit_length() * 0.30103)), 0, -1) if whole >= 10**d), 0)
+
+    def __str__(self) -> str:
+        """The value to its :meth:`certified_digits`, and at least 1."""
+        return mpmath.nstr(self.value, max(1, self.certified_digits()))
 
     def bound_str(self) -> str:
         """The error bound to 9 significant digits, rounded up, never down."""
         if not self.error_bound:
             return "0.0"
-        man, exp = self.error_bound.man_exp
         exponent = int(mpmath.floor(mpmath.log10(self.error_bound))) - 8
-        mantissa = str(math.ceil(Fraction(man) * Fraction(2) ** exp / Fraction(10) ** exponent))
+        mantissa = str(math.ceil(_magnitude(self.error_bound) / Fraction(10) ** exponent))
         return f"{mantissa[0]}.{mantissa[1:].rstrip('0') or '0'}e{exponent + len(mantissa) - 1}"

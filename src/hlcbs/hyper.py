@@ -109,19 +109,17 @@ class PFQParams:
     lower: tuple
     z: Fraction
 
-    def __init__(self, upper, lower, z):
-        upper = tuple(as_fraction(u) for u in upper)
-        lower = tuple(as_fraction(l) for l in lower)
+    def __post_init__(self):
+        upper = tuple(as_fraction(u) for u in self.upper)
+        lower = tuple(as_fraction(l) for l in self.lower)
         if len(upper) != len(lower) + 1:
-            raise DomainError(
-                f"need exactly one more upper than lower parameter, got {len(upper)} vs {len(lower)}"
-            )
+            raise DomainError(f"need exactly one more upper than lower parameter, got {len(upper)} vs {len(lower)}")
         for l in lower:
             if l.denominator == 1 and l <= 0:
                 raise LowerParamPole(f"lower parameter {l} is a nonpositive integer")
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "z", as_fraction(z))
+        object.__setattr__(self, "z", as_fraction(self.z))
 
 
 def _pfq_factors(params: PFQParams):

@@ -157,7 +157,7 @@ class TestEvalCommand:
         assert code == 0
         record = json.loads(out)
         assert record["value"] == "1.1794912545437e-30"
-        assert record["error_bound"] == "1.71565715e-45"
+        assert record["error_bound"] == "1.71565701e-45"
 
     @pytest.mark.parametrize("upper,precision", [("-60,1", "32"), ("-200,1", "64")])
     def test_no_certified_digit_exits_1(self, capsys, upper, precision):

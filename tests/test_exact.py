@@ -48,6 +48,19 @@ class TestUniPoly:
         assert x_plus_1**3 == UniPoly((1, 3, 3, 1))
         assert x_plus_1 * UniPoly() == UniPoly()
 
+    @pytest.mark.parametrize(
+        "poly",
+        [UniPoly((0, 0, F(-2, 3))), UniPoly((5,)), UniPoly(), BiPoly((0, 0, UniPoly((1, 2)))), BiPoly((UniPoly((0, 1)), 0, 2))],
+    )
+    def test_monomial_power_is_the_repeated_product(self, poly):
+        # a monomial c x^k is raised as c^n x^(kn), one coefficient list; any
+        # other polynomial by squaring
+        for n in range(5):
+            product = type(poly).const(1)
+            for _ in range(n):
+                product = product * poly
+            assert poly**n == product and (poly**n).to_text() == product.to_text()
+
     def test_eval_exact(self):
         p = UniPoly((1, 36, 60, 8))
         assert p(F(1, 4)) == F(1) + 9 + F(60, 16) + F(8, 64)

@@ -125,6 +125,39 @@ class TestTailBoundedSum:
         assert counts[:3] == (0, 2, 2) and 4 <= counts[3] <= 4 + 2**-20
         assert [cap for _, _, cap in products(ctx, factors)] == [None, None, None, F(1, 2)]
 
+    def test_loose_cap_near_one_stops(self):
+        # rho/(1-rho) = 2^26 - 1 from the cap itself: the tail bound meets the
+        # target once 1024^-n falls below 2^-98, with no slack pushing rho to 1
+        ctx = context(64)
+        cap = 1 - F(1, 2**26)
+        out, used = tail_bounded_sum(ctx, itertools.chain([(1, cap)], itertools.repeat((F(1, 1024), cap))), 1000)
+        assert used <= 20
+        assert contains(out, F(1024, 1023))
+
+    def test_rounding_counts_round_up(self):
+        # 60 balls around 3, each of a 53-bit unit count: a float sum of those
+        # counts may round down, and the count must not fall below their sum
+        ctx = context(64)
+        for share in (F(1, 3), F(5, 11), F(7, 3)):
+            factor = BigFloat(ctx.mpf(3), 64, 3 * ctx.ldexp(to_mid(ctx, share), -ctx.prec))
+            *_, (_, units, _) = products(ctx, [(factor, None)] * 60)
+            assert F(units) >= 60 * F(factor.units())
+
+    def test_long_sum_radius_is_first_order(self):
+        # 500 terms (1/3) 2^-n: 500 factors counted as rounded and 499 rounded
+        # additions, so c = 999 2^-prec and the radius is c/(1-c) sum|t| up to
+        # a few 30-bit roundings; a sum|t| rounded up at 30 bits would gain an
+        # ulp, 2^-29 of it, at every term
+        ctx = context(64)
+        out, used = tail_bounded_sum(ctx, itertools.chain([(F(1, 3), None)], itertools.repeat((F(1, 2), None), 499)), 1000)
+        assert used == 500 and contains(out, F(2, 3) * (1 - F(1, 2**500)))
+        assert exact(out.error_bound) <= 999 * F(1, 2**ctx.prec) * F(2, 3) * (1 + F(1, 2**24))
+
+    def test_radii_swamping_the_sum_raise(self):
+        ctx = context(64)
+        with pytest.raises(NoConvergence):
+            tail_bounded_sum(ctx, iter([(BigFloat(ctx.mpf(1), 64, ctx.mpf(2)), None)]), 10)
+
     def test_pfq_budget_raises_no_convergence(self, monkeypatch):
         monkeypatch.setattr(hyper, "_MAX_PFQ_TERMS", 5)
         with pytest.raises(NoConvergence):
@@ -154,6 +187,16 @@ class TestCertifiedDigits:
     def test_at_least_one_digit(self):
         assert str(BigFloat(mpmath.mpf("0.001"), 128, mpmath.mpf(1))) == "0.001"
         assert str(BigFloat(mpmath.mpf(0), 128, mpmath.mpf("1e-40"))) == "0.0"
+
+    def test_certified_digit_counts(self):
+        # the CLI refuses a value whose count is below 1: |value| < 10 bound
+        one = mpmath.mpf(1)
+        counts = [BigFloat(one, 128, mpmath.mpf(b)).certified_digits() for b in ("1e-14", "0.09", "0.11", "1", "0")]
+        assert counts == [14, 1, 0, 0, 38]
+        assert BigFloat(mpmath.mpf(0), 128, mpmath.mpf("1e-40")).certified_digits() == 0
+        # 2^-60 short of 10 bounds: a 53-bit log10 of the ratio reads 1.0
+        ctx = context(128)
+        assert BigFloat(ctx.mpf(1), 128, ctx.mpf(1) / 10 * (1 + ctx.ldexp(1, -60))).certified_digits() == 0
 
     @pytest.mark.parametrize("bound", ["1.7e-45", "9.99999999999e-3", "1", "123456789.5", "2.5e-3000"])
     def test_bound_rounded_up(self, bound):

@@ -122,7 +122,9 @@ class TestParity:
     terms of the shifted series.  ``thm31``'s and ``zenka``'s tolerance and
     deviation were re-recorded when the ladder formula came to be written
     once, with its 2F1 summed 32 bits deep and 1^e exact; both tolerances
-    went down."""
+    went down.  ``lehmer1``'s tolerance (5.233993e-41 -> 5.233992e-41) was
+    re-recorded when the kernel came to round its bounds up, as the ball
+    rule does, in place of a 1 + 2^-24 slack."""
 
     @pytest.fixture(scope="class")
     def reports(self):
