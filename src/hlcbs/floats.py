@@ -7,7 +7,8 @@ requested at, and a radius that bounds its distance from the true value.
 
 Two rules form every radius.  The ball rule: ``+ - * /`` on balls and exact
 rationals widen the radius by what the operands' radii can move the result
-and by the operation's own rounding, 2^-prec of the result.  The trust rule:
+and by the operation's own rounding, 2^-prec of the result (none for a
+product that fits the precision).  The trust rule:
 an mpmath result (gamma, power, sqrt, pi) enters through :func:`ball`,
 within 1 ulp of the exact function at its argument.  No caller counts
 roundings by hand.
@@ -17,14 +18,21 @@ stop target from the context's precision, decides when to stop, states the
 error bound, and raises the one budget error, :class:`BudgetExceeded`.  It
 takes the series as its factors, t_0 = f_0 and t_n = t_{n-1} f_n, each an
 exact int, a Fraction or a ball, with an exact rational cap on the later
-ratios.  The kernel keeps the running product (:func:`products`) and takes
-each rounding count from the factor's type, not a ball per term, which
-keeps the loop as cheap as a plain sum.  Its bounds are raw libmp values
-rounded up, as the ball rule's radii are (Arb's mag_t): the tail and the
-rounding radius at 30 bits, and sum|t| at the working precision, with no
-slack factor.  The series oracle and the pFq evaluator only supply exact
-term ratios and caps; the oracle's ratios are the definition's, never a
-closed form's.
+ratios.  It sums each run of rational factors f_{i+1..j} = p_l/q_l as one
+block, by binary splitting in integers with no gcd: P/Q = prod f_l and
+T/Q = sum_m prod_{l<=m} f_l, merged as P1 P2, Q1 Q2, T1 Q2 + P1 T2.  A block
+ends where its denominators reach the working precision in bits, where a
+ball or a zero factor arrives, at the term budget, or at the stop index
+predicted from the last cap; a ball factor is a block of one.  Each block
+is folded into the sum by one exact product and one rounded division for
+each of two values: t_i T/Q becomes one summand, and t_i P/Q the next
+running term, so each fold adds one unit when it rounds, and a power-of-two
+Q divides exactly.  The exact tail test then runs on the folded term.  Its
+bounds are raw libmp values rounded up, as the ball rule's radii are (Arb's
+mag_t): the tail and the rounding radius at 30 bits, and sum|summand| at the
+working precision, with no slack factor.  The series oracle and the pFq
+evaluator only supply exact term ratios and caps; the oracle's ratios are
+the definition's, never a closed form's.
 """
 
 from __future__ import annotations
@@ -33,9 +41,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import fone, fzero, from_float, from_int, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_shift, mpf_sub, to_float
+from mpmath.libmp import fone, fzero, from_float, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_shift, mpf_sub, to_float
 
 MIN_PRECISION_BITS = 32
 GUARD_BITS = 32
@@ -79,18 +88,18 @@ def ball(ctx, value, units=TRUST_UNITS) -> "BigFloat":
 
 
 def _midpoint(ctx, x):
-    """(raw mpf, units) of a ball, or of an exact rational: an integer (an
-    int, or a Fraction that is one) exact and unrounded, any other Fraction
-    rounded once."""
+    """(raw mpf, units) of a ball, or of an exact rational: a dyadic one (an
+    int, or a Fraction whose denominator is a power of two) exact and
+    unrounded, any other Fraction rounded once."""
     if isinstance(x, BigFloat):
         return x.value._mpf_, x.units()
-    if x.denominator == 1:
-        return from_int(x.numerator), 0
+    if x.denominator & (x.denominator - 1) == 0:
+        return from_man_exp(x.numerator, 1 - x.denominator.bit_length()), 0
     return from_rational(x.numerator, x.denominator, ctx.prec, "n"), 1
 
 
 def rational(ctx, q) -> "BigFloat":
-    """The ball of an exact rational: an integer is exact, any other Fraction rounded once."""
+    """The ball of an exact rational: a dyadic one is exact, any other Fraction rounded once."""
     value, units = _midpoint(ctx, q)
     return ball(ctx, ctx.make_mpf(value), units)
 
@@ -111,9 +120,17 @@ def _unit(ctx, x):
     return mpf_shift(mpf_abs(x), -ctx.prec)
 
 
-def _rounded(ctx, mid, spread) -> "BigFloat":
-    """The ball around the raw ``mid``, rounded once in ``ctx``: ``spread`` plus 2^-prec |mid|."""
-    return BigFloat(ctx.make_mpf(mid), ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_add, spread, _unit(ctx, mid))))
+def _fit(ctx, exact):
+    """An exact raw result rounded at the working precision: (raw mpf,
+    whether it rounded).  Normalized operands have odd mantissas, so a
+    product's or a shift's bc is its exact length."""
+    return mpf_pos(exact, ctx.prec, "n"), exact[3] > ctx.prec
+
+
+def _rounded(ctx, mid, spread, rounds=True) -> "BigFloat":
+    """The ball around the raw ``mid``, rounded once in ``ctx``: ``spread``
+    plus 2^-prec |mid| when the operation ``rounds``."""
+    return BigFloat(ctx.make_mpf(mid), ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_add, spread, _unit(ctx, mid)) if rounds else spread))
 
 
 def products(ctx, factors):
@@ -131,9 +148,8 @@ def products(ctx, factors):
     term, units = fone, 0
     for factor, cap in factors:
         value, factor_units = _midpoint(ctx, factor)
-        exact = mpf_mul(term, value)  # normalized operands: odd mantissas, so bc is the exact length
-        term = mpf_pos(exact, ctx.prec, "n")
-        units += factor_units + (exact[3] > ctx.prec)
+        term, rounded = _fit(ctx, mpf_mul(term, value))
+        units += factor_units + rounded
         if isinstance(units, float):  # a float sum rounds to nearest: step it up
             units = math.nextafter(units, math.inf)
         if not term[1]:
@@ -141,61 +157,233 @@ def products(ctx, factors):
         yield ctx.make_mpf(term), units, cap
 
 
+def _split(leaves, lo: int, hi: int):
+    """(P, Q, T) of the factors p_l/q_l, ``leaves[l] = (p_l, q_l, cap_l)``, lo <= l < hi, by
+    binary splitting: P/Q = prod f_l and T/Q = sum_m prod_{l<=m} f_l, as
+    integers with no gcd."""
+    if hi - lo == 1:
+        p, q, _ = leaves[lo]
+        return p, q, p
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _split(leaves, lo, mid)
+    p2, q2, t2 = _split(leaves, mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _times(ctx, term, top, bottom: int):
+    """``term`` top/bottom for raw mpf values term and top and an int
+    bottom > 0: one exact product and one division rounded at the working
+    precision.  Returns (raw mpf, whether it rounded); a power of two
+    divides exactly."""
+    exact = mpf_mul(term, top)
+    if bottom & (bottom - 1):
+        return mpf_div(exact, from_int(bottom), ctx.prec, "n"), True
+    return _fit(ctx, mpf_shift(exact, 1 - bottom.bit_length()))
+
+
+def _log2(x) -> float:
+    """log2 |x| of a nonzero raw mpf, as a float whatever its exponent."""
+    return math.log2(x[1]) + x[2]
+
+
+def _log2_odds(cap) -> float:
+    """log2 rho/(1-rho) of an exact cap rho in (0, 1), as a float."""
+    return math.log2(cap.numerator) - math.log2(cap.denominator - cap.numerator)
+
+
+class _Run(NamedTuple):
+    """The state of one kernel sum after a block: the running term t_j (raw
+    mpf) and its rounding count, the terms read, the additions, whether
+    everything so far is exact, the sum of the summands and sum|summand| at
+    the working precision."""
+
+    ctx: object
+    term: tuple = fone
+    units: float = 0
+    terms: int = 0
+    adds: int = -1
+    exact: bool = True
+    total: tuple = fzero
+    abs_sum: tuple = fzero
+
+    def fold(self, top, bottom: int, partial, block_units, count: int) -> "_Run":
+        """The run after a block of ``count`` terms t_{i+1..j}: t_i
+        partial/bottom is one summand and t_j = t_i top/bottom the next
+        running term (``partial is top`` for a block of one).  The count
+        adds the block's own units, a ball factor's, and one unit when the
+        fold rounds."""
+        ctx = self.ctx
+        term, rounded = _times(ctx, self.term, top, bottom)
+        summand, summand_rounded = (term, rounded) if partial is top else _times(ctx, self.term, partial, bottom)
+        units = self.units + block_units + (rounded or summand_rounded)
+        if isinstance(units, float):  # a float sum rounds to nearest: step it up
+            units = math.nextafter(units, math.inf)
+        exact = self.exact and not units
+        # while every summand is exact, add exactly and see whether the sum fits
+        raw = mpf_add(self.total, summand, 0 if exact else ctx.prec, "n")
+        # sum|summand| at the working precision: rounded up at 30 bits, every summand would add an ulp
+        abs_sum = mpf_add(self.abs_sum, mpf_abs(summand), ctx.prec, "u")
+        return _Run(ctx, term, units, self.terms + count, self.adds + 1, exact and raw[3] <= ctx.prec, mpf_pos(raw, ctx.prec, "n"), abs_sum)
+
+    def fold_rationals(self, leaves) -> "_Run":
+        """The run after the rational factors ``leaves``, (p, q, cap) triples, as one block."""
+        p, q, t = _split(leaves, 0, len(leaves))
+        top = from_int(p)
+        return self.fold(top, q, top if t == p else from_int(t), 0, len(leaves))
+
+    def tail(self, cap, stop: int):
+        """The tail test on the running term t_j: with rho = cap < 1, the
+        bound |t_j| rho/(1-rho) when it is <= 2^-stop max(|sum|, 1), else None."""
+        if cap is None or cap.numerator >= cap.denominator:
+            return None
+        bound = _up(mpf_mul, mpf_abs(self.term), from_rational(cap.numerator, cap.denominator - cap.numerator, 30, "u"))
+        if mpf_le(mpf_shift(bound, stop), fone) or mpf_le(mpf_shift(bound, stop), mpf_abs(self.total)):
+            return bound
+        return None
+
+    def steps(self, cap, stop: int):
+        """The terms after t_j until :meth:`tail` should pass, if every later
+        term shrank by rho = cap and the sum grew by the whole tail: the
+        least k >= 1 with
+        |t_j| rho^k rho/(1-rho) <= 2^-stop max(|sum| + |t_j| rho/(1-rho), 1),
+        as a float estimate, or None when no cap in (0, 1) is known."""
+        if cap is None or not 0 < cap < 1:
+            return None
+        num, den = cap.numerator, cap.denominator
+        # -log2 rho, with no cancellation as rho -> 1
+        shrink = math.log2(den) - math.log2(num) if 2 * num < den else -math.log1p(-((den - num) / den)) / math.log(2)
+        if not shrink:
+            return None
+        grown = mpf_add(mpf_abs(self.total), mpf_mul(mpf_abs(self.term), from_rational(num, den - num, 53, "u"), 53, "u"), 53, "u")
+        excess = _log2(self.term) + _log2_odds(cap) + stop - max(_log2(grown), 0)
+        return max(1, math.ceil(excess / shrink - 1e-6))
+
+    def first_pass(self, leaves, stop: int) -> int:
+        """How many of the block's ``leaves`` run up to the first term that
+        passes the tail test, when the folded term t_j does: a float
+        estimate walking back from t_j, log2|t_{m-1}| = log2|t_m| - log2|f_m|,
+        against the folded |sum|, which the terms after a passing one move by
+        at most 2^-stop of it."""
+        scale = max(_log2(self.total), 0) if self.total[1] else 0
+        size = _log2(self.term)
+        for keep in range(len(leaves) - 1, 0, -1):
+            p, q, _ = leaves[keep]
+            size -= math.log2(abs(p)) - math.log2(q)
+            cap = leaves[keep - 1][2]
+            if cap is None or not 0 < cap < 1 or size + _log2_odds(cap) + stop > scale:
+                return keep + 1
+        return 1
+
+    def ball(self, tail) -> "BigFloat":
+        """The sum as a ball: tail + c/(1-c) (sum|summand| + tail), c = (u + adds) 2^-prec."""
+        ctx = self.ctx
+        c = fzero if self.exact else mpf_shift(_up(mpf_add, from_float(self.units), from_int(self.adds)), -ctx.prec)
+        if not mpf_lt(c, fone):
+            raise NoConvergence("the factors' radii swamp the sum")
+        spread = _up(mpf_mul, _up(mpf_div, c, mpf_sub(fone, c, 30, "d")), _up(mpf_add, self.abs_sum, tail))
+        return BigFloat(ctx.make_mpf(self.total), ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_add, tail, spread)))
+
+
+def _block(run, leaves, stop: int):
+    """Fold the rational run ``leaves`` into ``run`` and test the tail on its
+    last term: (run, tail or None).  When the test passes there, the block is
+    folded again up to the first term that passes it, so a block end past
+    that term does not move the stop."""
+    folded = run.fold_rationals(leaves)
+    tail = folded.tail(leaves[-1][2], stop)
+    if tail is not None and len(leaves) > 1:
+        keep = folded.first_pass(leaves, stop)
+        if keep < len(leaves):
+            early = run.fold_rationals(leaves[:keep])
+            early_tail = early.tail(leaves[keep - 1][2], stop)
+            if early_tail is not None:
+                return early, early_tail
+    return folded, tail
+
+
 def tail_bounded_sum(ctx, factors, max_terms: int):
     """Sum a series, given by its factors, until a geometric tail bound meets
     the context's target.
 
     ``factors`` yields pairs ``(f_n, cap_n)`` with t_0 = f_0 and
-    t_n = t_{n-1} f_n (:func:`products` keeps the running product and the
-    rounding counts).  f_n is an int (exact), a Fraction (rounded once, unless
-    it is an integer) or a :class:`BigFloat` ball at ``ctx``'s precision, its
-    radius in :meth:`BigFloat.units`; cap_n is an exact rational
-    with |f_m| <= cap_n for every m > n, or None while no cap is known.  The
-    target is 2^-(P+8), P = ``ctx.prec - GUARD_BITS`` the requested
-    precision.  The sum stops after the first t_n with
+    t_n = t_{n-1} f_n.  f_n is an int or a Fraction (exact) or a
+    :class:`BigFloat` ball at ``ctx``'s precision, its radius in
+    :meth:`BigFloat.units`; cap_n is an exact rational with |f_m| <= cap_n
+    for every m > n, or None while no cap is known.  The target is
+    2^-(P+8), P = ``ctx.prec - GUARD_BITS`` the requested precision.  The
+    sum stops after the first folded t_n with
     |t_n| rho/(1-rho) <= target * max(|sum|, 1), rho = cap_n < 1.  A stream
-    that runs out, or reaches a zero term, means the series terminated: its
-    tail is 0.
+    that runs out, or reaches a zero factor, means the series terminated:
+    its tail is 0, and nothing past the zero factor is read.
 
-    The midpoint is summed at the working precision ``prec``, exactly while
-    every term and partial sum fits, and sum|t| beside it, rounded up.  The
-    other bounds are radius arithmetic at 30 bits, rounded up as the ball
+    Blocks: each run of rational factors f_{i+1..j} = p_l/q_l is summed
+    exactly by binary splitting (:func:`_split`) into integers P, Q and T,
+    and folded into the sum with one exact product and one rounded division
+    for each of two values (:func:`_times`): t_i T/Q is one summand and
+    t_i P/Q the next running term t_j.  A block ends at the first of: its
+    denominators reaching the working precision ``prec`` in bits; a ball
+    factor, which is then a block of one through the same fold; a zero
+    factor; the ``max_terms``-th term; the stop index predicted from the last
+    cap rho < 1 and the folded |t_i| and |sum| (:meth:`_Run.steps`).  The
+    tail test then runs on the folded term, so a prediction that falls
+    short costs one more block, never a wrong stop; when the test passes on
+    a block's last term, the block is folded again up to the first term
+    that passes it (:func:`_block`), so the stop is the per-term one.
+
+    The summands are added at the working precision, exactly while every
+    summand and partial sum fits, and sum|summand| beside it, rounded up.
+    The other bounds are radius arithmetic at 30 bits, rounded up as the ball
     rule's: rho/(1-rho) = num/(den-num) from the exact cap, rounded up once,
-    and the tail |t_n| rho/(1-rho).  With c = (u + n) 2^-prec, u the last
-    (largest) term count and n the additions, each within 2^-prec of a
-    partial sum, the radius is tail + c/(1-c) (sum|t| + tail).  The u + n
-    relative errors of at most 2^-prec compound to at most c/(1-c), against
-    the computed terms and sums, so that factor covers the rounded terms and
-    partial sums and the rounded t_n under the tail, with no higher-order
-    term left over.  While every term and partial sum is exact, the radius
-    is the tail.
+    and the tail |t_n| rho/(1-rho).  The running term carries u units: each
+    fold adds one when it rounds, and a ball factor adds its own.  With
+    c = (u + n) 2^-prec, u the last (largest) count and n the additions,
+    each within 2^-prec of a partial sum, the radius is
+    tail + c/(1-c) (sum|summand| + tail).  A summand is the exact block sum
+    times t_i, so its u + n relative errors of at most 2^-prec compound to
+    at most c/(1-c), against the computed summands and sums, and that factor
+    covers the rounded summands and partial sums and the rounded t_n under
+    the tail, with no higher-order term left over.  Inside a block the
+    terms cancel exactly, so sum|summand| <= sum|t|.  While every summand
+    and partial sum is exact, the radius is the tail.
 
     Returns ``(ball, terms_used)``; raises :class:`BudgetExceeded` when
     ``max_terms`` terms do not meet the target, and :class:`NoConvergence`
     when c >= 1: the factors' radii swamp the sum.
     """
     stop = ctx.prec - GUARD_BITS + 8  # the target is 2^-stop
-    total = abs_sum = tail = fzero
-    units, n, exact = 0, -1, True
-    for n, (term, units, cap) in enumerate(products(ctx, factors)):
+    run, tail, last = _Run(ctx), None, None  # last: the cap of the last folded term
+    leaves, bits = [], 0
+    for n, (factor, cap) in enumerate(factors):
+        is_ball = isinstance(factor, BigFloat)
+        if not (factor.value if is_ball else factor):
+            break  # a zero factor: the series terminated
+        if is_ball and leaves:  # the run of rational factors ends before this one
+            run, tail = _block(run, leaves, stop)
+            leaves, bits = [], 0
+            if tail is not None:
+                break
         if n == max_terms:
             raise BudgetExceeded(f"error bound not met within {max_terms} terms")
-        exact = exact and not units
-        # while every term is exact, add exactly and see whether the sum fits
-        raw = mpf_add(total, term._mpf_, 0 if exact else ctx.prec, "n")
-        total, exact = mpf_pos(raw, ctx.prec, "n"), exact and raw[3] <= ctx.prec
-        # at the working precision: rounded up at 30 bits, every term would add an ulp
-        abs_sum = mpf_add(abs_sum, mpf_abs(term._mpf_), ctx.prec, "u")
-        if cap is not None and cap.numerator < cap.denominator:
-            bound = _up(mpf_mul, mpf_abs(term._mpf_), from_rational(cap.numerator, cap.denominator - cap.numerator, 30, "u"))
-            if mpf_le(mpf_shift(bound, stop), fone) or mpf_le(mpf_shift(bound, stop), mpf_abs(total)):
-                tail = bound
-                break
-    c = fzero if exact else mpf_shift(_up(mpf_add, from_float(units), from_int(n)), -ctx.prec)
-    if not mpf_lt(c, fone):
-        raise NoConvergence("the factors' radii swamp the sum")
-    radius = _up(mpf_add, tail, _up(mpf_mul, _up(mpf_div, c, mpf_sub(fone, c, 30, "d")), _up(mpf_add, abs_sum, tail)))
-    return BigFloat(ctx.make_mpf(total), ctx.prec - GUARD_BITS, ctx.make_mpf(radius)), n + 1
+        if is_ball:
+            value, units = _midpoint(ctx, factor)
+            run = run.fold(value, 1, value, units, 1)
+            tail = run.tail(cap, stop)
+        else:
+            if not leaves:  # a block starts after t_{n-1}: predict where the stop falls
+                steps = run.steps(last, stop)
+                end = max_terms - 1 if steps is None else min(max_terms - 1, n - 1 + steps)
+            leaves.append((factor.numerator, factor.denominator, cap))
+            bits += factor.denominator.bit_length()
+            if bits < ctx.prec and n < end:
+                continue
+            run, tail = _block(run, leaves, stop)
+            leaves, bits = [], 0
+        if tail is not None:
+            break
+        last = cap
+    if leaves:  # the stream ran out, or reached a zero factor
+        run, tail = _block(run, leaves, stop)
+    return run.ball(fzero if tail is None else tail), run.terms
 
 
 @dataclass(frozen=True)
@@ -204,11 +392,12 @@ class BigFloat:
     absolute bound on ``|value - true value|``.
 
     ``value`` was computed at ``precision_bits`` plus guard bits.  ``+ - * /``
-    take BigFloats, ints (exact) and Fractions (rounded once unless integral,
+    take BigFloats, ints (exact) and Fractions (rounded once unless dyadic,
     as :func:`rational`) on either side: the midpoint is the operation on the
     midpoints, rounded once at the lower of the two precisions, and the
     radius adds how far the operands' radii can move the result and
-    2^-prec |midpoint| for that rounding, all rounded up.
+    2^-prec |midpoint| for that rounding, all rounded up; a product that
+    fits the precision does not round.
     """
 
     value: object  # mpmath.mpf, the midpoint
@@ -243,7 +432,8 @@ class BigFloat:
         ctx, x, rx, y, ry = self._with(other)
         # |XY - xy| <= |x| ry + (|y| + ry) rx for X, Y in the balls
         spread = _up(mpf_add, _up(mpf_mul, mpf_abs(x), ry), _up(mpf_mul, _up(mpf_add, mpf_abs(y), ry), rx))
-        return _rounded(ctx, mpf_mul(x, y, ctx.prec, "n"), spread)
+        mid, rounds = _fit(ctx, mpf_mul(x, y))
+        return _rounded(ctx, mid, spread, rounds)
 
     __rmul__ = __mul__
 

@@ -133,16 +133,24 @@ def _pfq_factors(params: PFQParams):
         [0] + [math.ceil(-u) for u, _ in pairs if u < 0] + [math.ceil(-l) for _, l in pairs if l < 0]
     )
     rising = [(u, l) for u, l in pairs if u > l]
-    # u + n = (num + n den)/den: the parameters' denominators go into one
-    # fixed rational scale, and each ratio is built from integer products
-    scale = params.z * math.prod(l.denominator for l in params.lower) / math.prod(u.denominator for u in params.upper)
+    # u + n = (num + n den)/den: each factor and cap is one Fraction of
+    # integer products, the parameters' denominators in fixed scales
+    z = params.z
+    top_scale = z.numerator * math.prod(l.denominator for l in params.lower)
+    bottom_scale = z.denominator * math.prod(u.denominator for u in params.upper)
+    cap_top_scale = abs(z.numerator) * math.prod(l.denominator for _, l in rising)
+    cap_bottom_scale = z.denominator * math.prod(u.denominator for u, _ in rising)
     factor = 1
     for n in itertools.count():
         # past n_safe each (u+m)/(l+m) is positive and monotone with limit 1
         # for m >= n, so it is capped by max(value, 1): above 1 only if u > l
-        yield factor, abs(params.z) * math.prod((u + n) / (l + n) for u, l in rising) if n >= n_safe else None
-        top = math.prod(u.numerator + n * u.denominator for u in params.upper)
-        factor = scale * Fraction(top, (n + 1) * math.prod(l.numerator + n * l.denominator for l in params.lower))
+        cap = None
+        if n >= n_safe:
+            cap_top = cap_top_scale * math.prod(u.numerator + n * u.denominator for u, _ in rising)
+            cap = Fraction(cap_top, cap_bottom_scale * math.prod(l.numerator + n * l.denominator for _, l in rising))
+        yield factor, cap
+        top = top_scale * math.prod(u.numerator + n * u.denominator for u in params.upper)
+        factor = Fraction(top, bottom_scale * (n + 1) * math.prod(l.numerator + n * l.denominator for l in params.lower))
 
 
 def pfq_eval(params: PFQParams, precision_bits: int = 128) -> BigFloat:
@@ -243,18 +251,27 @@ def _wide(ctx, q: Fraction):
     return ctx.fdiv(q.numerator, q.denominator, prec=ctx.prec + 64)
 
 
+@lru_cache(maxsize=256)
+def _gamma_pair(a0: Fraction, precision_bits: int) -> BigFloat:
+    """g(a0) off the lattice as a ball: one gamma pair at wide arguments,
+    computed once per (a0, precision)."""
+    ctx = context(precision_bits)
+    gamma = ball(ctx, ctx.gamma(_wide(ctx, a0 + 1)))
+    return gamma * gamma / ball(ctx, ctx.gamma(_wide(ctx, 2 * a0 + 1)))
+
+
 def central_binomial_reciprocal_seed(ctx, a: Fraction) -> BigFloat:
     """Gamma(a+1)^2/Gamma(2a+1) as a ball: the exact shift num/den times g(a0).
 
     g(a0) is the lattice value 1 or pi/4 at a0 = 0 or 1/2, and one gamma pair
-    at wide arguments otherwise; num is rounded once, den divides exactly.
+    at wide arguments otherwise (:func:`_gamma_pair`); num is rounded once,
+    den divides exactly.
     """
     a0, num, den = gamma_ratio_shift(a)
     if a0 in _LATTICE_G:
         g0 = piext_to_float(_LATTICE_G[a0], ctx.prec - GUARD_BITS)
     else:
-        gamma = ball(ctx, ctx.gamma(_wide(ctx, a0 + 1)))
-        g0 = gamma * gamma / ball(ctx, ctx.gamma(_wide(ctx, 2 * a0 + 1)))
+        g0 = _gamma_pair(a0, ctx.prec - GUARD_BITS)
     return Fraction(num) * g0 / den
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 
+import mpmath
+
 EXACT = "exact"
 
 
@@ -89,8 +91,11 @@ class Tally:
         return self.exact_failures == 0 and self.numeric_failures == 0
 
     def report(self, check_id: str, grid: str, elapsed: float) -> CheckReport:
-        dev = EXACT if self.max_dev is None else self.max_dev
-        tol = EXACT if self.max_dev is None else self.max_tol
+        """The check's report.  Its mpf values are moved, exactly, to
+        mpmath's shared context: an mpf keeps its context alive, and a report
+        may outlive the private context it was computed in."""
+        dev = EXACT if self.max_dev is None else mpmath.mp.make_mpf(self.max_dev._mpf_)
+        tol = EXACT if self.max_dev is None else mpmath.mp.make_mpf(self.max_tol._mpf_)
         if not self.passed and self.max_dev is None:
             dev = f"{self.exact_failures} exact comparisons failed"
         return CheckReport(

@@ -78,13 +78,15 @@ def _phi_factors(ctx, s, a, z, n_start=0):
     whole, frac = divmod(s, 1)
     k, f = divmod(-s, 1)
     for n in itertools.count(n_start):
-        p = a.numerator + n * d  # nu = p/d: the ratio is built from integers
-        ratio = Fraction(two_z_sq.numerator * (p + d), two_z_sq.denominator * (2 * p + d))
+        p = a.numerator + n * d  # nu = p/d: each ratio and cap is one Fraction of integer products
+        top, bottom = two_z_sq.numerator * (p + d), two_z_sq.denominator * (2 * p + d)
         cap = None
         if p > 0 and n > n_start:
-            cap = ratio if s >= 0 else ratio * Fraction(p + d, p) ** k * (1 + f * d / p)
+            cap = Fraction(top, bottom) if s >= 0 else Fraction(top * (p + d) ** k * (p * f.denominator + f.numerator * d), bottom * p ** (k + 1) * f.denominator)
         yield factor, cap
-        factor = ratio * Fraction(p, p + d) ** whole
+        # (nu/(nu+1))^whole, its powers on the side their sign puts them
+        rise, fall = (p, p + d) if whole >= 0 else (p + d, p)
+        factor = Fraction(top * rise ** abs(whole), bottom * fall ** abs(whole))
         if frac:
             factor = rational_power(ctx, Fraction(p, p + d), frac) * factor
 

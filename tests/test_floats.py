@@ -5,12 +5,12 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlcbs import hyper
 from hlcbs.exact import DomainError
-from hlcbs.floats import BigFloat, BudgetExceeded, ball, context, products, rational, tail_bounded_sum
+from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, ball, context, products, rational, tail_bounded_sum
 from hlcbs.hyper import NoConvergence, PFQParams, pfq_eval
 
 
@@ -268,7 +268,103 @@ class TestBallRule:
         out = ball(ctx, ctx.mpf(3))
         assert out.error_bound == 2 * ctx.ldexp(3, -ctx.prec)
 
+    def test_dyadic_rationals_are_exact(self):
+        # 3/1024 and 5 (1/2) are exact in binary: no rounding unit in either ball
+        ctx = context(64)
+        assert rational(ctx, F(3, 1024)).error_bound == 0
+        half = rational(ctx, 5) * F(1, 2)
+        assert (half.value, half.error_bound) == (F(5, 2), 0)
+
     def test_division_by_a_ball_around_zero(self):
         ctx = context(64)
         with pytest.raises(ZeroDivisionError):
             rational(ctx, 1) / BigFloat(ctx.mpf(1), 64, ctx.mpf(2))
+
+
+def stream(ctx, head, ratio, read):
+    """(f_n, cap_n): the ``head`` entries (value, is_ball), a ball entry as
+    :func:`rational`'s ball, then ``ratio`` forever.  cap_n is the largest
+    |f_m| after n, so every cap holds.  Appends to ``read`` per factor read."""
+    caps, cap = [], abs(ratio)
+    for value, _ in reversed(head):
+        caps.append(cap)
+        cap = max(cap, abs(value))
+    for (value, is_ball), cap in zip(head, reversed(caps)):
+        read.append(value)
+        yield (rational(ctx, value) if is_ball else value), cap
+    while True:
+        read.append(ratio)
+        yield ratio, abs(ratio)
+
+
+def exact_sum(head, ratio) -> F:
+    """The series' sum in Fractions: the head's terms up to a zero factor,
+    or all of them plus the geometric tail t_{L-1} r/(1-r)."""
+    total, term = F(0), F(1)
+    for value, _ in head:
+        if not value:
+            return total
+        term *= value
+        total += term
+    return total + term * ratio / (1 - ratio)
+
+
+def per_term_used(ctx, factors) -> int:
+    """The terms a per-term kernel uses: up to the first t_n of
+    :func:`products` whose tail test passes, or every term up to the end."""
+    stop, total, used = ctx.prec - GUARD_BITS + 8, ctx.mpf(0), 0
+    for used, (term, _, cap) in enumerate(products(ctx, factors), 1):
+        total += term
+        if cap is not None and cap < 1 and abs(term) * cap.numerator / (cap.denominator - cap.numerator) <= ctx.ldexp(max(abs(total), 1), -stop):
+            return used
+    return used
+
+
+HEAD = st.lists(
+    st.one_of(
+        st.tuples(st.integers(-9, 9).filter(bool), st.just(False)),  # exact ints of both signs
+        st.tuples(st.fractions(-4, 4, max_denominator=2**100).filter(bool), st.just(False)),  # large Fractions
+        st.tuples(st.fractions(-4, 4, max_denominator=10**6).filter(bool), st.just(True)),  # balls between blocks
+    ),
+    max_size=40,
+)
+
+
+class TestSplitKernel:
+    """Runs of rational factors are summed by binary splitting: every stream's
+    ball holds its exact sum in Fractions, and stops where a per-term kernel
+    would."""
+
+    @BALLS
+    @given(
+        head=HEAD,
+        ratio=st.fractions(F(-1, 2), F(1, 2), max_denominator=1000),
+        zero=st.none() | st.integers(0, 40),
+        precision=st.sampled_from([32, 64, 128, 2048]),
+    )
+    # the sum grows by less than the whole tail that a block end's
+    # prediction allows for, so the predicted end falls a term short
+    @example(head=[(1, False)], ratio=F(1, 2), zero=None, precision=32)
+    @example(head=[(3, False), (F(9), True)], ratio=F(-1, 16), zero=None, precision=32)
+    # one block, ended by the zero factor: its rounding is the only one
+    @example(head=[(F(1, 3), False), (F(-1, 5), False)], ratio=F(1, 2), zero=2, precision=64)
+    def test_streams_contain_their_exact_sum(self, head, ratio, zero, precision):
+        if zero is not None and zero <= len(head):
+            head = head[:zero] + [(0, False)] + head[zero:]
+        ctx, read = context(precision), []
+        out, used = tail_bounded_sum(ctx, stream(ctx, head, ratio, read), 10**6)
+        assert contains(out, exact_sum(head, ratio))
+        assert used == per_term_used(ctx, stream(ctx, head, ratio, []))
+        if zero is not None and zero <= len(head):
+            assert len(read) <= zero + 1  # nothing past the zero factor is read
+
+    @pytest.mark.parametrize("z", [F(9, 10), F(81, 100)])
+    def test_long_sum_contains_mpmath(self, z):
+        # 13,402 terms in 188 blocks at z = 9/10, and 6,703 in 97 at
+        # z^2 = 81/100: the ball must hold mpmath's value at +64 bits
+        ref = mpmath.mp.clone()
+        ref.prec = 2048 + 64
+        expected = ref.hyper([ref.mpf(1) / 2, ref.mpf(3) / 4], [ref.mpf(7) / 4], ref.mpf(z.numerator) / z.denominator)
+        out = pfq_eval(PFQParams((F(1, 2), F(3, 4)), (F(7, 4),), z), 2048)
+        assert contains(out, exact(expected))
+        assert 0 < out.error_bound < abs(out.value) * ref.ldexp(1, -2048)

@@ -3,6 +3,7 @@
 import json
 import os
 
+import mpmath
 import pytest
 
 from hlcbs.floats import BigFloat, context
@@ -124,7 +125,11 @@ class TestParity:
     once, with its 2F1 summed 32 bits deep and 1^e exact; both tolerances
     went down.  ``lehmer1``'s tolerance (5.233993e-41 -> 5.233992e-41) was
     re-recorded when the kernel came to round its bounds up, as the ball
-    rule does, in place of a 1 + 2^-24 slack."""
+    rule does, in place of a 1 + 2^-24 slack.  Every tolerance but
+    ``diff_relation``'s went down again, and lehmer2's, zetatokushu's and
+    shift's deviations moved in the 7th digit, when the kernel came to sum
+    runs of rational factors by binary splitting: a block of terms is one
+    summand, rounded once, with the same stop."""
 
     @pytest.fixture(scope="class")
     def reports(self):
@@ -162,6 +167,12 @@ class TestSummary:
         assert d["max_abs_deviation"] == "1.000000e-500"
         assert abs(ctx.mpf(d["tolerance"]) / (2 * tiny) - 1) < 1e-6
         assert "max dev 1.000e-500" in summarize([report])
+
+    def test_report_values_keep_no_private_context_alive(self):
+        # an mpf keeps its context alive, and a report may outlive the kit's
+        # cached per-precision contexts
+        report = run_check("lehmer1")
+        assert type(report.max_abs_deviation) is mpmath.mpf and type(report.tolerance) is mpmath.mpf
 
     def test_json_dict_schema(self):
         report = run_check("bm1")
