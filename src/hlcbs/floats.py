@@ -7,11 +7,11 @@ requested at, and a radius that bounds its distance from the true value.
 
 Two rules form every radius.  The ball rule: ``+ - * /`` on balls and exact
 rationals widen the radius by what the operands' radii can move the result
-and by the operation's own rounding, 2^-prec of the result (none for a
-product that fits the precision).  The trust rule:
-an mpmath result (gamma, power, sqrt, pi) enters through :func:`ball`,
-within 1 ulp of the exact function at its argument.  No caller counts
-roundings by hand.
+and by the operation's own rounding, 2^-prec of the result (none for an
+exact product or sum that fits the precision, or a quotient by a power of
+two).  The trust rule: an mpmath result (gamma, power, sqrt, pi) enters
+through :func:`ball`, within 1 ulp of the exact function at its argument.
+No caller counts roundings by hand.
 
 :func:`tail_bounded_sum` is the one place that sums a series: it derives the
 stop target from the context's precision, decides when to stop, states the
@@ -27,12 +27,14 @@ predicted from the last cap; a ball factor is a block of one.  Each block
 is folded into the sum by one exact product and one rounded division for
 each of two values: t_i T/Q becomes one summand, and t_i P/Q the next
 running term, so each fold adds one unit when it rounds, and a power-of-two
-Q divides exactly.  The exact tail test then runs on the folded term.  Its
-bounds are raw libmp values rounded up, as the ball rule's radii are (Arb's
-mag_t): the tail and the rounding radius at 30 bits, and sum|summand| at the
-working precision, with no slack factor.  The series oracle and the pFq
-evaluator only supply exact term ratios and caps; the oracle's ratios are
-the definition's, never a closed form's.
+Q divides exactly.  The exact tail test then runs on the block's last term,
+and the sum stops at the first block end that passes it, which may lie a
+few terms past the first term that would.  Its bounds are raw libmp values
+rounded up, as the ball rule's radii are (Arb's mag_t): the tail and the
+rounding radius at 30 bits, and sum|summand| at the working precision,
+with no slack factor.  The series oracle and the pFq evaluator only supply
+exact term ratios and caps; the oracle's ratios are the definition's, never
+a closed form's.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import fone, fzero, from_float, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_pos, mpf_shift, mpf_sub, to_float
+from mpmath.libmp import fone, fzero, from_float, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub, to_float
 
 MIN_PRECISION_BITS = 32
 GUARD_BITS = 32
@@ -122,39 +124,15 @@ def _unit(ctx, x):
 
 def _fit(ctx, exact):
     """An exact raw result rounded at the working precision: (raw mpf,
-    whether it rounded).  Normalized operands have odd mantissas, so a
-    product's or a shift's bc is its exact length."""
+    whether it rounded).  libmp normalizes an exact product, sum or shift
+    to an odd mantissa, so its bc is its exact length."""
     return mpf_pos(exact, ctx.prec, "n"), exact[3] > ctx.prec
 
 
-def _rounded(ctx, mid, spread, rounds=True) -> "BigFloat":
+def _rounded(ctx, mid, spread, rounds) -> "BigFloat":
     """The ball around the raw ``mid``, rounded once in ``ctx``: ``spread``
     plus 2^-prec |mid| when the operation ``rounds``."""
     return BigFloat(ctx.make_mpf(mid), ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_add, spread, _unit(ctx, mid)) if rounds else spread))
-
-
-def products(ctx, factors):
-    """The terms of a series given by its factors: t_0 = f_0, t_n = t_{n-1} f_n.
-
-    ``factors`` yields pairs ``(f_n, cap_n)``, f_n as :func:`tail_bounded_sum`
-    takes them.  Yields ``(t_n, units_n, cap_n)``: t_n an mpf in ``ctx``
-    whose units_n relative errors of 2^-prec, compounded, put it within
-    c/(1-c) |t_n| of the exact term, c = units_n 2^-prec.  Each product
-    adds the factor's units and 1 if it rounds, so an exact term times an
-    integer stays exact while it fits the precision; the counts only grow,
-    and a ball's fractional count is summed rounding up.  The stream ends
-    at the first zero term: the series terminated.
-    """
-    term, units = fone, 0
-    for factor, cap in factors:
-        value, factor_units = _midpoint(ctx, factor)
-        term, rounded = _fit(ctx, mpf_mul(term, value))
-        units += factor_units + rounded
-        if isinstance(units, float):  # a float sum rounds to nearest: step it up
-            units = math.nextafter(units, math.inf)
-        if not term[1]:
-            return
-        yield ctx.make_mpf(term), units, cap
 
 
 def _split(leaves, lo: int, hi: int):
@@ -184,11 +162,6 @@ def _times(ctx, term, top, bottom: int):
 def _log2(x) -> float:
     """log2 |x| of a nonzero raw mpf, as a float whatever its exponent."""
     return math.log2(x[1]) + x[2]
-
-
-def _log2_odds(cap) -> float:
-    """log2 rho/(1-rho) of an exact cap rho in (0, 1), as a float."""
-    return math.log2(cap.numerator) - math.log2(cap.denominator - cap.numerator)
 
 
 class _Run(NamedTuple):
@@ -225,12 +198,6 @@ class _Run(NamedTuple):
         abs_sum = mpf_add(self.abs_sum, mpf_abs(summand), ctx.prec, "u")
         return _Run(ctx, term, units, self.terms + count, self.adds + 1, exact and raw[3] <= ctx.prec, mpf_pos(raw, ctx.prec, "n"), abs_sum)
 
-    def fold_rationals(self, leaves) -> "_Run":
-        """The run after the rational factors ``leaves``, (p, q, cap) triples, as one block."""
-        p, q, t = _split(leaves, 0, len(leaves))
-        top = from_int(p)
-        return self.fold(top, q, top if t == p else from_int(t), 0, len(leaves))
-
     def tail(self, cap, stop: int):
         """The tail test on the running term t_j: with rho = cap < 1, the
         bound |t_j| rho/(1-rho) when it is <= 2^-stop max(|sum|, 1), else None."""
@@ -255,24 +222,8 @@ class _Run(NamedTuple):
         if not shrink:
             return None
         grown = mpf_add(mpf_abs(self.total), mpf_mul(mpf_abs(self.term), from_rational(num, den - num, 53, "u"), 53, "u"), 53, "u")
-        excess = _log2(self.term) + _log2_odds(cap) + stop - max(_log2(grown), 0)
+        excess = _log2(self.term) + math.log2(num) - math.log2(den - num) + stop - max(_log2(grown), 0)
         return max(1, math.ceil(excess / shrink - 1e-6))
-
-    def first_pass(self, leaves, stop: int) -> int:
-        """How many of the block's ``leaves`` run up to the first term that
-        passes the tail test, when the folded term t_j does: a float
-        estimate walking back from t_j, log2|t_{m-1}| = log2|t_m| - log2|f_m|,
-        against the folded |sum|, which the terms after a passing one move by
-        at most 2^-stop of it."""
-        scale = max(_log2(self.total), 0) if self.total[1] else 0
-        size = _log2(self.term)
-        for keep in range(len(leaves) - 1, 0, -1):
-            p, q, _ = leaves[keep]
-            size -= math.log2(abs(p)) - math.log2(q)
-            cap = leaves[keep - 1][2]
-            if cap is None or not 0 < cap < 1 or size + _log2_odds(cap) + stop > scale:
-                return keep + 1
-        return 1
 
     def ball(self, tail) -> "BigFloat":
         """The sum as a ball: tail + c/(1-c) (sum|summand| + tail), c = (u + adds) 2^-prec."""
@@ -285,20 +236,12 @@ class _Run(NamedTuple):
 
 
 def _block(run, leaves, stop: int):
-    """Fold the rational run ``leaves`` into ``run`` and test the tail on its
-    last term: (run, tail or None).  When the test passes there, the block is
-    folded again up to the first term that passes it, so a block end past
-    that term does not move the stop."""
-    folded = run.fold_rationals(leaves)
-    tail = folded.tail(leaves[-1][2], stop)
-    if tail is not None and len(leaves) > 1:
-        keep = folded.first_pass(leaves, stop)
-        if keep < len(leaves):
-            early = run.fold_rationals(leaves[:keep])
-            early_tail = early.tail(leaves[keep - 1][2], stop)
-            if early_tail is not None:
-                return early, early_tail
-    return folded, tail
+    """Fold the rational factors ``leaves``, (p, q, cap) triples, into
+    ``run`` as one block and test the tail on its last term: (run, tail or None)."""
+    p, q, t = _split(leaves, 0, len(leaves))
+    top = from_int(p)
+    run = run.fold(top, q, top if t == p else from_int(t), 0, len(leaves))
+    return run, run.tail(leaves[-1][2], stop)
 
 
 def tail_bounded_sum(ctx, factors, max_terms: int):
@@ -325,10 +268,12 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     factor, which is then a block of one through the same fold; a zero
     factor; the ``max_terms``-th term; the stop index predicted from the last
     cap rho < 1 and the folded |t_i| and |sum| (:meth:`_Run.steps`).  The
-    tail test then runs on the folded term, so a prediction that falls
-    short costs one more block, never a wrong stop; when the test passes on
-    a block's last term, the block is folded again up to the first term
-    that passes it (:func:`_block`), so the stop is the per-term one.
+    tail test then runs on the block's last term (:func:`_block`), so a
+    prediction that falls short costs one more block, never a wrong stop,
+    and the sum stops at the first block end that passes it: never before
+    a per-term loop would, and past it when the block runs on beyond the
+    first passing term, which the prediction and the cut at ``prec`` bits
+    keep to a short block.
 
     The summands are added at the working precision, exactly while every
     summand and partial sum fits, and sum|summand| beside it, rounded up.
@@ -396,8 +341,9 @@ class BigFloat:
     as :func:`rational`) on either side: the midpoint is the operation on the
     midpoints, rounded once at the lower of the two precisions, and the
     radius adds how far the operands' radii can move the result and
-    2^-prec |midpoint| for that rounding, all rounded up; a product that
-    fits the precision does not round.
+    2^-prec |midpoint| for that rounding, all rounded up; an exact product
+    or sum that fits the precision, or a quotient by a power of two, does
+    not round.
     """
 
     value: object  # mpmath.mpf, the midpoint
@@ -415,7 +361,10 @@ class BigFloat:
 
     def __add__(self, other):
         ctx, x, rx, y, ry = self._with(other)
-        return _rounded(ctx, mpf_add(x, y, ctx.prec, "n"), _up(mpf_add, rx, ry))
+        # the exact sum first, unless both are nonzero with lowest bits over prec apart
+        near = not (x[1] and y[1]) or abs(x[2] - y[2]) <= ctx.prec
+        mid, rounds = _fit(ctx, mpf_add(x, y)) if near else (mpf_add(x, y, ctx.prec, "n"), True)
+        return _rounded(ctx, mid, _up(mpf_add, rx, ry), rounds)
 
     __radd__ = __add__
 
@@ -444,7 +393,9 @@ class BigFloat:
             raise ZeroDivisionError("the divisor's ball contains 0")
         # |X/Y - x/y| <= (rx + |x/y| ry) / (|y| - ry) for X, Y in the balls
         spread = _up(mpf_add, rx, _up(mpf_div, _up(mpf_mul, mpf_abs(x), ry), mpf_abs(y)))
-        return _rounded(ctx, mpf_div(x, y, ctx.prec, "n"), _up(mpf_div, spread, low))
+        # a quotient by +-2^e is a shift
+        mid, rounds = _fit(ctx, mpf_shift(mpf_neg(x) if y[0] else x, -y[2])) if y[1] == 1 else (mpf_div(x, y, ctx.prec, "n"), True)
+        return _rounded(ctx, mid, _up(mpf_div, spread, low), rounds)
 
     def __rtruediv__(self, other):
         return rational(context(self.precision_bits), other) / self

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, as_fraction
-from .floats import BigFloat, context, products, tail_bounded_sum
+from .floats import BigFloat, context, tail_bounded_sum
 from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
 from .hyper import central_binomial_reciprocal_seed, check_domain, rational_power
 
@@ -98,10 +98,12 @@ def phi_numeric(query: SeriesQuery) -> BigFloat:
 
 
 def phi_terms(query: SeriesQuery, count: int):
-    """First ``count`` series terms as mpf values (diagnostic/monotonicity aid)."""
+    """First ``count`` series terms as mpf values (diagnostic/monotonicity
+    aid): the factors multiplied by the ball rule, up to the first zero term."""
     ctx = context(query.precision_bits)
-    terms = products(ctx, _phi_factors(ctx, query.s, query.a, query.z))
-    return [term for term, _, _ in itertools.islice(terms, count)]
+    factors = (factor for factor, _ in _phi_factors(ctx, query.s, query.a, query.z))
+    terms = itertools.accumulate(factors, lambda term, factor: factor * term)
+    return [term.value for term in itertools.islice(itertools.takewhile(lambda term: term.value, terms), count)]
 
 
 def zeta_hcb_numeric(s, a, precision_bits: int = 128, max_terms: int = DEFAULT_MAX_TERMS) -> BigFloat:

@@ -7,10 +7,11 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, from_rational, mpf_abs, mpf_mul
 
 from hlcbs import hyper
 from hlcbs.exact import DomainError
-from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, ball, context, products, rational, tail_bounded_sum
+from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, _Run, ball, context, rational, tail_bounded_sum
 from hlcbs.hyper import NoConvergence, PFQParams, pfq_eval
 
 
@@ -25,6 +26,16 @@ def exact(x) -> F:
     """An mpf as the Fraction it is (``man_exp`` drops the sign)."""
     man, exp = x.man_exp
     return (-1 if x < 0 else 1) * F(man) * F(2) ** exp
+
+
+def fold_one(run, factor):
+    """``run`` after one factor folded as the kernel folds it: a ball as its
+    midpoint and units, a rational p/q as a block of one."""
+    if isinstance(factor, BigFloat):
+        value = factor.value._mpf_
+        return run.fold(value, 1, value, factor.units(), 1)
+    top = from_int(factor.numerator)
+    return run.fold(top, factor.denominator, top, 0, 1)
 
 
 def contains(out: BigFloat, value: F) -> bool:
@@ -114,16 +125,17 @@ class TestTailBoundedSum:
         with pytest.raises(BudgetExceeded):
             tail_bounded_sum(ctx, geometric(F(1, 2)), used - 1)
 
-    def test_products_count_each_rounding(self):
+    def test_fold_counts_each_rounding(self):
         ctx = context(64)
-        third = rational(ctx, F(1, 3))
-        factors = [(3, None), (F(1, 3), None), (F(5), None), (third, F(1, 2))]
-        terms, counts = zip(*((term, units) for term, units, _ in products(ctx, factors)))
-        # 3 is exact; 1/3 and 3 (1/3) round, though the product lands on 1; an
-        # integral Fraction times 1 is exact; the ball's unit and its product round
-        assert terms[:3] == (3, 1, 5)
-        assert counts[:3] == (0, 2, 2) and 4 <= counts[3] <= 4 + 2**-20
-        assert [cap for _, _, cap in products(ctx, factors)] == [None, None, None, F(1, 2)]
+        run, terms, counts = _Run(ctx), [], []
+        for factor in (3, F(1, 3), F(5), rational(ctx, F(1, 3))):
+            run = fold_one(run, factor)
+            terms.append(ctx.make_mpf(run.term))
+            counts.append(run.units)
+        # 3 is exact; 3 / 3 is a division that counts as rounded, though it
+        # lands on 1; 1 (5/1) is exact; the ball's unit and its product round
+        assert terms[:3] == [3, 1, 5]
+        assert counts[:3] == [0, 1, 1] and 3 <= counts[3] <= 3 + 2**-20
 
     def test_loose_cap_near_one_stops(self):
         # rho/(1-rho) = 2^26 - 1 from the cap itself: the tail bound meets the
@@ -140,8 +152,10 @@ class TestTailBoundedSum:
         ctx = context(64)
         for share in (F(1, 3), F(5, 11), F(7, 3)):
             factor = BigFloat(ctx.mpf(3), 64, 3 * ctx.ldexp(to_mid(ctx, share), -ctx.prec))
-            *_, (_, units, _) = products(ctx, [(factor, None)] * 60)
-            assert F(units) >= 60 * F(factor.units())
+            run = _Run(ctx)
+            for _ in range(60):
+                run = fold_one(run, factor)
+            assert F(run.units) >= 60 * F(factor.units())
 
     def test_long_sum_radius_is_first_order(self):
         # 500 terms (1/3) 2^-n: 500 factors counted as rounded and 499 rounded
@@ -275,6 +289,17 @@ class TestBallRule:
         half = rational(ctx, 5) * F(1, 2)
         assert (half.value, half.error_bound) == (F(5, 2), 0)
 
+    def test_exact_sums_and_dyadic_quotients_are_exact(self):
+        # an exact sum that fits, and a quotient by +-2^e, add no rounding unit
+        ctx = context(64)
+        cases = [(rational(ctx, 1) + F(1, 2), F(3, 2)), (rational(ctx, 3) / 2, F(3, 2)), (rational(ctx, 1) - F(1, 4), F(3, 4)), (rational(ctx, 3) / -4, F(-3, 4))]
+        for out, want in cases:
+            assert (exact(out.value), out.error_bound) == (want, 0)
+        # a rounded operand, and an exact sum wider than the precision, keep a radius
+        assert (rational(ctx, F(1, 3)) + F(1, 3)).error_bound > 0
+        wide = rational(ctx, 2**100) + 1
+        assert wide.error_bound > 0 and contains(wide, F(2**100 + 1))
+
     def test_division_by_a_ball_around_zero(self):
         ctx = context(64)
         with pytest.raises(ZeroDivisionError):
@@ -310,13 +335,22 @@ def exact_sum(head, ratio) -> F:
 
 
 def per_term_used(ctx, factors) -> int:
-    """The terms a per-term kernel uses: up to the first t_n of
-    :func:`products` whose tail test passes, or every term up to the end."""
-    stop, total, used = ctx.prec - GUARD_BITS + 8, ctx.mpf(0), 0
-    for used, (term, _, cap) in enumerate(products(ctx, factors), 1):
-        total += term
-        if cap is not None and cap < 1 and abs(term) * cap.numerator / (cap.denominator - cap.numerator) <= ctx.ldexp(max(abs(total), 1), -stop):
-            return used
+    """The terms a per-term loop uses: t_n = f_n t_{n-1} by the ball rule,
+    summed at the working precision, up to the first t_n whose tail bound
+    |t_n| rho/(1-rho), rounded up at 30 bits as the kernel's, is at most
+    2^-stop max(|sum|, 1), or every term before a zero term or the end."""
+    stop, total, term, used = ctx.prec - GUARD_BITS + 8, ctx.mpf(0), rational(ctx, 1), 0
+    for factor, cap in factors:
+        term = factor * term
+        if not term.value:
+            break
+        used += 1
+        total += term.value
+        if cap is not None and cap < 1:
+            odds = from_rational(cap.numerator, cap.denominator - cap.numerator, 30, "u")
+            bound = ctx.make_mpf(mpf_mul(mpf_abs(term.value._mpf_), odds, 30, "u"))
+            if exact(bound) * 2**stop <= max(abs(exact(total)), 1):
+                return used
     return used
 
 
@@ -332,8 +366,14 @@ HEAD = st.lists(
 
 class TestSplitKernel:
     """Runs of rational factors are summed by binary splitting: every stream's
-    ball holds its exact sum in Fractions, and stops where a per-term kernel
-    would."""
+    ball holds its exact sum in Fractions.  The tail test runs on each block's
+    last term, so a sum stops at the first block end that passes it: never
+    before a per-term loop would, and past it when a block runs on beyond
+    the first passing term.  This class once asked for the per-term stop
+    itself, which the kernel met by folding a passing block again up to a
+    float estimate of its first passing term; at a power-of-two ratio that
+    estimate could not resolve the tie that the exact test meets, so those
+    streams stopped late all the same, and the second fold went."""
 
     @BALLS
     @given(
@@ -348,15 +388,35 @@ class TestSplitKernel:
     @example(head=[(3, False), (F(9), True)], ratio=F(-1, 16), zero=None, precision=32)
     # one block, ended by the zero factor: its rounding is the only one
     @example(head=[(F(1, 3), False), (F(-1, 5), False)], ratio=F(1, 2), zero=2, precision=64)
+    # power-of-two ratios: the tail test meets a tie where the per-term loop stops
+    @example(head=[(1, False)], ratio=F(1, 16), zero=None, precision=64)
+    @example(head=[(3, False)], ratio=F(1, 256), zero=None, precision=128)
+    @example(head=[(F(-7, 5), False)], ratio=F(1, 1024), zero=None, precision=32)
     def test_streams_contain_their_exact_sum(self, head, ratio, zero, precision):
         if zero is not None and zero <= len(head):
             head = head[:zero] + [(0, False)] + head[zero:]
         ctx, read = context(precision), []
         out, used = tail_bounded_sum(ctx, stream(ctx, head, ratio, read), 10**6)
         assert contains(out, exact_sum(head, ratio))
-        assert used == per_term_used(ctx, stream(ctx, head, ratio, []))
+        assert used >= per_term_used(ctx, stream(ctx, head, ratio, []))
         if zero is not None and zero <= len(head):
             assert len(read) <= zero + 1  # nothing past the zero factor is read
+
+    @pytest.mark.parametrize("precision", [32, 64, 128])
+    @pytest.mark.parametrize("head", [1, 3, F(1, 3)])
+    @pytest.mark.parametrize("ratio", [F(1, 3), F(1, 7)] + [F(1, 2**k) for k in range(4, 11)])
+    def test_budget_counts_terms(self, ratio, head, precision):
+        # blocks are cut at the budget, so it is met exactly when the per-term
+        # stop p is within it, even where the unbudgeted sum stops past p
+        ctx = context(precision)
+
+        def factors():
+            return itertools.chain([(head, ratio)], itertools.repeat((ratio, ratio)))
+
+        p = per_term_used(ctx, factors())
+        assert tail_bounded_sum(ctx, factors(), p)[1] == p
+        with pytest.raises(BudgetExceeded):
+            tail_bounded_sum(ctx, factors(), p - 1)
 
     @pytest.mark.parametrize("z", [F(9, 10), F(81, 100)])
     def test_long_sum_contains_mpmath(self, z):

@@ -110,6 +110,23 @@ class TestPhiNumeric:
             hi = zeta_hcb_numeric(s, a, 224)
             assert abs(lo.value - hi.value) <= lo.error_bound
 
+    @pytest.mark.parametrize("s", [F(2), F(3, 2), F(-3)])
+    @pytest.mark.parametrize("a", [F(1, 2), F(5, 4)])
+    def test_terms_match_gamma_terms(self, s, a):
+        # at z = 1/2 the n-th term is g(nu) nu^-s, nu = a + n, formed here as
+        # the conftest's brute_force_zeta forms it, from mpmath's gamma at 256 bits
+        ref = mpmath.mp.clone()
+        ref.prec = 256
+        terms = phi_terms(SeriesQuery(s, a, F(1, 2), 128), 20)
+        assert len(terms) == 20
+        for n, term in enumerate(terms):
+            nu = ref.mpf((a + n).numerator) / (a + n).denominator
+            want = ref.gamma(nu + 1) ** 2 / ref.gamma(2 * nu + 1) / nu ** (ref.mpf(s.numerator) / s.denominator)
+            assert abs(ref.mpf(term) - want) <= ref.ldexp(abs(want), -128), n
+
+    def test_terms_end_at_the_first_zero_term(self):
+        assert phi_terms(SeriesQuery(2, F(1, 2), F(0), 128), 20) == []
+
     def test_monotone_partial_sums(self):
         # all terms positive for s <= 1, a > 0, 0 < z < 1
         for (s, a, z) in [(1, F(1), F(1, 2)), (0, F(3, 2), F(1, 4)), (-2, F(5, 4), F(7, 10))]:

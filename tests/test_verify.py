@@ -129,7 +129,13 @@ class TestParity:
     ``diff_relation``'s went down again, and lehmer2's, zetatokushu's and
     shift's deviations moved in the 7th digit, when the kernel came to sum
     runs of rational factors by binary splitting: a block of terms is one
-    summand, rounded once, with the same stop."""
+    summand, rounded once, with the same stop.  ``prop1_pos``'s and
+    ``thm31``'s deviations and tolerances went down, by a third and by a
+    half, and lehmer2's, prop1_neg's, zenka's, shift's and examples'
+    tolerances in the 7th digit, when a sum came to stop at the first block
+    end that passes the tail test, a term past the per-term stop in some
+    sums, and an exact sum or a quotient by a power of two came to add no
+    rounding unit."""
 
     @pytest.fixture(scope="class")
     def reports(self):
