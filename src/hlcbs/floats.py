@@ -11,7 +11,9 @@ and by the operation's own rounding, 2^-prec of the result (none for an
 exact product or sum that fits the precision, or a quotient by a power of
 two).  The trust rule: an mpmath result (gamma, power, sqrt, pi) enters
 through :func:`ball`, within 1 ulp of the exact function at its argument.
-No caller counts roundings by hand.
+No caller counts roundings by hand.  One root is proved, not trusted:
+:func:`rational_sqrt` bounds sqrt(num/den) by an integer square root, with
+no mpmath call.
 
 :func:`tail_bounded_sum` is the one place that sums a series: it derives the
 stop target from the context's precision, decides when to stop, states the
@@ -34,7 +36,8 @@ rounded up, as the ball rule's radii are (Arb's mag_t): the tail and the
 rounding radius at 30 bits, and sum|summand| at the working precision,
 with no slack factor.  The series oracle and the pFq evaluator only supply
 exact term ratios and caps; the oracle's ratios are the definition's, never
-a closed form's.
+a closed form's, and at half-integer s each is one :func:`rational_sqrt`
+ball.
 """
 
 from __future__ import annotations
@@ -104,6 +107,20 @@ def rational(ctx, q) -> "BigFloat":
     """The ball of an exact rational: a dyadic one is exact, any other Fraction rounded once."""
     value, units = _midpoint(ctx, q)
     return ball(ctx, ctx.make_mpf(value), units)
+
+
+def rational_sqrt(ctx, num: int, den: int) -> "BigFloat":
+    """The ball of sqrt(num/den) for ints num >= 0 and den > 0, proved in integers.
+
+    With y = isqrt(floor(num 4^K / den)), y^2 <= num 4^K / den < (y+1)^2
+    puts the root in [y, y+1) 2^-K: the ball (y + 1/2) 2^-K of radius
+    2^-(K+1).  At num > 0, K makes y at least prec bits, so the radius is
+    within 1 unit.
+    """
+    # num 4^K / den >= 2^(nb - 1 + 2K - db) >= 4^(prec-1), so y >= 2^(prec-1)
+    k = (2 * ctx.prec + den.bit_length() - num.bit_length()) // 2
+    y = math.isqrt((num << 2 * k) // den if k >= 0 else num // (den << -2 * k))
+    return BigFloat(ctx.make_mpf(from_man_exp(2 * y + 1, -k - 1)), ctx.prec - GUARD_BITS, ctx.make_mpf(from_man_exp(1, -k - 1)))
 
 
 def _up(op, x, y):

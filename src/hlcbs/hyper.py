@@ -4,12 +4,15 @@ real-argument central binomial coefficients, and the one domain check on
 (a, z) shared by the series and its closed forms.
 
 This module is the only one that forms a quantity with a in its argument or
-exponent.  It splits a = m + a0 exactly, m = floor(a), a0 in [0, 1):
-Gamma(a+1)^2/Gamma(2a+1) is an exact rational shift from a0 times 1, pi/4
-or one gamma pair at a0 (:func:`central_binomial_reciprocal_seed`,
-:func:`exact_gamma_ratio`), and q^e is q^floor(e) exactly times mpmath's
-power at the fractional part (:func:`rational_power`).  A rounded input is
-thus never amplified by |a psi(a)| or |a ln q|.  Every value here is a
+exponent, save the series oracle's term ratio at half-integer s: that is
+:func:`~hlcbs.floats.rational_sqrt`'s proven root of an exact rational,
+where no rounded input is amplified.  It splits a = m + a0 exactly,
+m = floor(a), a0 in [0, 1): Gamma(a+1)^2/Gamma(2a+1) is an exact rational
+shift from a0 times 1, pi/4 or one gamma pair at a0
+(:func:`central_binomial_reciprocal_seed`, :func:`exact_gamma_ratio`), and
+q^e is q^floor(e) exactly times mpmath's power at the fractional part
+(:func:`rational_power`).  A rounded input is thus never amplified by
+|a psi(a)| or |a ln q|.  Every value here is a
 :class:`~hlcbs.floats.BigFloat` ball: arithmetic follows the ball rule, and
 mpmath's gamma, power and pi enter under the trust rule, with
 :func:`rational_power` adding the |ln q| amplification of mpmath's power.

@@ -10,11 +10,14 @@ The series is handed to the one summation kernel,
 :func:`hlcbs.floats.tail_bounded_sum`, as its factors, built from this
 definition and never from a closed form: the first term as a ball, then the
 exact term ratio (2z)^2 r(nu+1)/r(nu) (nu/(nu+1))^s, r(nu) = 1/C(2nu, nu),
-which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s, a Fraction at integer s.  The
-ratio tends to z^2, which yields a provable geometric tail bound from an
-exact rational cap.  The kernel keeps the running product and every
-rounding count, owns the stop target and the budget error
-(:class:`~hlcbs.floats.BudgetExceeded`), stops on the bound and states it.
+which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s: a Fraction at integer s, one
+proven integer square root (:func:`~hlcbs.floats.rational_sqrt`) at
+half-integer s, and a Fraction times a :func:`~hlcbs.hyper.rational_power`
+ball at any other s.  The ratio tends to z^2, which yields a provable
+geometric tail bound from an exact rational cap.  The kernel keeps the
+running product and every rounding count, owns the stop target and the
+budget error (:class:`~hlcbs.floats.BudgetExceeded`), stops on the bound
+and states it.
 Where the series is defined is :func:`hlcbs.hyper.check_domain`'s call
 alone.  This module only sums; the checks on the series live in
 :mod:`hlcbs.verify`.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, as_fraction
-from .floats import BigFloat, context, tail_bounded_sum
+from .floats import BigFloat, context, rational_sqrt, tail_bounded_sum
 from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
 from .hyper import central_binomial_reciprocal_seed, check_domain, rational_power
 
@@ -65,9 +68,13 @@ def _phi_factors(ctx, s, a, z, n_start=0):
     The first factor is the term at nu = a + n_start, (2z)^(2 nu) g(nu) nu^-s,
     a ball from hyper's split power and seed.  Each later factor is the
     definition's term ratio T_{n+1}/T_n = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s at
-    nu = a + n: a Fraction at integer s, else that Fraction times a
-    :func:`~hlcbs.hyper.rational_power` ball.  For nu > 0 past the first
-    term, both parts decrease in nu, so every later ratio is capped by
+    nu = a + n, with r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) exact: r at
+    integer s; the ball of sqrt(r^2 nu/(nu+1)) at half-integer s, from
+    :func:`~hlcbs.floats.rational_sqrt`, as r >= 0 there (a > 0); else r
+    times a :func:`~hlcbs.hyper.rational_power` ball, whose cost grows more
+    slowly with the exponent's denominator than an integer root's would.
+    For nu > 0 past the first term, both parts decrease in nu, so every
+    later ratio is capped by
     2z^2 (nu+1)/(2nu+1) max(1, ((nu+1)/nu)^-s), its second part bounded
     exactly at s < 0: the power at the integer part k of -s, and
     Bernoulli's (1 + 1/nu)^f <= 1 + f/nu at the fractional part f.
@@ -84,11 +91,15 @@ def _phi_factors(ctx, s, a, z, n_start=0):
         if p > 0 and n > n_start:
             cap = Fraction(top, bottom) if s >= 0 else Fraction(top * (p + d) ** k * (p * f.denominator + f.numerator * d), bottom * p ** (k + 1) * f.denominator)
         yield factor, cap
-        # (nu/(nu+1))^whole, its powers on the side their sign puts them
+        # r = num/den, the powers of nu/(nu+1) on the side their sign puts them
         rise, fall = (p, p + d) if whole >= 0 else (p + d, p)
-        factor = Fraction(top * rise ** abs(whole), bottom * fall ** abs(whole))
-        if frac:
-            factor = rational_power(ctx, Fraction(p, p + d), frac) * factor
+        num, den = top * rise ** abs(whole), bottom * fall ** abs(whole)
+        if frac.denominator == 2:  # r (nu/(nu+1))^(1/2) = sqrt(r^2 nu/(nu+1)), as r >= 0
+            factor = rational_sqrt(ctx, num * num * p, den * den * (p + d))
+        elif frac:
+            factor = rational_power(ctx, Fraction(p, p + d), frac) * Fraction(num, den)
+        else:
+            factor = Fraction(num, den)
 
 
 def phi_numeric(query: SeriesQuery) -> BigFloat:

@@ -111,6 +111,8 @@ def test_phi_numeric_integer_s(s, az, precision):
 
 @CERTIFY
 @given(s=rationals(-20, 20), az=a_and_z(A_POS), precision=PRECISION)
+@example(s=F(-7, 2), az=(F(1, 3), F(99, 100)), precision=128)
+@example(s=F(3, 2), az=(F(1, 3), F(1, 2)), precision=2048)
 def test_phi_numeric_rational_s(s, az, precision):
     a, z = az
     assert_certified(series.phi_numeric(series.SeriesQuery(s, a, z, precision)), ref_phi(s, a, z, precision))

@@ -11,7 +11,7 @@ from mpmath.libmp import from_int, from_rational, mpf_abs, mpf_mul
 
 from hlcbs import hyper
 from hlcbs.exact import DomainError
-from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, _Run, ball, context, rational, tail_bounded_sum
+from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, _Run, ball, context, rational, rational_sqrt, tail_bounded_sum
 from hlcbs.hyper import NoConvergence, PFQParams, pfq_eval
 
 
@@ -276,6 +276,21 @@ class TestBallRule:
         root = rational(context(precision), q).sqrt()
         lo, hi = exact(root.value) - exact(root.error_bound), exact(root.value) + exact(root.error_bound)
         assert max(lo, 0) ** 2 <= q <= hi**2
+
+    @BALLS
+    @given(num=st.integers(1, 2**700), den=st.integers(1, 2**700), precision=st.sampled_from([32, 64, 128, 2048]))
+    @example(num=9, den=4, precision=64)
+    @example(num=1, den=2**700 - 1, precision=128)
+    @example(num=2**700 - 1, den=3, precision=32)
+    def test_rational_sqrt(self, num, den, precision):
+        # the root is proved, not trusted: the ball holds sqrt(num/den),
+        # decided in Fractions, within 2 units of the requested precision;
+        # the root of a perfect square sits on the ball's lower edge
+        root = rational_sqrt(context(precision), num, den)
+        mid, radius = exact(root.value), exact(root.error_bound)
+        assert mid - radius >= 0
+        assert (mid - radius) ** 2 * den <= num <= (mid + radius) ** 2 * den
+        assert radius <= 2 * F(2) ** -precision * mid
 
     def test_trust_rule_is_one_ulp(self):
         ctx = context(64)

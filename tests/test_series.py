@@ -172,7 +172,7 @@ class TestOracleFactors:
             assert cap is None or type(cap) in (int, F)
         assert _caps_hold([f for f, _ in rest], [cap for _, cap in rest])
 
-    @pytest.mark.parametrize("s", [F(-5, 2), F(-1, 3), F(3, 2)])
+    @pytest.mark.parametrize("s", [F(-5, 2), F(-1, 3), F(3, 2), F(7, 3)])
     def test_non_integer_s_factors_are_balls_with_rational_caps(self, s, ctx):
         a, z = F(5, 4), F(1, 2)
 
