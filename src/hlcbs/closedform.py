@@ -11,11 +11,14 @@ the {1, sqrt3, pi, sqrt3*pi} basis, the 2F1 from the exact incomplete beta
 chain.  The ladder values, (1-z^2)^k and the rational weights are exact
 rationals, rounded once where the value is a ball.  Every gamma ratio and
 power in a comes from :mod:`hlcbs.hyper`, which splits a = floor(a) + a0
-and hands only a0 in [0, 1) to mpmath.
+and hands only a0 in [0, 1) to mpmath's gamma; every power and the root
+1/sqrt(1-z^2) are proven roots of exact rationals
+(:func:`~hlcbs.floats.rational_root`).
 
 Each numeric closed form is one expression in :class:`~hlcbs.floats.BigFloat`
-balls and exact rationals, so its error bound follows from the ball rule and
-the trust rule alone; no rounding is counted by hand.
+balls and exact rationals, so its error bound follows from the ball rule, the
+proven roots and the trust rule for gamma and pi alone; no rounding is
+counted by hand.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, PiExtValue, as_fraction
-from .floats import BigFloat, context, rational
+from .floats import BigFloat, context, rational_root
 from .hyper import (
     PFQParams,
     central_binomial_reciprocal_seed,
@@ -109,12 +112,13 @@ def _ladder(k: int, a: Fraction, x: Fraction, p, q, prefactor, f_over_root):
 
 
 def _numeric_ladder(k: int, a: Fraction, z: Fraction, p, q, precision_bits: int) -> BigFloat:
-    """:func:`_ladder` in balls at z: the prefactor from :mod:`hlcbs.hyper` and
-    F from the pFq evaluator, 32 bits deeper than the result."""
+    """:func:`_ladder` in balls at z: the prefactor from :mod:`hlcbs.hyper`, and
+    F from the pFq evaluator, 32 bits deeper than the result, times the
+    proven root of 1/(1-x)."""
     ctx = context(precision_bits)
     x = z * z
     f = pfq_eval(PFQParams((_HALF, a - _HALF), (a + _HALF,), x), precision_bits + 32)
-    return _ladder(k, a, x, p, q, _prefactor(ctx, a, z), f / rational(ctx, 1 - x).sqrt())
+    return _ladder(k, a, x, p, q, _prefactor(ctx, a, z), f * rational_root(ctx, x.denominator, x.denominator - x.numerator, 2))
 
 
 def phi_neg_closed(k: int, a, z, precision_bits: int = 128) -> BigFloat:

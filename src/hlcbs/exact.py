@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .floats import BigFloat, DomainError, ball, context, rational
+from .floats import BigFloat, DomainError, ball, context, rational, rational_root
 
 
 class MultiplicationOutOfBasis(ArithmeticError):
@@ -364,10 +364,11 @@ class PiExtValue:
 
 
 def piext_to_float(value: PiExtValue, precision_bits: int = 128) -> BigFloat:
-    """Numeric image of an exact value: a ball, with mpmath's pi and sqrt3
-    under the trust rule, summed over the nonzero coefficients only."""
+    """Numeric image of an exact value: a ball, with mpmath's pi under the
+    trust rule and sqrt3 a proven root, summed over the nonzero coefficients
+    only."""
     ctx = context(precision_bits)
-    sqrt3 = rational(ctx, 3).sqrt() if value.c_sqrt3 or value.c_sqrt3pi else None
+    sqrt3 = rational_root(ctx, 3, 1, 2) if value.c_sqrt3 or value.c_sqrt3pi else None
     pi = ball(ctx, +ctx.pi) if value.c_pi or value.c_sqrt3pi else None
     parts = [rational(ctx, value.c_one)] if value.c_one else []
     parts += [c * x for c, x in ((value.c_sqrt3, sqrt3), (value.c_pi, pi)) if c]

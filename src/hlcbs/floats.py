@@ -5,15 +5,16 @@ requested precision plus guard bits, so nothing mutates global mpmath state.
 Results are :class:`BigFloat` balls: a midpoint, the precision it was
 requested at, and a radius that bounds its distance from the true value.
 
-Two rules form every radius.  The ball rule: ``+ - * /`` on balls and exact
-rationals widen the radius by what the operands' radii can move the result
-and by the operation's own rounding, 2^-prec of the result (none for an
+Two rules and one root constructor form every radius.  The ball rule:
+``+ - * /`` on balls and exact rationals widen the radius by what the
+operands' radii can move the result and by the operation's own rounding, 2^-prec of the result (none for an
 exact product or sum that fits the precision, or a quotient by a power of
-two).  The trust rule: an mpmath result (gamma, power, sqrt, pi) enters
-through :func:`ball`, within 1 ulp of the exact function at its argument.
-No caller counts roundings by hand.  One root is proved, not trusted:
-:func:`rational_sqrt` bounds sqrt(num/den) by an integer square root, with
-no mpmath call.
+two).  The trust rule: an mpmath result (gamma, pi) enters through
+:func:`ball`, within 1 ulp of the exact function at its argument.  No caller
+counts roundings by hand.  Every fractional power and square root is proved,
+not trusted: :func:`rational_root` is the one root constructor, the ball of
+(num/den)^(1/v) from an integer square root at v = 2 and from a checked
+candidate above it.
 
 :func:`tail_bounded_sum` is the one place that sums a series: it derives the
 stop target from the context's precision, decides when to stop, states the
@@ -36,7 +37,7 @@ rounded up, as the ball rule's radii are (Arb's mag_t): the tail and the
 rounding radius at 30 bits, and sum|summand| at the working precision,
 with no slack factor.  The series oracle and the pFq evaluator only supply
 exact term ratios and caps; the oracle's ratios are the definition's, never
-a closed form's, and at half-integer s each is one :func:`rational_sqrt`
+a closed form's, and at non-integer s each is one :func:`rational_root`
 ball.
 """
 
@@ -49,7 +50,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import fone, fzero, from_float, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_shift, mpf_sub, to_float
+from mpmath.libmp import fone, fzero, from_float, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_nthroot, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub, to_float
 
 MIN_PRECISION_BITS = 32
 GUARD_BITS = 32
@@ -109,18 +110,37 @@ def rational(ctx, q) -> "BigFloat":
     return ball(ctx, ctx.make_mpf(value), units)
 
 
-def rational_sqrt(ctx, num: int, den: int) -> "BigFloat":
-    """The ball of sqrt(num/den) for ints num >= 0 and den > 0, proved in integers.
+def rational_root(ctx, num: int, den: int, v: int) -> "BigFloat":
+    """The ball of r = q^(1/v), q = num/den, for ints num >= 0, den > 0 and
+    v >= 2, proved in integers and directed roundings: no result is trusted.
 
-    With y = isqrt(floor(num 4^K / den)), y^2 <= num 4^K / den < (y+1)^2
-    puts the root in [y, y+1) 2^-K: the ball (y + 1/2) 2^-K of radius
-    2^-(K+1).  At num > 0, K makes y at least prec bits, so the radius is
-    within 1 unit.
+    0 is exact.  Q = floor(num 2^K / den) puts q in [Q, Q+1) 2^-K.  At v = 2,
+    y = isqrt(Q) with K = 2k puts r in [y, y+1) 2^-k: the ball
+    (y + 1/2) 2^-k of radius 2^-(k+1), and K makes y at least prec bits, so
+    the radius is below 1 unit.  At v > 2, K makes Q at least w = prec + 8
+    bits.  The midpoint c is libmp's rounded root of Q 2^-K, a candidate never
+    trusted: the mean value theorem, c^v - q = v xi^(v-1) (c - r) with xi
+    between c and r, gives |c - r| <= |c^v - q| c / (v min(c^v, q)), and c^v
+    is bracketed by roundings down and up at w bits, so every rounding is on
+    the safe side.  For a candidate within 1 unit 2^-prec c of r, as a
+    rounded root is, |c^v - q| <= ((1 + 2^-prec)^v - 1) q and the brackets
+    add under 4 2^-w q, so the radius is below 1.1 units for v <= 1000.
     """
-    # num 4^K / den >= 2^(nb - 1 + 2K - db) >= 4^(prec-1), so y >= 2^(prec-1)
-    k = (2 * ctx.prec + den.bit_length() - num.bit_length()) // 2
-    y = math.isqrt((num << 2 * k) // den if k >= 0 else num // (den << -2 * k))
-    return BigFloat(ctx.make_mpf(from_man_exp(2 * y + 1, -k - 1)), ctx.prec - GUARD_BITS, ctx.make_mpf(from_man_exp(1, -k - 1)))
+    if not num:
+        return rational(ctx, 0)
+    # Q >= 2^(2 prec - 2), so y >= 2^(prec-1), at v = 2; Q >= 2^w above it
+    k = 2 * ((2 * ctx.prec + den.bit_length() - num.bit_length()) // 2) if v == 2 else ctx.prec + 9 + den.bit_length() - num.bit_length()
+    big = (num << k) // den if k >= 0 else num // (den << -k)
+    if v == 2:
+        y = math.isqrt(big)
+        return BigFloat(ctx.make_mpf(from_man_exp(2 * y + 1, -k // 2 - 1)), ctx.prec - GUARD_BITS, ctx.make_mpf(from_man_exp(1, -k // 2 - 1)))
+    low, high, w = from_man_exp(big, -k), from_man_exp(big + 1, -k), ctx.prec + 8
+    c = mpf_nthroot(low, v, ctx.prec, "n")
+    under, over = mpf_pow_int(c, v, w, "d"), mpf_pow_int(c, v, w, "u")
+    above, below = mpf_sub(over, low, 30, "u"), mpf_sub(high, under, 30, "u")  # the larger is >= |c^v - q|
+    gap = below if mpf_lt(above, below) else above
+    spread = _up(mpf_div, _up(mpf_mul, gap, c), mpf_mul(from_int(v), under if mpf_lt(under, low) else low))
+    return BigFloat(ctx.make_mpf(c), ctx.prec - GUARD_BITS, ctx.make_mpf(spread))
 
 
 def _up(op, x, y):
@@ -416,15 +436,6 @@ class BigFloat:
 
     def __rtruediv__(self, other):
         return rational(context(self.precision_bits), other) / self
-
-    def sqrt(self) -> "BigFloat":
-        """The root of a ball of positive numbers: mpmath's sqrt under the trust
-        rule, widened by radius/sqrt(value) >= |sqrt(X) - sqrt(value)|."""
-        ctx = context(self.precision_bits)
-        root = ball(ctx, ctx.sqrt(self.value))
-        below = mpf_sub(root.value._mpf_, root.error_bound._mpf_, 30, "d")  # <= sqrt(value)
-        spread = _up(mpf_div, self.error_bound._mpf_, below)
-        return BigFloat(root.value, self.precision_bits, ctx.make_mpf(_up(mpf_add, root.error_bound._mpf_, spread)))
 
     def units(self) -> float:
         """The radius in units 2^-prec of |value|, rounded up: the count a

@@ -4,18 +4,17 @@ real-argument central binomial coefficients, and the one domain check on
 (a, z) shared by the series and its closed forms.
 
 This module is the only one that forms a quantity with a in its argument or
-exponent, save the series oracle's term ratio at half-integer s: that is
-:func:`~hlcbs.floats.rational_sqrt`'s proven root of an exact rational,
+exponent, save the series oracle's term ratio at non-integer s: that is
+:func:`~hlcbs.floats.rational_root`'s proven root of an exact rational,
 where no rounded input is amplified.  It splits a = m + a0 exactly,
 m = floor(a), a0 in [0, 1): Gamma(a+1)^2/Gamma(2a+1) is an exact rational
 shift from a0 times 1, pi/4 or one gamma pair at a0
-(:func:`central_binomial_reciprocal_seed`, :func:`exact_gamma_ratio`), and
-q^e is q^floor(e) exactly times mpmath's power at the fractional part
+(:func:`central_binomial_reciprocal_seed`, :func:`exact_gamma_ratio`).
+q^e, e = u/v, is the proven v-th root of the exact q^u
 (:func:`rational_power`).  A rounded input is thus never amplified by
 |a psi(a)| or |a ln q|.  Every value here is a
 :class:`~hlcbs.floats.BigFloat` ball: arithmetic follows the ball rule, and
-mpmath's gamma, power and pi enter under the trust rule, with
-:func:`rational_power` adding the |ln q| amplification of mpmath's power.
+only mpmath's gamma and pi enter under the trust rule.
 
 The pFq evaluator supplies the exact term ratios of the defining series,
 z prod(alpha+n) / (prod(beta+n) (n+1)), to the one summation kernel,
@@ -43,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import DomainError, PiExtValue, as_fraction, piext_to_float
-from .floats import GUARD_BITS, TRUST_UNITS, BigFloat, NoConvergence, ball, context, rational, tail_bounded_sum
+from .floats import GUARD_BITS, BigFloat, NoConvergence, ball, context, rational, rational_root, tail_bounded_sum
 
 
 class LowerParamPole(DomainError):
@@ -212,10 +211,10 @@ def incomplete_beta_exact(alpha) -> PiExtValue:
 # quantities with a in the argument or exponent: a = floor(a) + a0, split once
 #
 # g(x) = Gamma(x+1)^2/Gamma(2x+1) = 1/C(2x, x) and every power whose exponent
-# is built from a are formed here and nowhere else.  The integer part is
-# carried exactly; only a0 in [0, 1) reaches mpmath, and its arguments are
+# is built from a are formed here and nowhere else.  The integer part of a is
+# carried exactly; only a0 in [0, 1) reaches mpmath's gamma, its arguments
 # rounded 64 bits past the working precision, so no rounding of an input is
-# amplified by |a psi(a)| or |a ln q|.
+# amplified by |a psi(a)|; a power roots an exact rational and amplifies none.
 
 
 def gamma_ratio_shift(a):
@@ -249,8 +248,8 @@ def exact_gamma_ratio(a) -> PiExtValue:
 
 
 def _wide(ctx, q: Fraction):
-    """q rounded 64 bits past the working precision: the argument of an
-    mpmath function, whose rounding the function would amplify."""
+    """q rounded 64 bits past the working precision: an argument of mpmath's
+    gamma, whose rounding gamma would amplify."""
     return ctx.fdiv(q.numerator, q.denominator, prec=ctx.prec + 64)
 
 
@@ -279,21 +278,17 @@ def central_binomial_reciprocal_seed(ctx, a: Fraction) -> BigFloat:
 
 
 def rational_power(ctx, q, e) -> BigFloat:
-    """q^e as a ball for rational q > 0 (any q != 0 at integer e) and rational e.
+    """q^e as a ball for rational q >= 0 (any q != 0 at integer e) and rational e.
 
-    q^floor(e) is exact and rounded once; only e0 = e - floor(e) in [0, 1)
-    goes to ``ctx.power``, with q and e0 wide, and one product joins them
-    (none when floor(e) = 0).  1^e is 1, exact, at every e.
+    With e = u/v in lowest terms, q^u is exact: at integer e it is rounded
+    once, and otherwise its v-th root is :func:`~hlcbs.floats.rational_root`'s
+    proven ball.  0^e = 0 and 1^e = 1 are exact at every e.
     """
     q, e = as_fraction(q), as_fraction(e)
-    m = math.floor(e)
-    if e == m or q == 1:
-        return rational(ctx, q**m)
-    # mpmath takes ln q at 10 extra bits, which adds |e0 ln q| 2^-10 units to
-    # the power's 1 ulp; the wide arguments add under 2^-60 of a unit
-    ln_q = abs(math.log(q.numerator) - math.log(q.denominator)) if q else 0
-    power = ball(ctx, ctx.power(_wide(ctx, q), _wide(ctx, e - m)), TRUST_UNITS + (ln_q + 1) / 1024)
-    return power if m == 0 else rational(ctx, q**m) * power
+    power = q**e.numerator
+    if e.denominator == 1 or q in (0, 1):
+        return rational(ctx, power)
+    return rational_root(ctx, power.numerator, power.denominator, e.denominator)
 
 
 def real_central_binomial(a, precision_bits: int = 128) -> BigFloat:

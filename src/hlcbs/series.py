@@ -10,10 +10,10 @@ The series is handed to the one summation kernel,
 :func:`hlcbs.floats.tail_bounded_sum`, as its factors, built from this
 definition and never from a closed form: the first term as a ball, then the
 exact term ratio (2z)^2 r(nu+1)/r(nu) (nu/(nu+1))^s, r(nu) = 1/C(2nu, nu),
-which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s: a Fraction at integer s, one
-proven integer square root (:func:`~hlcbs.floats.rational_sqrt`) at
-half-integer s, and a Fraction times a :func:`~hlcbs.hyper.rational_power`
-ball at any other s.  The ratio tends to z^2, which yields a provable
+which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s: a Fraction at integer s, and
+one proven root of an exact rational (:func:`~hlcbs.floats.rational_root`)
+at any other s, an integer square root at half-integer s.  The ratio tends
+to z^2, which yields a provable
 geometric tail bound from an exact rational cap.  The kernel keeps the
 running product and every rounding count, owns the stop target and the
 budget error (:class:`~hlcbs.floats.BudgetExceeded`), stops on the bound
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, as_fraction
-from .floats import BigFloat, context, rational_sqrt, tail_bounded_sum
+from .floats import BigFloat, context, rational_root, tail_bounded_sum
 from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
 from .hyper import central_binomial_reciprocal_seed, check_domain, rational_power
 
@@ -66,13 +66,13 @@ def _phi_factors(ctx, s, a, z, n_start=0):
     A caller that knows every term before n_start is 0 (a half-integer
     a <= 0, whose reciprocal binomial sits on gamma poles) starts there.
     The first factor is the term at nu = a + n_start, (2z)^(2 nu) g(nu) nu^-s,
-    a ball from hyper's split power and seed.  Each later factor is the
+    a ball from hyper's powers and seed.  Each later factor is the
     definition's term ratio T_{n+1}/T_n = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s at
     nu = a + n, with r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) exact: r at
-    integer s; the ball of sqrt(r^2 nu/(nu+1)) at half-integer s, from
-    :func:`~hlcbs.floats.rational_sqrt`, as r >= 0 there (a > 0); else r
-    times a :func:`~hlcbs.hyper.rational_power` ball, whose cost grows more
-    slowly with the exponent's denominator than an integer root's would.
+    integer s, else the ball of (r^v (nu/(nu+1))^u)^(1/v) for the fractional
+    part u/v of s, one :func:`~hlcbs.floats.rational_root` of an exact
+    rational, as r >= 0 there (a > 0).  The integers grow with v: r^v has v
+    times r's bits.
     For nu > 0 past the first term, both parts decrease in nu, so every
     later ratio is capped by
     2z^2 (nu+1)/(2nu+1) max(1, ((nu+1)/nu)^-s), its second part bounded
@@ -94,10 +94,9 @@ def _phi_factors(ctx, s, a, z, n_start=0):
         # r = num/den, the powers of nu/(nu+1) on the side their sign puts them
         rise, fall = (p, p + d) if whole >= 0 else (p + d, p)
         num, den = top * rise ** abs(whole), bottom * fall ** abs(whole)
-        if frac.denominator == 2:  # r (nu/(nu+1))^(1/2) = sqrt(r^2 nu/(nu+1)), as r >= 0
-            factor = rational_sqrt(ctx, num * num * p, den * den * (p + d))
-        elif frac:
-            factor = rational_power(ctx, Fraction(p, p + d), frac) * Fraction(num, den)
+        if frac:  # r (nu/(nu+1))^(u/v) = (r^v (nu/(nu+1))^u)^(1/v), as r >= 0
+            u, v = frac.numerator, frac.denominator
+            factor = rational_root(ctx, num**v * p**u, den**v * (p + d) ** u, v)
         else:
             factor = Fraction(num, den)
 

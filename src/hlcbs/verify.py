@@ -6,8 +6,10 @@ against the corresponding right side over a fixed grid and yields a
 by :meth:`Tally.agree`: the tolerance is twice the sum of both sides' reported
 error bounds, so honest bounds make every such check self-calibrating.  A
 closed side is a :class:`~hlcbs.floats.BigFloat` expression, its bound formed
-by the ball rule and the trust rule, and the arcsine of ``lehmer1`` and
-``lehmer2`` is the kernel's z 2F1(1/2, 1/2; 3/2; z^2).  Only
+by the ball rule, the proven roots of :func:`~hlcbs.floats.rational_root` and
+the trust rule for gamma and pi; the arcsine of ``lehmer1`` and ``lehmer2`` is
+the kernel's z 2F1(1/2, 1/2; 3/2; z^2), and their sqrt(1 - z^2) one proven
+root.  Only
 the finite difference in ``diff_relation`` states its own tolerance;
 rational-arithmetic checks have none at all.  Random rational sweeps draw from
 a seeded generator whose seed is recorded in the report.
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from . import closedform, polyfam, series
 from .exact import PiExtValue, piext_to_float
-from .floats import context, rational, tail_bounded_sum
+from .floats import context, rational, rational_root, tail_bounded_sum
 from .hyper import PFQParams, central_binomial_reciprocal_seed, exact_gamma_ratio, gamma_ratio_shift, pfq_eval, rational_power
 from .report import CheckReport, Tally, sci
 
@@ -55,7 +57,7 @@ def _asin_and_cos(z: Fraction, precision_bits: int):
     as the closed forms sum theirs."""
     half = Fraction(1, 2)
     arcsin = z * pfq_eval(PFQParams((half, half), (3 * half,), z * z), precision_bits + 16)
-    return arcsin, rational(context(precision_bits), 1 - z * z).sqrt()
+    return arcsin, rational_root(context(precision_bits), z.denominator**2 - z.numerator**2, z.denominator**2, 2)
 
 
 # ---------------------------------------------------------------------------

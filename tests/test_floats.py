@@ -7,11 +7,11 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_int, from_rational, mpf_abs, mpf_mul
+from mpmath.libmp import from_int, from_rational, mpf_abs, mpf_add, mpf_mul, mpf_neg, mpf_shift
 
-from hlcbs import hyper
+from hlcbs import floats, hyper
 from hlcbs.exact import DomainError
-from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, _Run, ball, context, rational, rational_sqrt, tail_bounded_sum
+from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, _Run, ball, context, rational, rational_root, tail_bounded_sum
 from hlcbs.hyper import NoConvergence, PFQParams, pfq_eval
 
 
@@ -40,6 +40,13 @@ def fold_one(run, factor):
 
 def contains(out: BigFloat, value: F) -> bool:
     return abs(exact(out.value) - value) <= exact(out.error_bound)
+
+
+def holds_root(root: BigFloat, num: int, den: int, v: int) -> bool:
+    """(mid - rad)^v den <= num <= (mid + rad)^v den, decided in integers,
+    with mid - rad >= 0."""
+    lo, hi = exact(root.value) - exact(root.error_bound), exact(root.value) + exact(root.error_bound)
+    return lo >= 0 and lo.numerator**v * den <= num * lo.denominator**v and num * hi.denominator**v <= hi.numerator**v * den
 
 
 def to_mid(ctx, q):
@@ -258,8 +265,6 @@ class TestBallRule:
         for bx, by in ((off(x, sx), off(y, sy)) for sx in (1, -1) for sy in (1, -1)):
             for got, want in ((bx + by, x + y), (bx - by, x - y), (bx * by, x * y), (bx / by, x / y), (-bx, -x)):
                 assert contains(got, want)
-        root = off(abs(x), 1).sqrt()
-        assert max(exact(root.value) - exact(root.error_bound), 0) ** 2 <= abs(x) <= (exact(root.value) + exact(root.error_bound)) ** 2
 
     @BALLS
     @given(start=NONZERO, ratios=st.lists(NONZERO, min_size=50, max_size=50), precision=PRECISIONS)
@@ -273,7 +278,8 @@ class TestBallRule:
     @BALLS
     @given(q=FRACTIONS.filter(lambda q: q > 0), precision=PRECISIONS)
     def test_sqrt(self, q, precision):
-        root = rational(context(precision), q).sqrt()
+        # every square root is rational_root's v = 2 case
+        root = rational_root(context(precision), q.numerator, q.denominator, 2)
         lo, hi = exact(root.value) - exact(root.error_bound), exact(root.value) + exact(root.error_bound)
         assert max(lo, 0) ** 2 <= q <= hi**2
 
@@ -284,13 +290,52 @@ class TestBallRule:
     @example(num=2**700 - 1, den=3, precision=32)
     def test_rational_sqrt(self, num, den, precision):
         # the root is proved, not trusted: the ball holds sqrt(num/den),
-        # decided in Fractions, within 2 units of the requested precision;
-        # the root of a perfect square sits on the ball's lower edge
-        root = rational_sqrt(context(precision), num, den)
+        # decided in integers, within the 1 unit that rational_root's
+        # docstring proves at v = 2; the root of a perfect square sits on
+        # the ball's lower edge
+        ctx = context(precision)
+        root = rational_root(ctx, num, den, 2)
         mid, radius = exact(root.value), exact(root.error_bound)
-        assert mid - radius >= 0
-        assert (mid - radius) ** 2 * den <= num <= (mid + radius) ** 2 * den
+        assert holds_root(root, num, den, 2)
         assert radius <= 2 * F(2) ** -precision * mid
+        assert radius <= F(2) ** -ctx.prec * mid
+
+    @BALLS
+    @given(
+        num=st.integers(1, 2**700),
+        den=st.integers(1, 2**700),
+        v=st.sampled_from([3, 7, 50, 1000]),
+        precision=st.sampled_from([32, 64, 128, 2048]),
+    )
+    @example(num=9, den=4, v=3, precision=64)
+    @example(num=1, den=2**700 - 1, v=3, precision=128)
+    @example(num=2**700 - 1, den=3, v=3, precision=32)
+    def test_rational_root(self, num, den, v, precision):
+        # the root is proved, not trusted: the ball holds (num/den)^(1/v),
+        # decided in integers, within the 1.1 units that rational_root's
+        # docstring proves above v = 2 for a rounded candidate
+        ctx = context(precision)
+        root = rational_root(ctx, num, den, v)
+        assert holds_root(root, num, den, v)
+        assert exact(root.error_bound) <= F(11, 10) * F(2) ** -ctx.prec * exact(root.value)
+
+    @pytest.mark.parametrize("v", [3, 7, 50, 1000])
+    @pytest.mark.parametrize("precision", [32, 128, 512])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_rational_root_survives_a_moved_candidate(self, monkeypatch, v, precision, side):
+        # libmp's root moved by 2^-(P/2) relative: the check widens the ball
+        # to about that much, and it still holds the root
+        candidate = floats.mpf_nthroot
+
+        def moved(*args):
+            c = candidate(*args)
+            return mpf_add(c, mpf_shift(c if side > 0 else mpf_neg(c), -(precision // 2)))
+
+        monkeypatch.setattr(floats, "mpf_nthroot", moved)
+        for num, den in ((3001, 3004), (2**700 - 1, 3), (1, 2**700 - 1)):
+            root = rational_root(context(precision), num, den, v)
+            assert holds_root(root, num, den, v)
+            assert F(2) ** -(precision // 2 + 1) * exact(root.value) <= exact(root.error_bound) <= F(2) ** (1 - precision // 2) * exact(root.value)
 
     def test_trust_rule_is_one_ulp(self):
         ctx = context(64)

@@ -86,8 +86,9 @@ class TestPhiNumeric:
         assert abs(out.value - closed) < ctx.mpf(10) ** -36
 
     def test_z_zero(self):
-        out = phi_numeric(SeriesQuery(1, F(1), F(0)))
-        assert (out.value, out.error_bound) == (0, 0)
+        # 0^e is exact at a non-integer e, as at an integer one
+        for out in (phi_numeric(SeriesQuery(1, F(1), F(0))), phi_numeric(SeriesQuery(F(7, 3), F(1, 3), F(0)))):
+            assert (out.value, out.error_bound) == (0, 0)
         # at a < 0 the first term (2z)^(2a) diverges as z -> 0
         with pytest.raises(DomainError):
             phi_numeric(SeriesQuery(1, F(-1, 3), F(0)))
@@ -189,6 +190,26 @@ class TestOracleFactors:
             assert cap is None or type(cap) is F
         # the caps, Bernoulli's at s < 0, bound the exact ratios
         assert _caps_hold([ratio(a + n) for n in range(30)], [cap and mp(cap) for _, cap in rest])
+
+    @pytest.mark.parametrize("s", [F(-5, 2), F(1, 2), F(5, 2)])
+    @pytest.mark.parametrize("precision", [32, 2048])
+    def test_half_integer_s_ratios_are_isqrt_brackets(self, s, precision):
+        # bit for bit, each ratio is the isqrt bracket of r^2 nu/(nu+1) with
+        # r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) in the definition's
+        # integers: (y + 1/2) 2^-k with radius 2^-(k+1), y = isqrt(floor(num 4^k / den))
+        a, z, whole = F(3, 2), F(9, 10), math.floor(s)
+        ctx = context(precision)
+        _, *rest = itertools.islice(_phi_factors(ctx, s, a, z), 31)
+        for n, (factor, _) in enumerate(rest):
+            p, d, two_z_sq = a.numerator + n * a.denominator, a.denominator, 2 * z * z
+            rise, fall = (p, p + d) if whole >= 0 else (p + d, p)
+            r_num = two_z_sq.numerator * (p + d) * rise ** abs(whole)
+            r_den = two_z_sq.denominator * (2 * p + d) * fall ** abs(whole)
+            num, den = r_num * r_num * p, r_den * r_den * (p + d)
+            k = (2 * ctx.prec + den.bit_length() - num.bit_length()) // 2
+            y = math.isqrt((num << 2 * k) // den if k >= 0 else num // (den << -2 * k))
+            value, radius = (F(x.man_exp[0]) * F(2) ** x.man_exp[1] for x in (factor.value, factor.error_bound))
+            assert (value, radius) == ((2 * y + 1) * F(2) ** (-k - 1), F(2) ** (-k - 1))
 
     def test_caps_are_tight_at_integer_s(self):
         # at s < 0 the cap is the next ratio itself, not a rounded-up power

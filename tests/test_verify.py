@@ -135,7 +135,12 @@ class TestParity:
     tolerances in the 7th digit, when a sum came to stop at the first block
     end that passes the tail test, a term past the per-term stop in some
     sums, and an exact sum or a quotient by a power of two came to add no
-    rounding unit."""
+    rounding unit.  When every fractional power and square root came to be
+    one proven root, lehmer1's tolerance (5.233793e-41 -> 5.233792e-41) and
+    deviation (2.582012e-41 -> 2.582013e-41), lehmer2's deviation
+    (9.578837e-40 -> 9.578835e-40), thm31's deviation (7.886741e-42 ->
+    7.886740e-42) and zetatokushu's tolerance (3.198445e-40 -> 3.198444e-40)
+    were re-recorded; no tolerance went up."""
 
     @pytest.fixture(scope="class")
     def reports(self):
