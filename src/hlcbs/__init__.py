@@ -13,7 +13,6 @@ from .exact import (
     MultiplicationOutOfBasis,
     PiExtValue,
     UniPoly,
-    piext_to_float,
 )
 from .floats import BigFloat, BudgetExceeded, NoConvergence
 from .closedform import (
@@ -34,6 +33,7 @@ from .hyper import (
     incomplete_beta_exact,
     incomplete_beta_numeric,
     pfq_eval,
+    piext_to_float,
     pochhammer,
     real_central_binomial,
 )

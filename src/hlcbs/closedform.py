@@ -11,14 +11,14 @@ the {1, sqrt3, pi, sqrt3*pi} basis, the 2F1 from the exact incomplete beta
 chain.  The ladder values, (1-z^2)^k and the rational weights are exact
 rationals, rounded once where the value is a ball.  Every gamma ratio and
 power in a comes from :mod:`hlcbs.hyper`, which splits a = floor(a) + a0
-and hands only a0 in [0, 1) to mpmath's gamma; every power and the root
-1/sqrt(1-z^2) are proven roots of exact rationals
+and sums the seed at a0 in [0, 1) as an incomplete beta; every power and
+the root 1/sqrt(1-z^2) are proven roots of exact rationals
 (:func:`~hlcbs.floats.rational_root`).
 
 Each numeric closed form is one expression in :class:`~hlcbs.floats.BigFloat`
 balls and exact rationals, so its error bound follows from the ball rule, the
-proven roots and the trust rule for gamma and pi alone; no rounding is
-counted by hand.
+proven roots and the kernel's sums alone, pi and the seed among them; no
+rounding is counted by hand.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ families reach degree 600 and more, where those products, not storage,
 set the cost.  :class:`PiExtValue` holds every exact
 special value produced by the kit: all of them live in the Q-vector space
 spanned by 1, sqrt3, pi and sqrt3*pi, and that basis is Q-linearly
-independent, so the representation is unique.
+independent, so the representation is unique.  This layer holds no ball and
+no float: the numeric image of a value, with pi summed by the kernel, is
+:func:`hlcbs.hyper.piext_to_float`.
 
 Both value types print canonical text through :func:`format_terms` and read
 it back through the one reader :func:`_read`, which walks the text's Python
@@ -27,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .floats import BigFloat, DomainError, ball, context, rational, rational_root
+from .floats import DomainError
 
 
 class MultiplicationOutOfBasis(ArithmeticError):
@@ -361,20 +363,6 @@ class PiExtValue:
     def parse(cls, text: str) -> "PiExtValue":
         """Inverse of :meth:`to_text`."""
         return cls() + _read(text, {"sqrt3": cls(c_sqrt3=1), "pi": cls(c_pi=1)})
-
-
-def piext_to_float(value: PiExtValue, precision_bits: int = 128) -> BigFloat:
-    """Numeric image of an exact value: a ball, with mpmath's pi under the
-    trust rule and sqrt3 a proven root, summed over the nonzero coefficients
-    only."""
-    ctx = context(precision_bits)
-    sqrt3 = rational_root(ctx, 3, 1, 2) if value.c_sqrt3 or value.c_sqrt3pi else None
-    pi = ball(ctx, +ctx.pi) if value.c_pi or value.c_sqrt3pi else None
-    parts = [rational(ctx, value.c_one)] if value.c_one else []
-    parts += [c * x for c, x in ((value.c_sqrt3, sqrt3), (value.c_pi, pi)) if c]
-    if value.c_sqrt3pi:
-        parts.append(value.c_sqrt3pi * sqrt3 * pi)
-    return sum(parts[1:], parts[0]) if parts else rational(ctx, 0)
 
 
 # ---------------------------------------------------------------------------

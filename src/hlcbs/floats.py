@@ -5,16 +5,18 @@ requested precision plus guard bits, so nothing mutates global mpmath state.
 Results are :class:`BigFloat` balls: a midpoint, the precision it was
 requested at, and a radius that bounds its distance from the true value.
 
-Two rules and one root constructor form every radius.  The ball rule:
-``+ - * /`` on balls and exact rationals widen the radius by what the
-operands' radii can move the result and by the operation's own rounding, 2^-prec of the result (none for an
-exact product or sum that fits the precision, or a quotient by a power of
-two).  The trust rule: an mpmath result (gamma, pi) enters through
-:func:`ball`, within 1 ulp of the exact function at its argument.  No caller
-counts roundings by hand.  Every fractional power and square root is proved,
-not trusted: :func:`rational_root` is the one root constructor, the ball of
-(num/den)^(1/v) from an integer square root at v = 2 and from a checked
-candidate above it.
+One rule, one root constructor and the kernel's tail bound form every
+radius, and no mpmath special function stands under one.  The ball rule:
+an exact rational enters through :func:`rational`, rounded once or exact,
+and ``+ - * /`` on balls and exact rationals widen the radius by what the
+operands' radii can move the result and by the operation's own rounding,
+2^-prec of the result (none for an exact product or sum that fits the
+precision, or a quotient by a power of two).  No caller counts roundings by
+hand.  Every fractional power and square root is proved: :func:`rational_root`
+is the one root constructor, the ball of (num/den)^(1/v) from an integer
+square root at v = 2 and from a checked candidate above it.  Every other
+transcendental, the off-lattice gamma seed and pi among them, is a series
+summed by :func:`tail_bounded_sum`.
 
 :func:`tail_bounded_sum` is the one place that sums a series: it derives the
 stop target from the context's precision, decides when to stop, states the
@@ -54,8 +56,6 @@ from mpmath.libmp import fone, fzero, from_float, from_int, from_man_exp, from_r
 
 MIN_PRECISION_BITS = 32
 GUARD_BITS = 32
-# the trust rule in units of 2^-prec: an mpmath result is within 1 ulp
-TRUST_UNITS = 2
 
 
 class DomainError(ValueError):
@@ -84,15 +84,6 @@ def context(precision_bits: int) -> mpmath.ctx_mp.MPContext:
     return ctx
 
 
-def ball(ctx, value, units=TRUST_UNITS) -> "BigFloat":
-    """``value`` as a ball of radius ``units`` 2^-prec |value|, rounded up.
-
-    2^-prec is one rounding at the working precision ``prec``, so a rational
-    rounded once carries 1 unit.  The default is the trust rule.
-    """
-    return BigFloat(value, ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_mul, from_float(units), _unit(ctx, value._mpf_))))
-
-
 def _midpoint(ctx, x):
     """(raw mpf, units) of a ball, or of an exact rational: a dyadic one (an
     int, or a Fraction whose denominator is a power of two) exact and
@@ -105,9 +96,10 @@ def _midpoint(ctx, x):
 
 
 def rational(ctx, q) -> "BigFloat":
-    """The ball of an exact rational: a dyadic one is exact, any other Fraction rounded once."""
-    value, units = _midpoint(ctx, q)
-    return ball(ctx, ctx.make_mpf(value), units)
+    """The ball of an exact rational: a dyadic one is exact, any other
+    Fraction rounded once, with radius 2^-prec of the result."""
+    value, rounds = _midpoint(ctx, q)
+    return _rounded(ctx, value, fzero, rounds)
 
 
 def rational_root(ctx, num: int, den: int, v: int) -> "BigFloat":

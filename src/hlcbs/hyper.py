@@ -8,13 +8,16 @@ exponent, save the series oracle's term ratio at non-integer s: that is
 :func:`~hlcbs.floats.rational_root`'s proven root of an exact rational,
 where no rounded input is amplified.  It splits a = m + a0 exactly,
 m = floor(a), a0 in [0, 1): Gamma(a+1)^2/Gamma(2a+1) is an exact rational
-shift from a0 times 1, pi/4 or one gamma pair at a0
+shift from a0 times 1, pi/4 or, off the lattice, the incomplete beta
+2 (2 a0 + 1) B(1/2; a0+1, a0+1)
 (:func:`central_binomial_reciprocal_seed`, :func:`exact_gamma_ratio`).
 q^e, e = u/v, is the proven v-th root of the exact q^u
 (:func:`rational_power`).  A rounded input is thus never amplified by
 |a psi(a)| or |a ln q|.  Every value here is a
-:class:`~hlcbs.floats.BigFloat` ball: arithmetic follows the ball rule, and
-only mpmath's gamma and pi enter under the trust rule.
+:class:`~hlcbs.floats.BigFloat` ball formed by the ball rule, the proven
+roots and the kernel's sums, pi among them: pi = 3 2F1(1/2, 1/2; 3/2; 1/4),
+and this module owns it and :func:`piext_to_float`, the numeric image of an
+exact value.  No mpmath special function stands under a radius.
 
 The pFq evaluator supplies the exact term ratios of the defining series,
 z prod(alpha+n) / (prod(beta+n) (n+1)), to the one summation kernel,
@@ -41,8 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import DomainError, PiExtValue, as_fraction, piext_to_float
-from .floats import GUARD_BITS, BigFloat, NoConvergence, ball, context, rational, rational_root, tail_bounded_sum
+from .exact import DomainError, PiExtValue, as_fraction
+from .floats import GUARD_BITS, BigFloat, NoConvergence, context, rational, rational_root, tail_bounded_sum
 
 
 class LowerParamPole(DomainError):
@@ -212,9 +215,9 @@ def incomplete_beta_exact(alpha) -> PiExtValue:
 #
 # g(x) = Gamma(x+1)^2/Gamma(2x+1) = 1/C(2x, x) and every power whose exponent
 # is built from a are formed here and nowhere else.  The integer part of a is
-# carried exactly; only a0 in [0, 1) reaches mpmath's gamma, its arguments
-# rounded 64 bits past the working precision, so no rounding of an input is
-# amplified by |a psi(a)|; a power roots an exact rational and amplifies none.
+# carried exactly; only a0 in [0, 1) reaches a sum, the incomplete beta with
+# exact parameters, so no rounding of an input is amplified by |a psi(a)|; a
+# power roots an exact rational and amplifies none.
 
 
 def gamma_ratio_shift(a):
@@ -247,33 +250,49 @@ def exact_gamma_ratio(a) -> PiExtValue:
     return _LATTICE_G[a0].scale(Fraction(num, den))
 
 
-def _wide(ctx, q: Fraction):
-    """q rounded 64 bits past the working precision: an argument of mpmath's
-    gamma, whose rounding gamma would amplify."""
-    return ctx.fdiv(q.numerator, q.denominator, prec=ctx.prec + 64)
+@lru_cache(maxsize=None)
+def _pi(precision_bits: int) -> BigFloat:
+    """pi = 6 arcsin(1/2) = 3 2F1(1/2, 1/2; 3/2; 1/4) as a ball, once per
+    precision: the 2F1 summed 32 bits past the precision, times an exact 3
+    at it, which rounds once."""
+    return rational(context(precision_bits), 3) * pfq_eval(PFQParams((Fraction(1, 2),) * 2, (Fraction(3, 2),), Fraction(1, 4)), precision_bits + 32)
+
+
+def piext_to_float(value: PiExtValue, precision_bits: int = 128) -> BigFloat:
+    """Numeric image of an exact value: a ball, with pi the kernel's sum and
+    sqrt3 a proven root, summed over the nonzero coefficients only."""
+    ctx = context(precision_bits)
+    sqrt3 = rational_root(ctx, 3, 1, 2) if value.c_sqrt3 or value.c_sqrt3pi else None
+    pi = _pi(precision_bits) if value.c_pi or value.c_sqrt3pi else None
+    parts = [rational(ctx, value.c_one)] if value.c_one else []
+    parts += [c * x for c, x in ((value.c_sqrt3, sqrt3), (value.c_pi, pi)) if c]
+    if value.c_sqrt3pi:
+        parts.append(value.c_sqrt3pi * sqrt3 * pi)
+    return sum(parts[1:], parts[0]) if parts else rational(ctx, 0)
 
 
 @lru_cache(maxsize=256)
-def _gamma_pair(a0: Fraction, precision_bits: int) -> BigFloat:
-    """g(a0) off the lattice as a ball: one gamma pair at wide arguments,
-    computed once per (a0, precision)."""
-    ctx = context(precision_bits)
-    gamma = ball(ctx, ctx.gamma(_wide(ctx, a0 + 1)))
-    return gamma * gamma / ball(ctx, ctx.gamma(_wide(ctx, 2 * a0 + 1)))
+def _beta_seed(a0: Fraction, precision_bits: int) -> BigFloat:
+    """g(a0) = (2 a0 + 1) B(a0+1, a0+1) = 2 (2 a0 + 1) B(1/2; a0+1, a0+1) off
+    the lattice as a ball, once per (a0, precision): the incomplete beta
+    (DLMF 8.17.7) summed 16 bits past the precision, then rounded once to it
+    as its product with an exact 1 there."""
+    beta = incomplete_beta_numeric(Fraction(1, 2), a0 + 1, a0 + 1, precision_bits + 16)
+    return rational(context(precision_bits), 1) * (2 * (2 * a0 + 1) * beta)
 
 
 def central_binomial_reciprocal_seed(ctx, a: Fraction) -> BigFloat:
     """Gamma(a+1)^2/Gamma(2a+1) as a ball: the exact shift num/den times g(a0).
 
-    g(a0) is the lattice value 1 or pi/4 at a0 = 0 or 1/2, and one gamma pair
-    at wide arguments otherwise (:func:`_gamma_pair`); num is rounded once,
-    den divides exactly.
+    g(a0) is the lattice value 1 or pi/4 at a0 = 0 or 1/2, and an incomplete
+    beta at 1/2 otherwise (:func:`_beta_seed`); num is rounded once, den
+    divides exactly.
     """
     a0, num, den = gamma_ratio_shift(a)
     if a0 in _LATTICE_G:
         g0 = piext_to_float(_LATTICE_G[a0], ctx.prec - GUARD_BITS)
     else:
-        g0 = _gamma_pair(a0, ctx.prec - GUARD_BITS)
+        g0 = _beta_seed(a0, ctx.prec - GUARD_BITS)
     return Fraction(num) * g0 / den
 
 

@@ -7,9 +7,9 @@ by :meth:`Tally.agree`: the tolerance is twice the sum of both sides' reported
 error bounds, so honest bounds make every such check self-calibrating.  A
 closed side is a :class:`~hlcbs.floats.BigFloat` expression, its bound formed
 by the ball rule, the proven roots of :func:`~hlcbs.floats.rational_root` and
-the trust rule for gamma and pi; the arcsine of ``lehmer1`` and ``lehmer2`` is
-the kernel's z 2F1(1/2, 1/2; 3/2; z^2), and their sqrt(1 - z^2) one proven
-root.  Only
+the kernel's sums, the seed and pi among them; the arcsine of ``lehmer1`` and
+``lehmer2`` is the kernel's z 2F1(1/2, 1/2; 3/2; z^2), and their
+sqrt(1 - z^2) one proven root.  Only
 the finite difference in ``diff_relation`` states its own tolerance;
 rational-arithmetic checks have none at all.  Random rational sweeps draw from
 a seeded generator whose seed is recorded in the report.
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closedform, polyfam, series
-from .exact import PiExtValue, piext_to_float
+from .exact import PiExtValue
 from .floats import context, rational, rational_root, tail_bounded_sum
-from .hyper import PFQParams, central_binomial_reciprocal_seed, exact_gamma_ratio, gamma_ratio_shift, pfq_eval, rational_power
+from .hyper import PFQParams, central_binomial_reciprocal_seed, exact_gamma_ratio, gamma_ratio_shift, pfq_eval, piext_to_float, rational_power
 from .report import CheckReport, Tally, sci
 
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlcbs import closedform, hyper, series
-from hlcbs.exact import piext_to_float
+from hlcbs.hyper import piext_to_float
 
 EXTRA_BITS = 200
 CERTIFY = settings(max_examples=15, derandomize=True, deadline=None, database=None)

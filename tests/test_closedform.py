@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from hlcbs import closedform
-from hlcbs.exact import DomainError, PiExtValue, piext_to_float
+from hlcbs.exact import DomainError, PiExtValue
 from hlcbs.closedform import (
     phi_neg_closed,
     phi_neg_hyper,
@@ -19,7 +19,7 @@ from hlcbs.closedform import (
     zeta_exact,
     zeta_structured,
 )
-from hlcbs.hyper import PoleError, exact_gamma_ratio, incomplete_beta_exact, lattice, pochhammer
+from hlcbs.hyper import PoleError, exact_gamma_ratio, incomplete_beta_exact, lattice, piext_to_float, pochhammer
 from hlcbs.series import SeriesQuery, phi_numeric, zeta_hcb_numeric
 
 EXAMPLE_VALUES = [

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,8 @@ from hlcbs.exact import (
     MultiplicationOutOfBasis,
     PiExtValue,
     UniPoly,
-    piext_to_float,
 )
+from hlcbs.hyper import piext_to_float
 from hlcbs.polyfam import p_a_poly
 
 from conftest import brute_force_zeta
@@ -252,6 +253,13 @@ class TestPiExtToFloat:
             for i, basis in enumerate((1, ctx.sqrt(3), ctx.pi, ctx.sqrt(3) * ctx.pi)):
                 single = piext_to_float(PiExtValue(*(F(-935, 2048) if j == i else 0 for j in range(4))), bits)
                 assert abs(single.value - basis * -935 / 2048) <= single.error_bound
+        # pi, the kernel's 2F1 sum, holds mpmath's pi at 300 bits more, within 1.1 units
+        for bits in (32, 128, 2048, 8192):
+            pi = piext_to_float(PiExtValue(c_pi=1), bits)
+            reference = mpmath.mp.clone()
+            reference.prec = bits + 332
+            assert abs(pi.value - reference.pi) <= pi.error_bound
+            assert pi.units() <= 1.1
 
     def test_precision_validation(self):
         with pytest.raises(DomainError):

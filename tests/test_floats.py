@@ -11,7 +11,7 @@ from mpmath.libmp import from_int, from_rational, mpf_abs, mpf_add, mpf_mul, mpf
 
 from hlcbs import floats, hyper
 from hlcbs.exact import DomainError
-from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, _Run, ball, context, rational, rational_root, tail_bounded_sum
+from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, _Run, context, rational, rational_root, tail_bounded_sum
 from hlcbs.hyper import NoConvergence, PFQParams, pfq_eval
 
 
@@ -336,11 +336,6 @@ class TestBallRule:
             root = rational_root(context(precision), num, den, v)
             assert holds_root(root, num, den, v)
             assert F(2) ** -(precision // 2 + 1) * exact(root.value) <= exact(root.error_bound) <= F(2) ** (1 - precision // 2) * exact(root.value)
-
-    def test_trust_rule_is_one_ulp(self):
-        ctx = context(64)
-        out = ball(ctx, ctx.mpf(3))
-        assert out.error_bound == 2 * ctx.ldexp(3, -ctx.prec)
 
     def test_dyadic_rationals_are_exact(self):
         # 3/1024 and 5 (1/2) are exact in binary: no rounding unit in either ball

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlcbs.exact import DomainError, PiExtValue, piext_to_float
+from hlcbs import hyper
+from hlcbs.exact import DomainError, PiExtValue
 from hlcbs.hyper import (
     LowerParamPole,
     NoConvergence,
@@ -22,6 +23,7 @@ from hlcbs.hyper import (
     incomplete_beta_exact,
     incomplete_beta_numeric,
     pfq_eval,
+    piext_to_float,
     pochhammer,
     rational_power,
     real_central_binomial,
@@ -296,7 +298,7 @@ class TestExactGammaRatio:
 
 
 class TestSplitAtFloor:
-    """a = floor(a) + a0: the integer part exact, only a0 in [0, 1) in mpmath."""
+    """a = floor(a) + a0: the integer part exact, only a0 in [0, 1) in the seed's sum."""
 
     @pytest.mark.parametrize("a", [F(0), F(1, 2), F(7, 3), F(-5, 4), F(-140, 3), F(1000, 3), F(100001, 7)])
     def test_shift_is_the_gamma_quotient(self, a, ctx):
@@ -324,12 +326,48 @@ class TestSplitAtFloor:
             assert abs(seed.value / exact.value - 1) <= 2 * ulp
             assert abs(seed.value - exact.value) <= seed.error_bound + exact.error_bound
 
-    @pytest.mark.parametrize("a", [F(1), F(3, 2), F(40), F(81, 2), F(5, 4), F(-140, 3)])
-    def test_seed_contains_the_gamma_quotient(self, a, ctx):
-        seed = central_binomial_reciprocal_seed(context(128), a)
-        x = ctx.mpf(a.numerator) / a.denominator
-        assert abs(seed.value - ctx.gamma(x + 1) ** 2 / ctx.gamma(2 * x + 1)) <= seed.error_bound
-        assert seed.error_bound <= abs(seed.value) * mpmath.mpf(2) ** -150
+    @pytest.mark.parametrize("a", [F(1), F(3, 2), F(40), F(81, 2), F(5, 4), F(-140, 3), F(1, 1000), F(999, 1000)])
+    def test_seed_contains_the_gamma_quotient(self, a):
+        _, num, den = gamma_ratio_shift(a)
+        for precision in (32, 128, 2048):
+            seed = central_binomial_reciprocal_seed(context(precision), a)
+            ref = mpmath.mp.clone()
+            ref.prec = precision + 332
+            x = ref.mpf(a.numerator) / a.denominator
+            assert abs(seed.value - ref.gamma(x + 1) ** 2 / ref.gamma(2 * x + 1)) <= seed.error_bound
+            # g(a0) within 1.1 units, and one unit more for each rounding of
+            # the shift: the product by num and the quotient by den
+            assert seed.units() <= (1.1 if num == den == 1 else 3.1)
+
+    @staticmethod
+    def _reflection_holds(x, precision):
+        """Gamma's reflection formula as balls: g(x) g(-x) = pi x cot(pi x),
+        exact in the PiExtValue basis at x = 1/4, 1/3 and 1/6."""
+        work = context(precision)
+        rhs = {F(1, 4): PiExtValue(c_pi=F(1, 4)), F(1, 3): PiExtValue(c_sqrt3pi=F(1, 9)), F(1, 6): PiExtValue(c_sqrt3pi=F(1, 6))}[x]
+        lhs = central_binomial_reciprocal_seed(work, x) * central_binomial_reciprocal_seed(work, -x)
+        exact = piext_to_float(rhs, precision)
+        return abs(lhs.value - exact.value) <= lhs.error_bound + exact.error_bound
+
+    @pytest.mark.parametrize("precision", [128, 512, 2048])
+    @pytest.mark.parametrize("x", [F(1, 4), F(1, 3), F(1, 6)])
+    def test_seed_reflection(self, x, precision):
+        # covers a0 = x and 1 - x: 1/4, 3/4, 1/3, 2/3, 1/6 and 5/6
+        assert self._reflection_holds(x, precision)
+
+    @pytest.mark.parametrize("precision", [128, 512, 2048])
+    def test_seed_reflection_sees_a_seed_fault(self, monkeypatch, precision):
+        # a relative fault of 2^-60 in g(1/3), which every closed-vs-oracle
+        # check of verify cancels, breaks the reflection formula
+        seed = hyper._beta_seed
+
+        def faulty(a0, precision_bits):
+            g = seed(a0, precision_bits)
+            return g * (1 + F(1, 2**60)) if a0 == F(1, 3) else g
+
+        monkeypatch.setattr(hyper, "_beta_seed", faulty)
+        assert not self._reflection_holds(F(1, 3), precision)
+        assert self._reflection_holds(F(1, 4), precision)
 
     @pytest.mark.parametrize(
         "q,e",

@@ -1,10 +1,11 @@
-"""No mpmath power, root, logarithm or exponential stands under a radius.
+"""No mpmath special function stands under a radius.
 
 Every kit context made while an entry point runs has its ``power``,
-``sqrt``, ``nthroot``, ``ln``, ``log`` and ``exp`` replaced by a raise; only
-gamma and pi, the trust rule's last two functions, stay.  Each entry point
-must still return a ball that holds the certifier's reference, computed
-beforehand in a context of its own.
+``sqrt``, ``nthroot``, ``ln``, ``log``, ``exp``, ``gamma`` and ``pi``
+replaced by a raise: every root is proved, and the off-lattice seed and pi
+are the kernel's own sums.  Each entry point must still return a ball that
+holds the certifier's reference, computed beforehand in a context of its
+own.  The cases start from a cold seed and pi: their caches are emptied too.
 """
 
 from fractions import Fraction as F
@@ -13,12 +14,12 @@ import mpmath
 import pytest
 
 from hlcbs import closedform, hyper, series
-from hlcbs.exact import piext_to_float
+from hlcbs.hyper import piext_to_float
 from hlcbs.floats import context
 from hlcbs.verify import run_check
 from test_certify import _ctx, _mp, assert_certified, ref_phi
 
-REFUSED = ("power", "sqrt", "nthroot", "ln", "log", "exp")
+REFUSED = ("power", "sqrt", "nthroot", "ln", "log", "exp", "gamma", "pi")
 A, Z, P = F(1, 3), F(2, 5), 128
 
 
@@ -32,8 +33,13 @@ def _refuse(name):
 @pytest.fixture
 def untrusted(monkeypatch):
     """Run a call with every kit context refusing :data:`REFUSED`; the
-    context cache is emptied before and after, so no context escapes."""
+    context, seed and pi caches are emptied before and after, so no cached
+    value hides a call and no context escapes."""
     clone = mpmath.mp.clone
+
+    def clear():
+        for cached in (context, hyper._beta_seed, hyper._pi):
+            cached.cache_clear()
 
     def refusing_clone():
         ctx = clone()
@@ -42,13 +48,13 @@ def untrusted(monkeypatch):
         return ctx
 
     def run(call):
-        context.cache_clear()
+        clear()
         with monkeypatch.context() as patch:
             patch.setattr(mpmath.mp, "clone", refusing_clone)
             try:
                 return call()
             finally:
-                context.cache_clear()
+                clear()
 
     return run
 
