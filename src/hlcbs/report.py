@@ -69,7 +69,14 @@ class Tally:
         if not ok:
             self.exact_failures += 1
 
-    def numeric(self, dev, tol):
+    def agree(self, lhs, rhs):
+        """Record |lhs - rhs| of two BigFloats against twice their summed bounds.
+
+        This is the one tolerance rule for every numeric comparison: both
+        sides are balls whose honest bounds make it self-calibrating, and
+        hold the deviation to at most half the tolerance.
+        """
+        dev, tol = abs(lhs.value - rhs.value), 2 * (lhs.error_bound + rhs.error_bound)
         self.comparisons += 1
         if self.max_dev is None or dev > self.max_dev:
             self.max_dev = dev
@@ -77,14 +84,6 @@ class Tally:
             self.max_tol = tol
         if not dev <= tol:
             self.numeric_failures += 1
-
-    def agree(self, lhs, rhs):
-        """Record |lhs - rhs| of two BigFloats against twice their summed bounds.
-
-        This is the one tolerance rule for comparing a closed form with the
-        series oracle: honest bounds make every such comparison self-calibrating.
-        """
-        self.numeric(abs(lhs.value - rhs.value), 2 * (lhs.error_bound + rhs.error_bound))
 
     @property
     def passed(self) -> bool:

@@ -60,13 +60,11 @@ class SeriesQuery:
         object.__setattr__(self, "z", z)
 
 
-def _phi_factors(ctx, s, a, z, n_start=0):
-    """Yield (f_n, cap_n) for the terms T_n, n >= n_start, of the definition.
+def _phi_factors(ctx, s, a, z):
+    """Yield (f_n, cap_n) for the terms T_n, n >= 0, of the definition.
 
-    A caller that knows every term before n_start is 0 (a half-integer
-    a <= 0, whose reciprocal binomial sits on gamma poles) starts there.
-    The first factor is the term at nu = a + n_start, (2z)^(2 nu) g(nu) nu^-s,
-    a ball from hyper's powers and seed.  Each later factor is the
+    The first factor is the term at nu = a, (2z)^(2a) g(a) a^-s, a ball
+    from hyper's powers and seed.  Each later factor is the
     definition's term ratio T_{n+1}/T_n = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s at
     nu = a + n, with r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) exact: r at
     integer s, else the ball of (r^v (nu/(nu+1))^u)^(1/v) for the fractional
@@ -79,16 +77,15 @@ def _phi_factors(ctx, s, a, z, n_start=0):
     exactly at s < 0: the power at the integer part k of -s, and
     Bernoulli's (1 + 1/nu)^f <= 1 + f/nu at the fractional part f.
     """
-    nu = a + n_start
-    factor = rational_power(ctx, 2 * z, 2 * nu) * central_binomial_reciprocal_seed(ctx, nu) * rational_power(ctx, nu, -s)
+    factor = rational_power(ctx, 2 * z, 2 * a) * central_binomial_reciprocal_seed(ctx, a) * rational_power(ctx, a, -s)
     two_z_sq, d = 2 * z * z, a.denominator
     whole, frac = divmod(s, 1)
     k, f = divmod(-s, 1)
-    for n in itertools.count(n_start):
+    for n in itertools.count():
         p = a.numerator + n * d  # nu = p/d: each ratio and cap is one Fraction of integer products
         top, bottom = two_z_sq.numerator * (p + d), two_z_sq.denominator * (2 * p + d)
         cap = None
-        if p > 0 and n > n_start:
+        if p > 0 and n:
             cap = Fraction(top, bottom) if s >= 0 else Fraction(top * (p + d) ** k * (p * f.denominator + f.numerator * d), bottom * p ** (k + 1) * f.denominator)
         yield factor, cap
         # r = num/den, the powers of nu/(nu+1) on the side their sign puts them

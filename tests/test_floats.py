@@ -424,11 +424,7 @@ class TestSplitKernel:
     ball holds its exact sum in Fractions.  The tail test runs on each block's
     last term, so a sum stops at the first block end that passes it: never
     before a per-term loop would, and past it when a block runs on beyond
-    the first passing term.  This class once asked for the per-term stop
-    itself, which the kernel met by folding a passing block again up to a
-    float estimate of its first passing term; at a power-of-two ratio that
-    estimate could not resolve the tie that the exact test meets, so those
-    streams stopped late all the same, and the second fold went."""
+    the first passing term."""
 
     @BALLS
     @given(

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from hlcbs import series
 from hlcbs.exact import DomainError
 from hlcbs.floats import BigFloat, context
 from hlcbs.report import Tally
@@ -19,7 +20,7 @@ from hlcbs.series import (
     phi_terms,
     zeta_hcb_numeric,
 )
-from hlcbs.verify import VerifyConfig, _euler_operator_point, run_check
+from hlcbs.verify import _DIFF_POINTS, VerifyConfig, _euler_operator_point, run_check
 
 # frozen 40-digit values, computed from the arcsine closed form and from
 # 200+ term direct summation (both independent of phi_numeric's code path)
@@ -220,13 +221,13 @@ class TestOracleFactors:
 class TestBuiltInChecks:
     """half_shift and diff_relation, which live in the verify registry."""
 
-    @pytest.mark.parametrize("s,m,z", [(1, 1, F(2, 5)), (0, 2, F(1, 4)), (2, 3, F(1, 2))])
-    def test_half_integer_shift(self, s, m, z):
+    def test_half_integer_shift(self):
         report = run_check("half_shift")
         assert report.passed
-        # per point, the m exact zero terms and one numeric comparison
-        assert report.comparisons == 9
-        assert f"(s={s}, m={m}, z={z})" in report.parameter_grid
+        # the m exact zero terms at each of m = 1, 2, 3
+        assert report.comparisons == 6
+        assert report.max_abs_deviation == report.tolerance == "exact"
+        assert "m in [1, 2, 3]" in report.parameter_grid
 
     def test_euler_operator_lattice(self):
         tally = Tally()
@@ -248,6 +249,33 @@ class TestBuiltInChecks:
         _euler_operator_point(tally, 1, F(5, 4), F(1, 4), 128)
         assert tally.passed
         assert tally.comparisons == 21
+
+    def test_euler_operator_points_meet_the_bound_premise(self):
+        # the truncation bound holds for a >= 1 alone: every nu = a + n >= 1
+        assert all(a >= 1 for _, a, _ in _DIFF_POINTS)
+
+    @pytest.mark.parametrize("precision", [128, 512])
+    @pytest.mark.parametrize("point", _DIFF_POINTS, ids=lambda p: f"s={p[0]},a={p[1]},z={p[2]}")
+    def test_euler_operator_sees_a_fault_near_two_thirds_precision(self, monkeypatch, precision, point):
+        # the lowered side Phi(s-1, a, z) scaled by 1 + 2^-e fails the finite
+        # difference at e = floor(2P/3) - 8 and passes it at floor(2P/3) + 8
+        s, a, z = point
+        phi = series.phi_numeric
+
+        def passes(e):
+            def faulty(query):
+                value = phi(query)
+                return value * (1 + F(1, 2**e)) if query.s == s - 1 else value
+
+            tally = Tally()
+            with monkeypatch.context() as patch:
+                patch.setattr(series, "phi_numeric", faulty)
+                _euler_operator_point(tally, s, a, z, precision)
+            return tally.passed
+
+        edge = 2 * precision // 3
+        assert not passes(edge - 8)
+        assert passes(edge + 8)
 
     def test_diff_relation_check(self):
         # 4 finite differences plus 20 exact term-ratio comparisons at each of the 4 points

@@ -97,6 +97,11 @@ def test_lehmer1_needs_no_trusted_power_or_root(untrusted):
     assert untrusted(lambda: run_check("lehmer1")).passed
 
 
+def test_diff_relation_needs_no_trusted_power_or_root(untrusted):
+    # its truncation bound is one more oracle sum, under the ball rule
+    assert untrusted(lambda: run_check("diff_relation")).passed
+
+
 def test_refused_functions_do_raise(untrusted):
     # the guard is live: a kit context made under it refuses each function
     for name in REFUSED:

@@ -112,35 +112,11 @@ with open(os.path.join(os.path.dirname(__file__), "data", "verify_parity.json"))
 
 
 class TestParity:
-    """Reports at 128 bits against ``data/verify_parity.json``, recorded
-    before every closed-form comparison went through :meth:`Tally.agree`;
-    ``diff_relation`` has since moved to a precision-dependent step, and the
-    tolerances (and lehmer1/lehmer2's deviations) were re-recorded when every
-    bound became a ball, and the tolerances again when the kernel took exact
-    term ratios.  The comparison counts of ``diff_relation`` (67 -> 84) and
-    ``half_shift`` (3 -> 9) were re-recorded when the one came to check the
-    oracle's own term ratios at all four points and the other the m zero
-    terms of the shifted series.  ``thm31``'s and ``zenka``'s tolerance and
-    deviation were re-recorded when the ladder formula came to be written
-    once, with its 2F1 summed 32 bits deep and 1^e exact; both tolerances
-    went down.  ``lehmer1``'s tolerance (5.233993e-41 -> 5.233992e-41) was
-    re-recorded when the kernel came to round its bounds up, as the ball
-    rule does, in place of a 1 + 2^-24 slack.  Every tolerance but
-    ``diff_relation``'s went down again, and lehmer2's, zetatokushu's and
-    shift's deviations moved in the 7th digit, when the kernel came to sum
-    runs of rational factors by binary splitting: a block of terms is one
-    summand, rounded once, with the same stop.  ``prop1_pos``'s and
-    ``thm31``'s deviations and tolerances went down, by a third and by a
-    half, and lehmer2's, prop1_neg's, zenka's, shift's and examples'
-    tolerances in the 7th digit, when a sum came to stop at the first block
-    end that passes the tail test, a term past the per-term stop in some
-    sums, and an exact sum or a quotient by a power of two came to add no
-    rounding unit.  When every fractional power and square root came to be
-    one proven root, lehmer1's tolerance (5.233793e-41 -> 5.233792e-41) and
-    deviation (2.582012e-41 -> 2.582013e-41), lehmer2's deviation
-    (9.578837e-40 -> 9.578835e-40), thm31's deviation (7.886741e-42 ->
-    7.886740e-42) and zetatokushu's tolerance (3.198445e-40 -> 3.198444e-40)
-    were re-recorded; no tolerance went up."""
+    """Each report at 128 bits equals its record in
+    ``data/verify_parity.json``, ``elapsed_ms`` aside.  ``diff_relation``'s
+    tolerance may only go down from its record, with its verdict, count and
+    grid unchanged.  A change that moves a record re-records it, and
+    CHANGES.md lists every re-record with its old and new values."""
 
     @pytest.fixture(scope="class")
     def reports(self):
