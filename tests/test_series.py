@@ -11,6 +11,7 @@ import pytest
 from hlcbs import series
 from hlcbs.exact import DomainError
 from hlcbs.floats import BigFloat, context
+from hlcbs.hyper import gamma_ratio_shift
 from hlcbs.report import Tally
 from hlcbs.series import (
     BudgetExceeded,
@@ -221,13 +222,21 @@ class TestOracleFactors:
 class TestBuiltInChecks:
     """half_shift and diff_relation, which live in the verify registry."""
 
-    def test_half_integer_shift(self):
+    @pytest.mark.parametrize("s,m,z", [(1, 1, F(2, 5)), (0, 2, F(1, 4)), (2, 3, F(1, 2))])
+    def test_half_integer_shift(self, s, m, z):
         report = run_check("half_shift")
         assert report.passed
         # the m exact zero terms at each of m = 1, 2, 3
         assert report.comparisons == 6
         assert report.max_abs_deviation == report.tolerance == "exact"
         assert "m in [1, 2, 3]" in report.parameter_grid
+        # at this point exactly the first m shifts vanish: term m is the a = 1/2 term 0
+        a = F(1, 2) - m
+        assert [gamma_ratio_shift(a + n)[1] == 0 for n in range(m + 1)] == [True] * m + [False]
+        assert gamma_ratio_shift(a + m) == gamma_ratio_shift(F(1, 2))
+        # which is why the oracle refuses this a at any (s, z)
+        with pytest.raises(DomainError):
+            phi_numeric(SeriesQuery(s=s, a=a, z=z))
 
     def test_euler_operator_lattice(self):
         tally = Tally()
