@@ -22,19 +22,26 @@ summed by :func:`tail_bounded_sum`.
 stop target from the context's precision, decides when to stop, states the
 error bound, and raises the one budget error, :class:`BudgetExceeded`.  It
 takes the series as its factors, t_0 = f_0 and t_n = t_{n-1} f_n, each an
-exact int, a Fraction or a ball, with an exact rational cap on the later
-ratios.  It sums each run of rational factors f_{i+1..j} = p_l/q_l as one
-block, by binary splitting in integers with no gcd: P/Q = prod f_l and
-T/Q = sum_m prod_{l<=m} f_l, merged as P1 P2, Q1 Q2, T1 Q2 + P1 T2.  A block
-ends where its denominators reach the working precision in bits, where a
-ball or a zero factor arrives, at the term budget, or at the stop index
-predicted from the last cap; a ball factor is a block of one.  Each block
-is folded into the sum by one exact product and one rounded division for
-each of two values: t_i T/Q becomes one summand, and t_i P/Q the next
-running term, so each fold adds one unit when it rounds, and a power-of-two
-Q divides exactly.  The exact tail test then runs on the block's last term,
+exact ratio as an int pair (p, q), q != 0, or a ball, with an exact cap on
+the later ratios, an int pair too.  A stream hands over its integer
+products unreduced; the kernel brings each exact factor to lowest terms once
+(:func:`_lowest`: the sign to the denominator, then one gcd), as a Fraction
+would, so its leaves, its block cuts on denominator bits and every stop are
+those of the reduced ratios, and it reduces a cap only at a block end, where
+it reads one.  It sums each run of rational factors f_{i+1..j} = p_l/q_l as
+one block, by binary splitting in integers with no further gcd:
+P/Q = prod f_l and T/Q = sum_m prod_{l<=m} f_l, merged as P1 P2, Q1 Q2,
+T1 Q2 + P1 T2.  A block ends where its denominators reach the working
+precision in bits, where a ball or a zero factor arrives, at the term
+budget, or at the stop index predicted from the last cap; a ball factor is
+a block of one.  Each block is folded into the sum by one exact product and
+one rounded division for each of two values: t_i T/Q becomes one summand,
+and t_i P/Q the next running term, so each fold adds one unit when it
+rounds, and a power-of-two Q divides exactly.  The exact tail test then runs on the block's last term,
 and the sum stops at the first block end that passes it, which may lie a
-few terms past the first term that would.  Its bounds are raw libmp values
+few terms past the first term that would.  A float screen skips that test
+where log2 of the tail bound's lower estimate exceeds the target by more
+than 1 bit, so no decision changes.  Its bounds are raw libmp values
 rounded up, as the ball rule's radii are (Arb's mag_t): the tail and the
 rounding radius at 30 bits, and sum|summand| at the working precision,
 with no slack factor.  The series oracle and the pFq evaluator only supply
@@ -164,12 +171,25 @@ def _rounded(ctx, mid, spread, rounds) -> "BigFloat":
     return BigFloat(ctx.make_mpf(mid), ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_add, spread, _unit(ctx, mid)) if rounds else spread))
 
 
+def _lowest(pair):
+    """An exact ratio ``(p, q)``, q != 0, in lowest terms with q > 0, as a
+    Fraction keeps it: the sign to the denominator, then one gcd.  None
+    stays None."""
+    if pair is None:
+        return None
+    p, q = pair
+    g = math.gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
 def _split(leaves, lo: int, hi: int):
-    """(P, Q, T) of the factors p_l/q_l, ``leaves[l] = (p_l, q_l, cap_l)``, lo <= l < hi, by
+    """(P, Q, T) of the factors p_l/q_l, ``leaves[l] = (p_l, q_l)``, lo <= l < hi, by
     binary splitting: P/Q = prod f_l and T/Q = sum_m prod_{l<=m} f_l, as
     integers with no gcd."""
     if hi - lo == 1:
-        p, q, _ = leaves[lo]
+        p, q = leaves[lo]
         return p, q, p
     mid = (lo + hi) // 2
     p1, q1, t1 = _split(leaves, lo, mid)
@@ -228,12 +248,19 @@ class _Run(NamedTuple):
         return _Run(ctx, term, units, self.terms + count, self.adds + 1, exact and raw[3] <= ctx.prec, mpf_pos(raw, ctx.prec, "n"), abs_sum)
 
     def tail(self, cap, stop: int):
-        """The tail test on the running term t_j: with rho = cap < 1, the
-        bound |t_j| rho/(1-rho) when it is <= 2^-stop max(|sum|, 1), else None."""
-        if cap is None or cap.numerator >= cap.denominator:
+        """The tail test on the running term t_j: with rho = num/den < 1, the
+        cap in lowest terms, the bound |t_j| rho/(1-rho) when it is
+        <= 2^-stop max(|sum|, 1), else None.  A float screen skips the exact
+        test where log2 |t_j| rho/(1-rho) exceeds log2 of that limit by more
+        than 1: the bound is at least that product, so such a test fails."""
+        if cap is None or cap[0] >= cap[1]:
             return None
-        bound = _up(mpf_mul, mpf_abs(self.term), from_rational(cap.numerator, cap.denominator - cap.numerator, 30, "u"))
-        if mpf_le(mpf_shift(bound, stop), fone) or mpf_le(mpf_shift(bound, stop), mpf_abs(self.total)):
+        num, den = cap
+        total = self.total
+        if num and _log2(self.term) + math.log2(num) - math.log2(den - num) + stop - (max(_log2(total), 0) if total[1] else 0) > 1:
+            return None
+        bound = _up(mpf_mul, mpf_abs(self.term), from_rational(num, den - num, 30, "u"))
+        if mpf_le(mpf_shift(bound, stop), fone) or mpf_le(mpf_shift(bound, stop), mpf_abs(total)):
             return bound
         return None
 
@@ -242,10 +269,11 @@ class _Run(NamedTuple):
         term shrank by rho = cap and the sum grew by the whole tail: the
         least k >= 1 with
         |t_j| rho^k rho/(1-rho) <= 2^-stop max(|sum| + |t_j| rho/(1-rho), 1),
-        as a float estimate, or None when no cap in (0, 1) is known."""
-        if cap is None or not 0 < cap < 1:
+        as a float estimate, or None when no cap in (0, 1) is known; the cap
+        is in lowest terms, so the estimate is a Fraction's."""
+        if cap is None or not 0 < cap[0] < cap[1]:
             return None
-        num, den = cap.numerator, cap.denominator
+        num, den = cap
         # -log2 rho, with no cancellation as rho -> 1
         shrink = math.log2(den) - math.log2(num) if 2 * num < den else -math.log1p(-((den - num) / den)) / math.log(2)
         if not shrink:
@@ -264,13 +292,14 @@ class _Run(NamedTuple):
         return BigFloat(ctx.make_mpf(self.total), ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_add, tail, spread)))
 
 
-def _block(run, leaves, stop: int):
-    """Fold the rational factors ``leaves``, (p, q, cap) triples, into
-    ``run`` as one block and test the tail on its last term: (run, tail or None)."""
+def _block(run, leaves, cap, stop: int):
+    """Fold the rational factors ``leaves``, (p, q) pairs in lowest terms,
+    into ``run`` as one block and test the tail on its last term with its
+    ``cap``: (run, tail or None)."""
     p, q, t = _split(leaves, 0, len(leaves))
     top = from_int(p)
     run = run.fold(top, q, top if t == p else from_int(t), 0, len(leaves))
-    return run, run.tail(leaves[-1][2], stop)
+    return run, run.tail(cap, stop)
 
 
 def tail_bounded_sum(ctx, factors, max_terms: int):
@@ -278,12 +307,17 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     the context's target.
 
     ``factors`` yields pairs ``(f_n, cap_n)`` with t_0 = f_0 and
-    t_n = t_{n-1} f_n.  f_n is an int or a Fraction (exact) or a
-    :class:`BigFloat` ball at ``ctx``'s precision, its radius in
-    :meth:`BigFloat.units`; cap_n is an exact rational with |f_m| <= cap_n
-    for every m > n, or None while no cap is known.  The target is
-    2^-(P+8), P = ``ctx.prec - GUARD_BITS`` the requested precision.  The
-    sum stops after the first folded t_n with
+    t_n = t_{n-1} f_n.  f_n is an exact ratio p/q as an int pair ``(p, q)``,
+    q != 0 and either sign, or a :class:`BigFloat` ball at ``ctx``'s
+    precision, its radius in :meth:`BigFloat.units`; cap_n is an exact
+    rational as an int pair likewise, with |f_m| <= cap_n for every m > n,
+    or None while no cap is known.  Neither need be in lowest terms: the
+    kernel reduces each exact factor once as it reads it, the sign to the
+    denominator and then one gcd (:func:`_lowest`), and a cap only at a
+    block end, where the tail test and the stop prediction read it, so a
+    stream of ``(k p, k q)`` sums bit for bit as one of ``(p, q)``.  The
+    target is 2^-(P+8), P = ``ctx.prec - GUARD_BITS`` the requested
+    precision.  The sum stops after the first folded t_n with
     |t_n| rho/(1-rho) <= target * max(|sum|, 1), rho = cap_n < 1.  A stream
     that runs out, or reaches a zero factor, means the series terminated:
     its tail is 0, and nothing past the zero factor is read.
@@ -302,7 +336,11 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     and the sum stops at the first block end that passes it: never before
     a per-term loop would, and past it when the block runs on beyond the
     first passing term, which the prediction and the cut at ``prec`` bits
-    keep to a short block.
+    keep to a short block.  Before the exact test, a float screen
+    (:meth:`_Run.tail`) skips it where log2 |t_n| + log2 num - log2(den - num)
+    + stop - max(log2 |sum|, 0) > 1: the exact bound is at least
+    |t_n| num/(den - num), so a screened term could never pass, and the
+    decisions are those of the exact test alone.
 
     The summands are added at the working precision, exactly while every
     summand and partial sum fits, and sum|summand| beside it, rounded up.
@@ -325,14 +363,14 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     when c >= 1: the factors' radii swamp the sum.
     """
     stop = ctx.prec - GUARD_BITS + 8  # the target is 2^-stop
-    run, tail, last = _Run(ctx), None, None  # last: the cap of the last folded term
-    leaves, bits = [], 0
+    run, tail, last = _Run(ctx), None, None  # last: the cap of the last folded term, in lowest terms
+    leaves, bits, held = [], 0, None  # held: the cap of the last leaf, as the stream gave it
     for n, (factor, cap) in enumerate(factors):
         is_ball = isinstance(factor, BigFloat)
-        if not (factor.value if is_ball else factor):
+        if not (factor.value if is_ball else factor[0]):
             break  # a zero factor: the series terminated
         if is_ball and leaves:  # the run of rational factors ends before this one
-            run, tail = _block(run, leaves, stop)
+            run, tail = _block(run, leaves, _lowest(held), stop)
             leaves, bits = [], 0
             if tail is not None:
                 break
@@ -340,23 +378,25 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
             raise BudgetExceeded(f"error bound not met within {max_terms} terms")
         if is_ball:
             value, units = _midpoint(ctx, factor)
-            run = run.fold(value, 1, value, units, 1)
-            tail = run.tail(cap, stop)
+            run, last = run.fold(value, 1, value, units, 1), _lowest(cap)
+            tail = run.tail(last, stop)
         else:
             if not leaves:  # a block starts after t_{n-1}: predict where the stop falls
                 steps = run.steps(last, stop)
                 end = max_terms - 1 if steps is None else min(max_terms - 1, n - 1 + steps)
-            leaves.append((factor.numerator, factor.denominator, cap))
-            bits += factor.denominator.bit_length()
+            p, q = _lowest(factor)
+            leaves.append((p, q))
+            bits += q.bit_length()
+            held = cap
             if bits < ctx.prec and n < end:
                 continue
-            run, tail = _block(run, leaves, stop)
+            last = _lowest(cap)
+            run, tail = _block(run, leaves, last, stop)
             leaves, bits = [], 0
         if tail is not None:
             break
-        last = cap
     if leaves:  # the stream ran out, or reached a zero factor
-        run, tail = _block(run, leaves, stop)
+        run, tail = _block(run, leaves, _lowest(held), stop)
     return run.ball(fzero if tail is None else tail), run.terms
 
 

@@ -137,25 +137,35 @@ def _pfq_factors(params: PFQParams):
     n_safe = 1 + max(
         [0] + [math.ceil(-u) for u, _ in pairs if u < 0] + [math.ceil(-l) for _, l in pairs if l < 0]
     )
-    rising = [(u, l) for u, l in pairs if u > l]
-    # u + n = (num + n den)/den: each factor and cap is one Fraction of
-    # integer products, the parameters' denominators in fixed scales
-    z = params.z
-    top_scale = z.numerator * math.prod(l.denominator for l in params.lower)
-    bottom_scale = z.denominator * math.prod(u.denominator for u in params.upper)
-    cap_top_scale = abs(z.numerator) * math.prod(l.denominator for _, l in rising)
-    cap_bottom_scale = z.denominator * math.prod(u.denominator for u, _ in rising)
-    factor = 1
+    # u + n = (num + n den)/den: each factor and cap is a pair of integer
+    # products, the parameters' denominators in fixed scales; every Fraction
+    # is read here, once, so the loop works in ints
+    z, rising = params.z, [(u, l) for u, l in pairs if u > l]
+    uppers, lowers = _ints(params.upper), _ints(params.lower)
+    rising_uppers, rising_lowers = _ints(u for u, _ in rising), _ints(l for _, l in rising)
+    top_scale = z.numerator * math.prod(den for _, den in lowers)
+    bottom_scale = z.denominator * math.prod(den for _, den in uppers)
+    cap_top_scale = abs(z.numerator) * math.prod(den for _, den in rising_lowers)
+    cap_bottom_scale = z.denominator * math.prod(den for _, den in rising_uppers)
+    factor = 1, 1
     for n in itertools.count():
         # past n_safe each (u+m)/(l+m) is positive and monotone with limit 1
         # for m >= n, so it is capped by max(value, 1): above 1 only if u > l
         cap = None
         if n >= n_safe:
-            cap_top = cap_top_scale * math.prod(u.numerator + n * u.denominator for u, _ in rising)
-            cap = Fraction(cap_top, cap_bottom_scale * math.prod(l.numerator + n * l.denominator for _, l in rising))
+            cap = cap_top_scale * _shifted(rising_uppers, n), cap_bottom_scale * _shifted(rising_lowers, n)
         yield factor, cap
-        top = top_scale * math.prod(u.numerator + n * u.denominator for u in params.upper)
-        factor = Fraction(top, bottom_scale * (n + 1) * math.prod(l.numerator + n * l.denominator for l in params.lower))
+        factor = top_scale * _shifted(uppers, n), bottom_scale * (n + 1) * _shifted(lowers, n)
+
+
+def _ints(params):
+    """Each parameter x as its (numerator, denominator)."""
+    return [(x.numerator, x.denominator) for x in params]
+
+
+def _shifted(ints, n: int) -> int:
+    """prod (num + n den) over ``ints``: the numerators of prod (x + n)."""
+    return math.prod(num + n * den for num, den in ints)
 
 
 def pfq_eval(params: PFQParams, precision_bits: int = 128) -> BigFloat:

@@ -10,14 +10,14 @@ The series is handed to the one summation kernel,
 :func:`hlcbs.floats.tail_bounded_sum`, as its factors, built from this
 definition and never from a closed form: the first term as a ball, then the
 exact term ratio (2z)^2 r(nu+1)/r(nu) (nu/(nu+1))^s, r(nu) = 1/C(2nu, nu),
-which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s: a Fraction at integer s, and
-one proven root of an exact rational (:func:`~hlcbs.floats.rational_root`)
-at any other s, an integer square root at half-integer s.  The ratio tends
-to z^2, which yields a provable
-geometric tail bound from an exact rational cap.  The kernel keeps the
-running product and every rounding count, owns the stop target and the
-budget error (:class:`~hlcbs.floats.BudgetExceeded`), stops on the bound
-and states it.
+which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s: at integer s an exact int
+pair (p, q) of integer products, left for the kernel to reduce, and one
+proven root of an exact rational (:func:`~hlcbs.floats.rational_root`) at
+any other s, an integer square root at half-integer s.  The ratio tends
+to z^2, which yields a provable geometric tail bound from an exact cap, an
+int pair too.  The kernel keeps the running product and every rounding
+count, owns the stop target and the budget error
+(:class:`~hlcbs.floats.BudgetExceeded`), stops on the bound and states it.
 Where the series is defined is :func:`hlcbs.hyper.check_domain`'s call
 alone.  This module only sums; the checks on the series live in
 :mod:`hlcbs.verify`.
@@ -67,35 +67,39 @@ def _phi_factors(ctx, s, a, z):
     from hyper's powers and seed.  Each later factor is the
     definition's term ratio T_{n+1}/T_n = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s at
     nu = a + n, with r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) exact: r at
-    integer s, else the ball of (r^v (nu/(nu+1))^u)^(1/v) for the fractional
-    part u/v of s, one :func:`~hlcbs.floats.rational_root` of an exact
-    rational, as r >= 0 there (a > 0).  The integers grow with v: r^v has v
-    times r's bits.
+    integer s, as the int pair (num, den) of its products, unreduced and of
+    either sign (a may be negative there), else the ball of
+    (r^v (nu/(nu+1))^u)^(1/v) for the fractional part u/v of s, one
+    :func:`~hlcbs.floats.rational_root` of an exact rational, as r >= 0
+    there (a > 0).  The integers grow with v: r^v has v times r's bits.
     For nu > 0 past the first term, both parts decrease in nu, so every
     later ratio is capped by
     2z^2 (nu+1)/(2nu+1) max(1, ((nu+1)/nu)^-s), its second part bounded
     exactly at s < 0: the power at the integer part k of -s, and
-    Bernoulli's (1 + 1/nu)^f <= 1 + f/nu at the fractional part f.
+    Bernoulli's (1 + 1/nu)^f <= 1 + f/nu at the fractional part f.  Each cap
+    is an unreduced int pair of nonnegative products.
     """
     factor = rational_power(ctx, 2 * z, 2 * a) * central_binomial_reciprocal_seed(ctx, a) * rational_power(ctx, a, -s)
+    # every Fraction is read here, once: the loop works in ints
     two_z_sq, d = 2 * z * z, a.denominator
+    two_z_num, two_z_den = two_z_sq.numerator, two_z_sq.denominator
     whole, frac = divmod(s, 1)
     k, f = divmod(-s, 1)
+    u, v, f_num, f_den, power = frac.numerator, frac.denominator, f.numerator, f.denominator, abs(whole)
     for n in itertools.count():
-        p = a.numerator + n * d  # nu = p/d: each ratio and cap is one Fraction of integer products
-        top, bottom = two_z_sq.numerator * (p + d), two_z_sq.denominator * (2 * p + d)
+        p = a.numerator + n * d  # nu = p/d: each ratio and cap is a pair of integer products
+        top, bottom = two_z_num * (p + d), two_z_den * (2 * p + d)
         cap = None
         if p > 0 and n:
-            cap = Fraction(top, bottom) if s >= 0 else Fraction(top * (p + d) ** k * (p * f.denominator + f.numerator * d), bottom * p ** (k + 1) * f.denominator)
+            cap = (top, bottom) if whole >= 0 else (top * (p + d) ** k * (p * f_den + f_num * d), bottom * p ** (k + 1) * f_den)
         yield factor, cap
         # r = num/den, the powers of nu/(nu+1) on the side their sign puts them
         rise, fall = (p, p + d) if whole >= 0 else (p + d, p)
-        num, den = top * rise ** abs(whole), bottom * fall ** abs(whole)
-        if frac:  # r (nu/(nu+1))^(u/v) = (r^v (nu/(nu+1))^u)^(1/v), as r >= 0
-            u, v = frac.numerator, frac.denominator
+        num, den = top * rise**power, bottom * fall**power
+        if u:  # r (nu/(nu+1))^(u/v) = (r^v (nu/(nu+1))^u)^(1/v), as r >= 0
             factor = rational_root(ctx, num**v * p**u, den**v * (p + d) ** u, v)
         else:
-            factor = Fraction(num, den)
+            factor = num, den
 
 
 def phi_numeric(query: SeriesQuery) -> BigFloat:
@@ -108,7 +112,7 @@ def phi_terms(query: SeriesQuery, count: int):
     """First ``count`` series terms as mpf values (diagnostic/monotonicity
     aid): the factors multiplied by the ball rule, up to the first zero term."""
     ctx = context(query.precision_bits)
-    factors = (factor for factor, _ in _phi_factors(ctx, query.s, query.a, query.z))
+    factors = (factor if isinstance(factor, BigFloat) else Fraction(*factor) for factor, _ in _phi_factors(ctx, query.s, query.a, query.z))
     terms = itertools.accumulate(factors, lambda term, factor: factor * term)
     return [term.value for term in itertools.islice(itertools.takewhile(lambda term: term.value, terms), count)]
 

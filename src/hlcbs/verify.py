@@ -154,7 +154,7 @@ def _euler_operator_point(tally, s: int, a: Fraction, z: Fraction, precision_bit
     (1/2) z (f(z+h) - f(z-h))/(2h), widened by
     W = (2z h^2/3) Phi(s-3,a,z+h)/(z-h)^3, one oracle sum at P bits, holds
     Phi(s-1,a,z), and :meth:`Tally.agree` judges the two.  Exactly on the
-    oracle's own term ratios f_n = T_n/T_{n-1}, Fractions at integer s:
+    oracle's own term ratios f_n = T_n/T_{n-1}, int pairs at integer s:
     applying (1/2) z d/dz to the n-th summand multiplies it by nu_n = a+n,
     which is precisely the s -> s-1 term, so f_n(s-1) (a+n-1) = f_n(s) (a+n)
     for n = 1..20.
@@ -172,7 +172,7 @@ def _euler_operator_point(tally, s: int, a: Fraction, z: Fraction, precision_bit
 
     ratios = zip(series._phi_factors(ctx, s, a, z), series._phi_factors(ctx, s - 1, a, z))
     for n, ((f_s, _), (f_lowered, _)) in itertools.islice(enumerate(ratios), 1, 21):
-        tally.exact(f_lowered * (a + n - 1) == f_s * (a + n))
+        tally.exact(Fraction(*f_lowered) * (a + n - 1) == Fraction(*f_s) * (a + n))
 
 
 def _check_thm31(cfg):

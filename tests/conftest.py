@@ -31,3 +31,9 @@ def brute_force_zeta(ctx, s, a: Fraction, terms: int = 200):
         recip = ctx.gamma(nu + 1) ** 2 / ctx.gamma(2 * nu + 1)
         total += recip / nu**s
     return total
+
+
+def is_pair(x) -> bool:
+    """x is an exact ratio as the summation kernel takes it: a pair of ints
+    (p, q) with q != 0."""
+    return type(x) is tuple and len(x) == 2 and all(type(i) is int for i in x) and x[1] != 0

@@ -15,11 +15,24 @@ from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, _Run, context, ra
 from hlcbs.hyper import NoConvergence, PFQParams, pfq_eval
 
 
+def as_pairs(factors, scale=1, cap_scale=1):
+    """The stream ``factors`` of (f_n, cap_n) as the kernel takes it: each
+    rational f_n, an int or a Fraction p/q in lowest terms, as the int pair
+    (scale p, scale q), and each cap likewise with ``cap_scale``; a ball and
+    a missing cap pass through."""
+    for factor, cap in factors:
+        if not isinstance(factor, BigFloat):
+            factor = F(factor)
+            factor = scale * factor.numerator, scale * factor.denominator
+        if cap is not None:
+            cap = F(cap)
+            cap = cap_scale * cap.numerator, cap_scale * cap.denominator
+        yield factor, cap
+
+
 def geometric(ratio):
     """(f_n, cap_n) of sum ratio^n: t_0 = 1, every later factor the ratio, an exact cap."""
-    yield 1, ratio
-    while True:
-        yield ratio, ratio
+    return as_pairs(itertools.chain([(1, ratio)], itertools.repeat((ratio, ratio))))
 
 
 def exact(x) -> F:
@@ -59,7 +72,7 @@ class TestTailBoundedSum:
         ctx = context(64)
         # terms 1/3, 2/3 and 1: each rounded factor and each rounded product adds a unit
         factors = [(F(1, 3), None), (2, None), (F(3, 2), None)]
-        out, used = tail_bounded_sum(ctx, iter(factors), 10)
+        out, used = tail_bounded_sum(ctx, as_pairs(factors), 10)
         assert used == 3
         assert 0 < out.error_bound < ctx.ldexp(1, -ctx.prec + 4)
         assert contains(out, F(2))
@@ -73,21 +86,21 @@ class TestTailBoundedSum:
     def test_rounded_additions_are_in_the_bound(self):
         # exact terms 1 and 2^100, but their sum needs 101 bits, more than 64
         ctx = context(32)
-        out, _ = tail_bounded_sum(ctx, iter([(1, None), (2**100, None)]), 10)
+        out, _ = tail_bounded_sum(ctx, as_pairs([(1, None), (2**100, None)]), 10)
         assert out.value == 2**100 and out.error_bound > 0
         assert contains(out, 2**100 + 1)
 
     def test_all_int_series_is_exact(self):
         # terms 1, 2, 6, 24: every product and partial sum fits, so the bound stays 0
-        out, used = tail_bounded_sum(context(64), iter([(1, None), (2, None), (3, None), (4, None)]), 10)
+        out, used = tail_bounded_sum(context(64), as_pairs([(1, None), (2, None), (3, None), (4, None)]), 10)
         assert (out.value, out.error_bound, used) == (33, 0, 4)
 
     def test_zero_term_ends_the_series(self):
         # an upper parameter reaching 0: nothing after the zero factor is read
-        factors = iter([(5, None), (F(2, 3), None), (0, None), (7, None)])
+        factors = as_pairs([(5, None), (F(2, 3), None), (0, None), (7, None)])
         out, used = tail_bounded_sum(context(64), factors, 10)
         assert used == 2 and contains(out, F(5) + F(10, 3))
-        assert next(factors) == (7, None)
+        assert next(factors) == ((7, 1), None)
 
     def test_empty_iterator(self):
         ctx = context(64)
@@ -110,12 +123,12 @@ class TestTailBoundedSum:
         mid = to_mid(ctx, F(1, 3) * (1 + F(1, 2**70)))
         edge = BigFloat(mid, precision, to_mid(ctx, (exact(mid) - F(1, 3)) * (1 + F(1, 2**40))))
         assert exact(edge.value) - exact(edge.error_bound) <= F(1, 3)
-        out, _ = tail_bounded_sum(ctx, itertools.chain([(1, F(1, 2))], itertools.repeat((edge, F(1, 2)))), 1000)
+        out, _ = tail_bounded_sum(ctx, as_pairs(itertools.chain([(1, F(1, 2))], itertools.repeat((edge, F(1, 2))))), 1000)
         assert contains(out, F(3, 2))
 
     def test_no_cap_never_stops_early(self):
         ctx = context(64)
-        factors = itertools.chain([(1, None)], itertools.repeat((F(1, 2), None), 49))
+        factors = as_pairs(itertools.chain([(1, None)], itertools.repeat((F(1, 2), None), 49)))
         out, used = tail_bounded_sum(ctx, factors, 100)
         assert used == 50
         assert out.value == 2 - ctx.ldexp(1, -49)
@@ -149,7 +162,7 @@ class TestTailBoundedSum:
         # target once 1024^-n falls below 2^-98, with no slack pushing rho to 1
         ctx = context(64)
         cap = 1 - F(1, 2**26)
-        out, used = tail_bounded_sum(ctx, itertools.chain([(1, cap)], itertools.repeat((F(1, 1024), cap))), 1000)
+        out, used = tail_bounded_sum(ctx, as_pairs(itertools.chain([(1, cap)], itertools.repeat((F(1, 1024), cap)))), 1000)
         assert used <= 20
         assert contains(out, F(1024, 1023))
 
@@ -170,14 +183,14 @@ class TestTailBoundedSum:
         # a few 30-bit roundings; a sum|t| rounded up at 30 bits would gain an
         # ulp, 2^-29 of it, at every term
         ctx = context(64)
-        out, used = tail_bounded_sum(ctx, itertools.chain([(F(1, 3), None)], itertools.repeat((F(1, 2), None), 499)), 1000)
+        out, used = tail_bounded_sum(ctx, as_pairs(itertools.chain([(F(1, 3), None)], itertools.repeat((F(1, 2), None), 499))), 1000)
         assert used == 500 and contains(out, F(2, 3) * (1 - F(1, 2**500)))
         assert exact(out.error_bound) <= 999 * F(1, 2**ctx.prec) * F(2, 3) * (1 + F(1, 2**24))
 
     def test_radii_swamping_the_sum_raise(self):
         ctx = context(64)
         with pytest.raises(NoConvergence):
-            tail_bounded_sum(ctx, iter([(BigFloat(ctx.mpf(1), 64, ctx.mpf(2)), None)]), 10)
+            tail_bounded_sum(ctx, as_pairs([(BigFloat(ctx.mpf(1), 64, ctx.mpf(2)), None)]), 10)
 
     def test_pfq_budget_raises_no_convergence(self, monkeypatch):
         monkeypatch.setattr(hyper, "_MAX_PFQ_TERMS", 5)
@@ -361,20 +374,25 @@ class TestBallRule:
             rational(ctx, 1) / BigFloat(ctx.mpf(1), 64, ctx.mpf(2))
 
 
-def stream(ctx, head, ratio, read):
-    """(f_n, cap_n): the ``head`` entries (value, is_ball), a ball entry as
+def stream(ctx, head, ratio, read, scale=1, cap_scale=1):
+    """(f_n, cap_n) as :func:`as_pairs` gives them, with its ``scale`` and
+    ``cap_scale``: the ``head`` entries (value, is_ball), a ball entry as
     :func:`rational`'s ball, then ``ratio`` forever.  cap_n is the largest
     |f_m| after n, so every cap holds.  Appends to ``read`` per factor read."""
     caps, cap = [], abs(ratio)
     for value, _ in reversed(head):
         caps.append(cap)
         cap = max(cap, abs(value))
-    for (value, is_ball), cap in zip(head, reversed(caps)):
-        read.append(value)
-        yield (rational(ctx, value) if is_ball else value), cap
-    while True:
-        read.append(ratio)
-        yield ratio, abs(ratio)
+
+    def fractions():
+        for (value, is_ball), cap in zip(head, reversed(caps)):
+            read.append(value)
+            yield (rational(ctx, value) if is_ball else value), cap
+        while True:
+            read.append(ratio)
+            yield ratio, abs(ratio)
+
+    return as_pairs(fractions(), scale, cap_scale)
 
 
 def exact_sum(head, ratio) -> F:
@@ -396,7 +414,8 @@ def per_term_used(ctx, factors) -> int:
     2^-stop max(|sum|, 1), or every term before a zero term or the end."""
     stop, total, term, used = ctx.prec - GUARD_BITS + 8, ctx.mpf(0), rational(ctx, 1), 0
     for factor, cap in factors:
-        term = factor * term
+        cap = cap and F(*cap)
+        term = (factor if isinstance(factor, BigFloat) else F(*factor)) * term
         if not term.value:
             break
         used += 1
@@ -453,6 +472,34 @@ class TestSplitKernel:
         if zero is not None and zero <= len(head):
             assert len(read) <= zero + 1  # nothing past the zero factor is read
 
+    @BALLS
+    @given(
+        head=HEAD,
+        ratio=st.fractions(F(-1, 2), F(1, 2), max_denominator=1000),
+        precision=st.sampled_from([32, 64, 128, 2048]),
+        scale=st.integers(1, 2**70),
+        sign=st.sampled_from([1, -1]),
+        cap_scale=st.integers(1, 2**70),
+        max_terms=st.sampled_from([1, 5, 40, 10**6]),
+    )
+    @example(head=[(F(-1, 3), False), (F(2, 5), False)], ratio=F(1, 4), precision=32, scale=6, sign=-1, cap_scale=10, max_terms=10**6)
+    # (-1, -4): a block's Q is a power of two only once its sign is moved
+    @example(head=[], ratio=F(1, 4), precision=64, scale=1, sign=-1, cap_scale=1, max_terms=10**6)
+    def test_scaled_pairs_sum_bit_for_bit(self, head, ratio, precision, scale, sign, cap_scale, max_terms):
+        # the kernel brings each factor to lowest terms with q > 0 as a
+        # Fraction keeps it, and each cap where it reads it, so (k p, k q),
+        # (-p, -q) and scaled caps give the same ball, terms and errors
+        ctx = context(precision)
+
+        def summed(scale, cap_scale):
+            try:
+                out, used = tail_bounded_sum(ctx, stream(ctx, head, ratio, [], scale, cap_scale), max_terms)
+            except BudgetExceeded:
+                return "BudgetExceeded"
+            return out.value._mpf_, out.error_bound._mpf_, used
+
+        assert summed(sign * scale, cap_scale) == summed(1, 1)
+
     @pytest.mark.parametrize("precision", [32, 64, 128])
     @pytest.mark.parametrize("head", [1, 3, F(1, 3)])
     @pytest.mark.parametrize("ratio", [F(1, 3), F(1, 7)] + [F(1, 2**k) for k in range(4, 11)])
@@ -462,7 +509,7 @@ class TestSplitKernel:
         ctx = context(precision)
 
         def factors():
-            return itertools.chain([(head, ratio)], itertools.repeat((ratio, ratio)))
+            return as_pairs(itertools.chain([(head, ratio)], itertools.repeat((ratio, ratio))))
 
         p = per_term_used(ctx, factors())
         assert tail_bounded_sum(ctx, factors(), p)[1] == p

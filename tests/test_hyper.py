@@ -30,6 +30,8 @@ from hlcbs.hyper import (
 )
 from hlcbs.floats import context
 
+from conftest import is_pair
+
 
 def beta_quadrature_oracle(ctx, z, alpha, beta):
     """Independent oracle: quadrature of the defining integral.
@@ -132,11 +134,12 @@ class TestPFQFactors:
                 t /= pochhammer(l, n)
             return t
 
-        factors, caps = zip(*itertools.islice(_pfq_factors(PFQParams(upper, lower, z)), 40))
+        pairs, caps = zip(*itertools.islice(_pfq_factors(PFQParams(upper, lower, z)), 40))
+        assert all(is_pair(f) for f in pairs) and all(cap is None or is_pair(cap) for cap in caps)
+        factors, caps = [F(*f) for f in pairs], [cap and F(*cap) for cap in caps]
         assert factors[0] == 1
         for n in itertools.takewhile(lambda n: term(n), range(39)):
-            assert type(factors[n + 1]) in (int, F) and factors[n + 1] == term(n + 1) / term(n)
-        assert all(cap is None or type(cap) is F for cap in caps)
+            assert factors[n + 1] == term(n + 1) / term(n)
         live = list(itertools.takewhile(lambda f: f, factors))  # up to the zero factor, if any
         assert all(cap is None or all(abs(f) <= cap for f in live[n + 1 :]) for n, cap in enumerate(caps))
 

@@ -23,6 +23,8 @@ from hlcbs.series import (
 )
 from hlcbs.verify import _DIFF_POINTS, VerifyConfig, _euler_operator_point, run_check
 
+from conftest import is_pair
+
 # frozen 40-digit values, computed from the arcsine closed form and from
 # 200+ term direct summation (both independent of phi_numeric's code path)
 ZETA_GOLDEN = {
@@ -152,7 +154,10 @@ class TestPhiNumeric:
 
 
 def _caps_hold(factors, caps):
-    """Each cap bounds every later factor of the window."""
+    """Each cap bounds every later factor of the window; a factor or cap
+    given as an int pair is compared as its Fraction."""
+    factors = [F(*f) if type(f) is tuple else f for f in factors]
+    caps = [F(*cap) if type(cap) is tuple else cap for cap in caps]
     return all(cap is None or all(abs(f) <= cap for f in factors[n + 1 :]) for n, cap in enumerate(caps))
 
 
@@ -171,8 +176,8 @@ class TestOracleFactors:
         lead = ctx.mpf(term(0).numerator) / term(0).denominator
         assert isinstance(first[0], BigFloat) and abs(first[0].value - lead) <= first[0].error_bound
         for n, (factor, cap) in enumerate(rest):  # factor n + 1 is T_{n+1}/T_n
-            assert type(factor) in (int, F) and factor == term(n + 1) / term(n)
-            assert cap is None or type(cap) in (int, F)
+            assert is_pair(factor) and F(*factor) == term(n + 1) / term(n)
+            assert cap is None or is_pair(cap)
         assert _caps_hold([f for f, _ in rest], [cap for _, cap in rest])
 
     @pytest.mark.parametrize("s", [F(-5, 2), F(-1, 3), F(3, 2), F(7, 3)])
@@ -189,9 +194,9 @@ class TestOracleFactors:
         _, *rest = itertools.islice(_phi_factors(context(128), s, a, z), 31)
         for n, (factor, cap) in enumerate(rest):
             assert abs(factor.value - ratio(a + n)) <= factor.error_bound
-            assert cap is None or type(cap) is F
+            assert cap is None or is_pair(cap)
         # the caps, Bernoulli's at s < 0, bound the exact ratios
-        assert _caps_hold([ratio(a + n) for n in range(30)], [cap and mp(cap) for _, cap in rest])
+        assert _caps_hold([ratio(a + n) for n in range(30)], [cap and mp(F(*cap)) for _, cap in rest])
 
     @pytest.mark.parametrize("s", [F(-5, 2), F(1, 2), F(5, 2)])
     @pytest.mark.parametrize("precision", [32, 2048])
@@ -216,7 +221,7 @@ class TestOracleFactors:
     def test_caps_are_tight_at_integer_s(self):
         # at s < 0 the cap is the next ratio itself, not a rounded-up power
         factors = list(itertools.islice(_phi_factors(context(128), F(-3), F(2), F(1, 2)), 10))
-        assert all(cap == factors[n + 1][0] for n, (_, cap) in enumerate(factors[:-1]) if cap is not None)
+        assert all(F(*cap) == F(*factors[n + 1][0]) for n, (_, cap) in enumerate(factors[:-1]) if cap is not None)
 
 
 class TestBuiltInChecks:

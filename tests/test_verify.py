@@ -113,10 +113,9 @@ with open(os.path.join(os.path.dirname(__file__), "data", "verify_parity.json"))
 
 class TestParity:
     """Each report at 128 bits equals its record in
-    ``data/verify_parity.json``, ``elapsed_ms`` aside.  ``diff_relation``'s
-    tolerance may only go down from its record, with its verdict, count and
-    grid unchanged.  A change that moves a record re-records it, and
-    CHANGES.md lists every re-record with its old and new values."""
+    ``data/verify_parity.json``, ``elapsed_ms`` aside.  A change that moves
+    a record re-records it, and CHANGES.md lists every re-record with its
+    old and new values."""
 
     @pytest.fixture(scope="class")
     def reports(self):
@@ -125,18 +124,11 @@ class TestParity:
     def test_every_check_recorded(self, reports):
         assert sorted(reports) == sorted(STORED) == sorted(check_ids())
 
-    @pytest.mark.parametrize("check_id", [c for c in check_ids() if c != "diff_relation"])
+    @pytest.mark.parametrize("check_id", check_ids())
     def test_report_unchanged(self, reports, check_id):
         got = dict(reports[check_id])
         del got["elapsed_ms"]
         assert got == STORED[check_id]
-
-    def test_diff_relation_tightened(self, reports):
-        got, stored = reports["diff_relation"], STORED["diff_relation"]
-        assert got["passed"]
-        assert got["comparisons"] == stored["comparisons"]
-        assert got["parameter_grid"] == stored["parameter_grid"]
-        assert float(got["tolerance"]) < float(stored["tolerance"])
 
 
 class TestSummary:
