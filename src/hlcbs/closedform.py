@@ -13,7 +13,10 @@ rationals, rounded once where the value is a ball.  Every gamma ratio and
 power in a comes from :mod:`hlcbs.hyper`, which splits a = floor(a) + a0
 and sums the seed at a0 in [0, 1) as an incomplete beta; every power and
 the root 1/sqrt(1-z^2) are proven roots of exact rationals
-(:func:`~hlcbs.floats.rational_root`).
+(:func:`~hlcbs.floats.rational_root`).  The ladder's k-free balls, the
+prefactor and F/sqrt(1-z^2), are memoised per (a, z, precision)
+(:func:`_ladder_balls`), as :mod:`hlcbs.hyper` memoises the seed per
+(a0, precision), so every k at one point shares one 2F1.
 
 Each numeric closed form is one expression in :class:`~hlcbs.floats.BigFloat`
 balls and exact rationals, so its error bound follows from the ball rule, the
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import DomainError, PiExtValue, as_fraction
 from .floats import BigFloat, context, rational_root
@@ -111,14 +115,15 @@ def _ladder(k: int, a: Fraction, x: Fraction, p, q, prefactor, f_over_root):
     return prefactor * (weight * (2 * a - 1) * p + f_over_root * (weight * q))
 
 
-def _numeric_ladder(k: int, a: Fraction, z: Fraction, p, q, precision_bits: int) -> BigFloat:
-    """:func:`_ladder` in balls at z: the prefactor from :mod:`hlcbs.hyper`, and
-    F from the pFq evaluator, 32 bits deeper than the result, times the
-    proven root of 1/(1-x)."""
+@lru_cache(maxsize=256)
+def _ladder_balls(a: Fraction, z: Fraction, precision_bits: int):
+    """The k-free balls of :func:`_ladder` at z, once per (a, z, precision):
+    the prefactor from :mod:`hlcbs.hyper`, and F from the pFq evaluator,
+    32 bits deeper than the result, times the proven root of 1/(1-x)."""
     ctx = context(precision_bits)
     x = z * z
     f = pfq_eval(PFQParams((_HALF, a - _HALF), (a + _HALF,), x), precision_bits + 32)
-    return _ladder(k, a, x, p, q, _prefactor(ctx, a, z), f * rational_root(ctx, x.denominator, x.denominator - x.numerator, 2))
+    return _prefactor(ctx, a, z), f * rational_root(ctx, x.denominator, x.denominator - x.numerator, 2)
 
 
 def phi_neg_closed(k: int, a, z, precision_bits: int = 128) -> BigFloat:
@@ -131,7 +136,7 @@ def phi_neg_closed(k: int, a, z, precision_bits: int = 128) -> BigFloat:
         raise DomainError(f"phi_neg_closed needs k >= 0, got {k}")
     a, z = check_domain(a, z)
     x = z * z
-    return _numeric_ladder(k, a, z, p_a_ladder(k - 1, a)(x), q_poly(k - 1)(x), precision_bits)
+    return _ladder(k, a, x, p_a_ladder(k - 1, a)(x), q_poly(k - 1)(x), *_ladder_balls(a, z, precision_bits))
 
 
 def euler_transform_defect(n: int, a) -> Fraction:
@@ -221,4 +226,4 @@ def zeta_structured(k: int, a, precision_bits: int = 128):
         raise DomainError(f"zeta_structured needs k >= 0, got {k}")
     a, _ = check_domain(a)
     record = ZetaStructured(*_ladders_at_quarter(k, a))
-    return record, _numeric_ladder(k, a, _HALF, record.rational_part, record.q_part, precision_bits)
+    return record, _ladder(k, a, _QUARTER, record.rational_part, record.q_part, *_ladder_balls(a, _HALF, precision_bits))

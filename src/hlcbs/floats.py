@@ -184,13 +184,24 @@ def _lowest(pair):
     return p // g, q // g
 
 
+_FOLD = 6  # the most leaves :func:`_split` folds in a loop
+
+
 def _split(leaves, lo: int, hi: int):
     """(P, Q, T) of the factors p_l/q_l, ``leaves[l] = (p_l, q_l)``, lo <= l < hi, by
     binary splitting: P/Q = prod f_l and T/Q = sum_m prod_{l<=m} f_l, as
-    integers with no gcd."""
-    if hi - lo == 1:
+    integers with no gcd.  A range of at most :data:`_FOLD` leaves is folded
+    from the left, one leaf at a time, by the same merge; above that the
+    merges stay balanced, as a left fold over a long block would multiply
+    ever longer integers.  P and Q are the products of the p_l and q_l, and
+    T is Q times the sum, so every order of merges gives the same three
+    integers."""
+    if hi - lo <= _FOLD:
         p, q = leaves[lo]
-        return p, q, p
+        t = p
+        for p2, q2 in leaves[lo + 1 : hi]:
+            p, q, t = p * p2, q * q2, t * q2 + p * p2
+        return p, q, t
     mid = (lo + hi) // 2
     p1, q1, t1 = _split(leaves, lo, mid)
     p2, q2, t2 = _split(leaves, mid, hi)

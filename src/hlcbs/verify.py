@@ -14,6 +14,14 @@ is a ball too, widened by a proved bound on its truncation error, so
 :meth:`Tally.agree` is the one rule; rational-arithmetic checks have no
 tolerance at all.  Random rational sweeps draw from a seeded generator whose
 seed is recorded in the report.
+
+The checks' grids overlap, so every plain oracle value goes through
+:func:`_oracle`, which sums each distinct (s, a, z, precision) once and
+hands a repeated query the same ball: a pass at one precision sums 137
+series.  ``diff_relation`` calls the oracle itself, as its sums at P + 64
+bits and z +- h are never repeated.  The memo is bounded, and emptying it
+(the benchmark does, at the start of each pass) leaves every report as a
+fresh process gives it.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import closedform, polyfam, series
 from .exact import PiExtValue
@@ -52,12 +61,22 @@ def _random_rationals(rng, count, lattice_free=True):
     return out
 
 
+_HALF = Fraction(1, 2)
+
+
+@lru_cache(maxsize=512)
+def _oracle(s, a, z, precision_bits: int):
+    """The series oracle's ball of Phi(s, a, z), once per query: ``zenka``
+    covers ``prop1_neg``'s grid, and ``shift`` and ``examples`` re-read
+    ``zetatokushu``'s z = 1/2 values."""
+    return series.phi_numeric(series.SeriesQuery(s, a, z, precision_bits))
+
+
 def _asin_and_cos(z: Fraction, precision_bits: int):
     """(arcsin z, cos(arcsin z) = sqrt(1 - z^2)) as balls; arcsin z is
     z 2F1(1/2, 1/2; 3/2; z^2), summed by the kernel 16 bits past the precision
     as the closed forms sum theirs."""
-    half = Fraction(1, 2)
-    arcsin = z * pfq_eval(PFQParams((half, half), (3 * half,), z * z), precision_bits + 16)
+    arcsin = z * pfq_eval(PFQParams((_HALF, _HALF), (3 * _HALF,), z * z), precision_bits + 16)
     return arcsin, rational_root(context(precision_bits), z.denominator**2 - z.numerator**2, z.denominator**2, 2)
 
 
@@ -71,7 +90,7 @@ def _check_lehmer1(cfg):
     tally = Tally()
     for z in zs:
         arcsin, root = _asin_and_cos(z, cfg.precision_bits)
-        tally.agree(series.phi_numeric(series.SeriesQuery(1, Fraction(1), z, cfg.precision_bits)), 2 * z * arcsin / root)
+        tally.agree(_oracle(1, Fraction(1), z, cfg.precision_bits), 2 * z * arcsin / root)
     return f"z in {{{', '.join(str(z) for z in zs)}}}", tally
 
 
@@ -86,7 +105,7 @@ def _check_lehmer2(cfg):
         arcsin, root = _asin_and_cos(z, cfg.precision_bits)
         for k in ks:
             # the weighted series is exactly 2^(k-1) Phi(1-k, 1, z)
-            phi = series.phi_numeric(series.SeriesQuery(1 - k, Fraction(1), z, cfg.precision_bits))
+            phi = _oracle(1 - k, Fraction(1), z, cfg.precision_bits)
             rhs = z / (1 - x) ** k / root * (z * root * polyfam.p_poly(k - 1)(x) + arcsin * polyfam.q_poly(k - 1)(x))
             tally.agree(phi * Fraction(2) ** (k - 1), rhs)
     # zeta_CB(1-k) = (2/3)^k ( p_{k-1}(1/4)/2 + q_{k-1}(1/4) * pi/(3 sqrt3) ), exactly;
@@ -108,7 +127,7 @@ def _closed_vs_series(cfg, closed, s_of_k, grid):
         for a in az:
             for z in zs:
                 lhs = closed(k, a, z, cfg.precision_bits)
-                rhs = series.phi_numeric(series.SeriesQuery(s_of_k(k), a, z, cfg.precision_bits))
+                rhs = _oracle(s_of_k(k), a, z, cfg.precision_bits)
                 tally.agree(lhs, rhs)
     return f"k in {ks}, a in {{{', '.join(str(a) for a in az)}}}, z in {{{', '.join(str(z) for z in zs)}}}", tally
 
@@ -183,7 +202,7 @@ def _check_thm31(cfg):
     for a in az:
         for z in zs:
             lhs = closedform.phi_one_closed(a, z, cfg.precision_bits)
-            rhs = series.phi_numeric(series.SeriesQuery(1, a, z, cfg.precision_bits))
+            rhs = _oracle(1, a, z, cfg.precision_bits)
             tally.agree(lhs, rhs)
     rng = random.Random(cfg.seed)
     sweep_a = _random_rationals(rng, 10, lattice_free=True)
@@ -211,8 +230,8 @@ def _check_ode_phi1(cfg):
     ctx = context(cfg.precision_bits)
     for a in az:
         for z in zs:
-            phi0 = series.phi_numeric(series.SeriesQuery(0, a, z, cfg.precision_bits))
-            phi1 = series.phi_numeric(series.SeriesQuery(1, a, z, cfg.precision_bits))
+            phi0 = _oracle(0, a, z, cfg.precision_bits)
+            phi1 = _oracle(1, a, z, cfg.precision_bits)
             zf = rational(ctx, z)
             rhs = (2 * a - 1) / a * rational_power(ctx, 2 * z, 2 * a) * central_binomial_reciprocal_seed(ctx, a)
             tally.agree((1 - zf * zf) * 2 * phi0 - phi1, rhs)
@@ -292,11 +311,11 @@ def _check_zetatokushu(cfg):
     lattice = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3), Fraction(7, 2), Fraction(4)]
     for k in ks:
         for a in lattice:
-            num = series.zeta_hcb_numeric(1 - k, a, cfg.precision_bits)
+            num = _oracle(1 - k, a, _HALF, cfg.precision_bits)
             tally.agree(piext_to_float(closedform.zeta_exact(k, a), cfg.precision_bits), num)
     for k in [0, 1, 2]:
         for a in [Fraction(5, 4), Fraction(7, 4)]:
-            num = series.zeta_hcb_numeric(1 - k, a, cfg.precision_bits)
+            num = _oracle(1 - k, a, _HALF, cfg.precision_bits)
             tally.agree(closedform.zeta_structured(k, a, cfg.precision_bits)[1], num)
     return f"exact: k in {ks} x lattice a <= 4; structured: k <= 2, a in {{5/4, 7/4}}", tally
 
@@ -313,8 +332,8 @@ def _check_shift(cfg):
             tally.exact(lhs == rhs)
     for a in [Fraction(1), Fraction(3, 2), Fraction(2)]:
         for s in [-2, -1, 0, 1]:
-            big = series.zeta_hcb_numeric(s, a, cfg.precision_bits)
-            small = series.zeta_hcb_numeric(s, a + 1, cfg.precision_bits)
+            big = _oracle(s, a, _HALF, cfg.precision_bits)
+            small = _oracle(s, a + 1, _HALF, cfg.precision_bits)
             tally.agree(small, big - central_binomial_reciprocal_seed(ctx, a) * a**-s)
     return "exact: integer a in {1,2,3}, k <= 5; numeric: a in {1, 3/2, 2}, s in -2..1", tally
 
@@ -348,7 +367,7 @@ def _check_examples(cfg):
     tally = Tally()
     for k, a, value in expected:
         tally.exact(closedform.zeta_exact(k, a) == value)
-        tally.agree(piext_to_float(value, cfg.precision_bits), series.zeta_hcb_numeric(1 - k, a, cfg.precision_bits))
+        tally.agree(piext_to_float(value, cfg.precision_bits), _oracle(1 - k, a, _HALF, cfg.precision_bits))
     return "zeta(1,1), zeta(-3,2), zeta(1,3/2), zeta(-2,7/2)", tally
 
 

@@ -1,9 +1,32 @@
 """Shared helpers for the test suite."""
 
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
+
+from hlcbs import closedform, verify
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    """Each test starts with the verify oracle's and the ladder's memos
+    empty, so no monkeypatched fault and no refused mpmath call is answered
+    by a ball that an earlier test left there."""
+    verify._oracle.cache_clear()
+    closedform._ladder_balls.cache_clear()
+
+
+def empty_kit_caches():
+    """Empty every functools cache held by a kit module, as a fresh process
+    starts: the contexts, the seed, pi, the polynomial families and the
+    memos above."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "hlcbs" or name.startswith("hlcbs.")):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 @pytest.fixture(scope="session")

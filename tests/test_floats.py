@@ -1,6 +1,7 @@
 """Balls, the summation kernel, the shared contexts and certified output."""
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -499,6 +500,18 @@ class TestSplitKernel:
             return out.value._mpf_, out.error_bound._mpf_, used
 
         assert summed(sign * scale, cap_scale) == summed(1, 1)
+
+    @given(leaves=st.lists(st.tuples(st.integers(-2**80, 2**80), st.integers(1, 2**80)), min_size=1, max_size=40))
+    # a block of _FOLD leaves is folded, one more is split
+    @example(leaves=[(l, l + 1) for l in range(1, floats._FOLD + 1)])
+    @example(leaves=[(-l, 2 * l + 1) for l in range(1, floats._FOLD + 2)])
+    def test_split_gives_the_block_integers(self, leaves):
+        # P and Q are the products of the p_l and q_l, and T/Q the sum of the
+        # partial products, whatever the order of the merges
+        p, q, t = floats._split(leaves, 0, len(leaves))
+        partials = list(itertools.accumulate((F(p_l, q_l) for p_l, q_l in leaves), lambda x, y: x * y))
+        assert (p, q) == (math.prod(p_l for p_l, _ in leaves), math.prod(q_l for _, q_l in leaves))
+        assert F(t, q) == sum(partials)
 
     @pytest.mark.parametrize("precision", [32, 64, 128])
     @pytest.mark.parametrize("head", [1, 3, F(1, 3)])

@@ -21,7 +21,7 @@ from hlcbs.series import (
     phi_terms,
     zeta_hcb_numeric,
 )
-from hlcbs.verify import _DIFF_POINTS, VerifyConfig, _euler_operator_point, run_check
+from hlcbs.verify import _DIFF_POINTS, VerifyConfig, _euler_operator_point, run_all, run_check
 
 from conftest import is_pair
 
@@ -224,6 +224,28 @@ class TestOracleFactors:
         assert all(F(*cap) == F(*factors[n + 1][0]) for n, (_, cap) in enumerate(factors[:-1]) if cap is not None)
 
 
+def assert_fault_edge(monkeypatch, precision, point):
+    """The lowered side Phi(s-1, a, z) scaled by 1 + 2^-e fails the finite
+    difference at e = floor(2P/3) - 8 and passes it at floor(2P/3) + 8."""
+    s, a, z = point
+    phi = series.phi_numeric
+
+    def passes(e):
+        def faulty(query):
+            value = phi(query)
+            return value * (1 + F(1, 2**e)) if query.s == s - 1 else value
+
+        tally = Tally()
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "phi_numeric", faulty)
+            _euler_operator_point(tally, s, a, z, precision)
+        return tally.passed
+
+    edge = 2 * precision // 3
+    assert not passes(edge - 8)
+    assert passes(edge + 8)
+
+
 class TestBuiltInChecks:
     """half_shift and diff_relation, which live in the verify registry."""
 
@@ -271,25 +293,14 @@ class TestBuiltInChecks:
     @pytest.mark.parametrize("precision", [128, 512])
     @pytest.mark.parametrize("point", _DIFF_POINTS, ids=lambda p: f"s={p[0]},a={p[1]},z={p[2]}")
     def test_euler_operator_sees_a_fault_near_two_thirds_precision(self, monkeypatch, precision, point):
-        # the lowered side Phi(s-1, a, z) scaled by 1 + 2^-e fails the finite
-        # difference at e = floor(2P/3) - 8 and passes it at floor(2P/3) + 8
-        s, a, z = point
-        phi = series.phi_numeric
+        assert_fault_edge(monkeypatch, precision, point)
 
-        def passes(e):
-            def faulty(query):
-                value = phi(query)
-                return value * (1 + F(1, 2**e)) if query.s == s - 1 else value
-
-            tally = Tally()
-            with monkeypatch.context() as patch:
-                patch.setattr(series, "phi_numeric", faulty)
-                _euler_operator_point(tally, s, a, z, precision)
-            return tally.passed
-
-        edge = 2 * precision // 3
-        assert not passes(edge - 8)
-        assert passes(edge + 8)
+    def test_euler_operator_fault_edge_after_a_full_pass(self, monkeypatch):
+        # diff_relation sums its own points, past the verify oracle's memo,
+        # so a pass that fills the memo leaves the fault as visible
+        run_all(VerifyConfig(precision_bits=128))
+        for point in _DIFF_POINTS:
+            assert_fault_edge(monkeypatch, 128, point)
 
     def test_diff_relation_check(self):
         # 4 finite differences plus 20 exact term-ratio comparisons at each of the 4 points

@@ -5,7 +5,8 @@ Every kit context made while an entry point runs has its ``power``,
 replaced by a raise: every root is proved, and the off-lattice seed and pi
 are the kernel's own sums.  Each entry point must still return a ball that
 holds the certifier's reference, computed beforehand in a context of its
-own.  The cases start from a cold seed and pi: their caches are emptied too.
+own.  The cases start cold: every functools cache held by a kit module,
+the seed, pi and the verify and ladder memos among them, is emptied too.
 """
 
 from fractions import Fraction as F
@@ -17,6 +18,7 @@ from hlcbs import closedform, hyper, series
 from hlcbs.hyper import piext_to_float
 from hlcbs.floats import context
 from hlcbs.verify import run_check
+from conftest import empty_kit_caches
 from test_certify import _ctx, _mp, assert_certified, ref_phi
 
 REFUSED = ("power", "sqrt", "nthroot", "ln", "log", "exp", "gamma", "pi")
@@ -32,14 +34,10 @@ def _refuse(name):
 
 @pytest.fixture
 def untrusted(monkeypatch):
-    """Run a call with every kit context refusing :data:`REFUSED`; the
-    context, seed and pi caches are emptied before and after, so no cached
-    value hides a call and no context escapes."""
+    """Run a call with every kit context refusing :data:`REFUSED`; every kit
+    cache is emptied before and after, so no cached value hides a call and
+    no context escapes."""
     clone = mpmath.mp.clone
-
-    def clear():
-        for cached in (context, hyper._beta_seed, hyper._pi):
-            cached.cache_clear()
 
     def refusing_clone():
         ctx = clone()
@@ -48,13 +46,13 @@ def untrusted(monkeypatch):
         return ctx
 
     def run(call):
-        clear()
+        empty_kit_caches()
         with monkeypatch.context() as patch:
             patch.setattr(mpmath.mp, "clone", refusing_clone)
             try:
                 return call()
             finally:
-                clear()
+                empty_kit_caches()
 
     return run
 

@@ -1,14 +1,19 @@
 """Verification registry: determinism, aliases, failure reporting, parity."""
 
+import collections
+import dataclasses
 import json
 import os
 
 import mpmath
 import pytest
 
+from hlcbs import series
 from hlcbs.floats import BigFloat, context
 from hlcbs.report import CheckReport, Tally
 from hlcbs.verify import UnknownCheck, VerifyConfig, check_ids, run_all, run_check, summarize
+
+from conftest import empty_kit_caches
 
 
 def report_key(report: CheckReport):
@@ -80,6 +85,30 @@ class TestDeterminism:
     def test_seed_recorded_in_grid(self):
         report = run_check("alpha_rec", VerifyConfig(seed=424242))
         assert "424242" in report.parameter_grid
+
+
+class TestOracleMemo:
+    """A pass sums each distinct oracle query once, through ``verify._oracle``,
+    and a warm memo changes no report."""
+
+    def test_warm_pass_equals_each_check_alone(self):
+        config = VerifyConfig(precision_bits=128)
+        for report in run_all(config):
+            empty_kit_caches()
+            alone = run_check(report.check_id, config)
+            assert dataclasses.replace(alone, elapsed_seconds=0) == dataclasses.replace(report, elapsed_seconds=0)
+
+    def test_each_query_is_summed_once_per_pass(self, monkeypatch):
+        seen = collections.Counter()
+        phi = series.phi_numeric
+
+        def counting(query):
+            seen[query] += 1
+            return phi(query)
+
+        monkeypatch.setattr(series, "phi_numeric", counting)
+        run_all(VerifyConfig(precision_bits=128))
+        assert sum(seen.values()) == len(seen) == 137
 
 
 class TestTally:
