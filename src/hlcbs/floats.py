@@ -14,7 +14,8 @@ operands' radii can move the result and by the operation's own rounding,
 precision, or a quotient by a power of two).  No caller counts roundings by
 hand.  Every fractional power and square root is proved: :func:`rational_root`
 is the one root constructor, the ball of (num/den)^(1/v) from an integer
-square root at v = 2 and from a checked candidate above it.  Every other
+square root at v = 2 and from a checked candidate above it, and its proof
+(:func:`_root`) takes the precision directly.  Every other
 transcendental, the off-lattice gamma seed and pi among them, is a series
 summed by :func:`tail_bounded_sum`.
 
@@ -22,8 +23,9 @@ summed by :func:`tail_bounded_sum`.
 stop target from the context's precision, decides when to stop, states the
 error bound, and raises the one budget error, :class:`BudgetExceeded`.  It
 takes the series as its factors, t_0 = f_0 and t_n = t_{n-1} f_n, each an
-exact ratio as an int pair (p, q), q != 0, or a ball, with an exact cap on
-the later ratios, an int pair too.  A stream hands over its integer
+exact ratio as an int pair (p, q), q != 0, a ball, or a :class:`Root`, the
+exact p/q times (num/den)^(1/v), with an exact cap on the later ratios, an
+int pair too.  A stream hands over its integer
 products unreduced; the kernel brings each exact factor to lowest terms once
 (:func:`_lowest`: the sign to the denominator, then one gcd), as a Fraction
 would, so its leaves, its block cuts on denominator bits and every stop are
@@ -32,9 +34,9 @@ it reads one.  It sums each run of rational factors f_{i+1..j} = p_l/q_l as
 one block, by binary splitting in integers with no further gcd:
 P/Q = prod f_l and T/Q = sum_m prod_{l<=m} f_l, merged as P1 P2, Q1 Q2,
 T1 Q2 + P1 T2.  A block ends where its denominators reach the working
-precision in bits, where a ball or a zero factor arrives, at the term
-budget, or at the stop index predicted from the last cap; a ball factor is
-a block of one.  Each block is folded into the sum by one exact product and
+precision in bits, where a ball, a root or a zero factor arrives, at the
+term budget, or at the stop index predicted from the last cap; a ball or a
+root factor is a block of one.  Each block is folded into the sum by one exact product and
 one rounded division for each of two values: t_i T/Q becomes one summand,
 and t_i P/Q the next running term, so each fold adds one unit when it
 rounds, and a power-of-two Q divides exactly.  The exact tail test then runs on the block's last term,
@@ -44,10 +46,28 @@ where log2 of the tail bound's lower estimate exceeds the target by more
 than 1 bit, so no decision changes.  Its bounds are raw libmp values
 rounded up, as the ball rule's radii are (Arb's mag_t): the tail and the
 rounding radius at 30 bits, and sum|summand| at the working precision,
-with no slack factor.  The series oracle and the pFq evaluator only supply
-exact term ratios and caps; the oracle's ratios are the definition's, never
-a closed form's, and at non-integer s each is one :func:`rational_root`
-ball.
+with no slack factor.
+
+A root factor's root is proved by the kernel itself, at the precision p_n
+its term needs, not at the working precision prec: p_n = prec -
+floor(log2(max(|sum|, 1) / (|t_{n-1}| cap))) from the quantities the tail
+screen reads, taken from bit lengths and clamped to [64, prec], so the
+precision falls as the terms shrink below the sum (Brent and Zimmermann,
+Modern Computer Arithmetic, 2010; Johansson, Arb, 2017).  The running term
+is rounded at p_n too.  A fold at prec counts units as any other; a fold
+below it adds eps = (ceil(units) + 1) 2^-p_n instead to E, the sum of eps
+over the running term's folds below prec, kept exactly as an integer
+multiple of 2^-prec.  The
+radius gains (1 + g)(W + E tail)/(1 - E), g = c/(1-c) the factor above and
+W = sum |summand| E at each summand, at 30 bits: the folds below prec move
+a summand's ratio to its computed value by at most 1/prod(1 - eps) - 1
+<= E/(1 - E), and the cross term g (W + E tail) joins that to the folds at
+prec.  A sum with no root factor has E = 0 and the radius above bit for
+bit.  The schedule sets how tight a radius is, never whether it holds.
+
+The series oracle and the pFq evaluator only supply exact term ratios and
+caps; the oracle's ratios are the definition's, never a closed form's, and
+at non-integer s each is one :class:`Root`.
 """
 
 from __future__ import annotations
@@ -111,35 +131,61 @@ def rational(ctx, q) -> "BigFloat":
 
 def rational_root(ctx, num: int, den: int, v: int) -> "BigFloat":
     """The ball of r = q^(1/v), q = num/den, for ints num >= 0, den > 0 and
-    v >= 2, proved in integers and directed roundings: no result is trusted.
-
-    0 is exact.  Q = floor(num 2^K / den) puts q in [Q, Q+1) 2^-K.  At v = 2,
-    y = isqrt(Q) with K = 2k puts r in [y, y+1) 2^-k: the ball
-    (y + 1/2) 2^-k of radius 2^-(k+1), and K makes y at least prec bits, so
-    the radius is below 1 unit.  At v > 2, K makes Q at least w = prec + 8
-    bits.  The midpoint c is libmp's rounded root of Q 2^-K, a candidate never
-    trusted: the mean value theorem, c^v - q = v xi^(v-1) (c - r) with xi
-    between c and r, gives |c - r| <= |c^v - q| c / (v min(c^v, q)), and c^v
-    is bracketed by roundings down and up at w bits, so every rounding is on
-    the safe side.  For a candidate within 1 unit 2^-prec c of r, as a
-    rounded root is, |c^v - q| <= ((1 + 2^-prec)^v - 1) q and the brackets
-    add under 4 2^-w q, so the radius is below 1.1 units for v <= 1000.
-    """
+    v >= 2, proved in integers and directed roundings (:func:`_root`) at the
+    context's precision: no result is trusted.  0 is exact."""
     if not num:
         return rational(ctx, 0)
+    mid, radius = _root(num, den, v, ctx.prec)
+    return BigFloat(ctx.make_mpf(mid), ctx.prec - GUARD_BITS, ctx.make_mpf(radius))
+
+
+def _root(num: int, den: int, v: int, prec: int):
+    """(midpoint, radius) of r = q^(1/v), q = num/den > 0, v >= 2, as raw
+    mpf values at ``prec`` bits, so the kernel proves a root at the precision
+    its term needs with no context made for it.
+
+    Q = floor(num 2^K / den) puts q in [Q, Q+1) 2^-K.  At v = 2,
+    y = isqrt(Q) with K = 2k puts r in [y, y+1) 2^-k: the ball
+    (y + 1/2) 2^-k of radius 2^-(k+1), and K makes y at least prec bits, so
+    the radius is below 1 unit 2^-prec r.  At v > 2, K makes Q at least
+    w = prec + 8 bits.  The midpoint c is libmp's rounded root of Q 2^-K, a
+    candidate never trusted: the mean value theorem,
+    c^v - q = v xi^(v-1) (c - r) with xi between c and r, gives
+    |c - r| <= |c^v - q| c / (v min(c^v, q)), and c^v is bracketed by
+    roundings down and up at w bits, so every rounding is on the safe side.
+    For a candidate within 1 unit 2^-prec c of r, as a rounded root is,
+    |c^v - q| <= ((1 + 2^-prec)^v - 1) q and the brackets add under
+    4 2^-w q, so the radius is below 1.1 units for v <= 1000.
+    """
     # Q >= 2^(2 prec - 2), so y >= 2^(prec-1), at v = 2; Q >= 2^w above it
-    k = 2 * ((2 * ctx.prec + den.bit_length() - num.bit_length()) // 2) if v == 2 else ctx.prec + 9 + den.bit_length() - num.bit_length()
+    k = 2 * ((2 * prec + den.bit_length() - num.bit_length()) // 2) if v == 2 else prec + 9 + den.bit_length() - num.bit_length()
     big = (num << k) // den if k >= 0 else num // (den << -k)
-    if v == 2:
-        y = math.isqrt(big)
-        return BigFloat(ctx.make_mpf(from_man_exp(2 * y + 1, -k // 2 - 1)), ctx.prec - GUARD_BITS, ctx.make_mpf(from_man_exp(1, -k // 2 - 1)))
-    low, high, w = from_man_exp(big, -k), from_man_exp(big + 1, -k), ctx.prec + 8
-    c = mpf_nthroot(low, v, ctx.prec, "n")
+    if v == 2:  # raw values: 2y + 1 is odd, so the mantissas are normalized
+        m = 2 * math.isqrt(big) + 1
+        return (0, m, -k // 2 - 1, m.bit_length()), (0, 1, -k // 2 - 1, 1)
+    low, high, w = from_man_exp(big, -k), from_man_exp(big + 1, -k), prec + 8
+    c = mpf_nthroot(low, v, prec, "n")
     under, over = mpf_pow_int(c, v, w, "d"), mpf_pow_int(c, v, w, "u")
     above, below = mpf_sub(over, low, 30, "u"), mpf_sub(high, under, 30, "u")  # the larger is >= |c^v - q|
     gap = below if mpf_lt(above, below) else above
-    spread = _up(mpf_div, _up(mpf_mul, gap, c), mpf_mul(from_int(v), under if mpf_lt(under, low) else low))
-    return BigFloat(ctx.make_mpf(c), ctx.prec - GUARD_BITS, ctx.make_mpf(spread))
+    return c, _up(mpf_div, _up(mpf_mul, gap, c), mpf_mul(from_int(v), under if mpf_lt(under, low) else low))
+
+
+class Root(NamedTuple):
+    """A kernel factor (p/q) (num/den)^(1/v): an exact ratio p/q, ints with
+    q > 0, times the v-th root, v >= 2, of an exact rational num/den,
+    ints num > 0 and den > 0.  :func:`tail_bounded_sum` proves the root
+    itself (:func:`_root`), at the precision its term needs."""
+
+    p: int
+    q: int
+    num: int
+    den: int
+    v: int
+
+    def ball(self, ctx) -> "BigFloat":
+        """The factor as a ball at ``ctx``'s precision, by the ball rule."""
+        return rational_root(ctx, self.num, self.den, self.v) * Fraction(self.p, self.q)
 
 
 def _up(op, x, y):
@@ -158,11 +204,11 @@ def _unit(ctx, x):
     return mpf_shift(mpf_abs(x), -ctx.prec)
 
 
-def _fit(ctx, exact):
-    """An exact raw result rounded at the working precision: (raw mpf,
-    whether it rounded).  libmp normalizes an exact product, sum or shift
-    to an odd mantissa, so its bc is its exact length."""
-    return mpf_pos(exact, ctx.prec, "n"), exact[3] > ctx.prec
+def _fit(prec: int, exact):
+    """An exact raw result rounded at ``prec`` bits: (raw mpf, whether it
+    rounded).  libmp normalizes an exact product, sum or shift to an odd
+    mantissa, so its bc is its exact length."""
+    return mpf_pos(exact, prec, "n"), exact[3] > prec
 
 
 def _rounded(ctx, mid, spread, rounds) -> "BigFloat":
@@ -185,6 +231,7 @@ def _lowest(pair):
 
 
 _FOLD = 6  # the most leaves :func:`_split` folds in a loop
+_LEAST_FOLD_BITS = 64  # the lowest precision a root factor is folded at
 
 
 def _split(leaves, lo: int, hi: int):
@@ -208,15 +255,15 @@ def _split(leaves, lo: int, hi: int):
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-def _times(ctx, term, top, bottom: int):
+def _times(prec: int, term, top, bottom: int):
     """``term`` top/bottom for raw mpf values term and top and an int
-    bottom > 0: one exact product and one division rounded at the working
-    precision.  Returns (raw mpf, whether it rounded); a power of two
-    divides exactly."""
+    bottom > 0: one exact product and one division rounded at ``prec``
+    bits.  Returns (raw mpf, whether it rounded); a power of two divides
+    exactly."""
     exact = mpf_mul(term, top)
     if bottom & (bottom - 1):
-        return mpf_div(exact, from_int(bottom), ctx.prec, "n"), True
-    return _fit(ctx, mpf_shift(exact, 1 - bottom.bit_length()))
+        return mpf_div(exact, from_int(bottom), prec, "n"), True
+    return _fit(prec, mpf_shift(exact, 1 - bottom.bit_length()))
 
 
 def _log2(x) -> float:
@@ -226,37 +273,63 @@ def _log2(x) -> float:
 
 class _Run(NamedTuple):
     """The state of one kernel sum after a block: the running term t_j (raw
-    mpf) and its rounding count, the terms read, the additions, whether
-    everything so far is exact, the sum of the summands and sum|summand| at
-    the working precision."""
+    mpf), its rounding count at the working precision prec and E 2^prec,
+    E the sum of eps over its folds below prec (an int), the terms read, the
+    additions, whether everything so far is exact, the sum of the summands
+    and sum|summand| at prec, and W = sum |summand| E at 30 bits."""
 
     ctx: object
     term: tuple = fone
     units: float = 0
+    rel: int = 0
     terms: int = 0
     adds: int = -1
     exact: bool = True
     total: tuple = fzero
     abs_sum: tuple = fzero
+    weighted: tuple = fzero
 
-    def fold(self, top, bottom: int, partial, block_units, count: int) -> "_Run":
+    def fold(self, top, bottom: int, partial, block_units, count: int, prec: int | None = None) -> "_Run":
         """The run after a block of ``count`` terms t_{i+1..j}: t_i
         partial/bottom is one summand and t_j = t_i top/bottom the next
-        running term (``partial is top`` for a block of one).  The count
-        adds the block's own units, a ball factor's, and one unit when the
-        fold rounds."""
+        running term (``partial is top`` for a block of one), both rounded
+        at ``prec`` bits, the working precision unless given.  At the
+        working precision the count adds the block's own units, a root's or
+        a ball's, and one unit when the fold rounds; below it, E gains
+        eps = (ceil(units) + 1) 2^-prec, and W gains |summand| E."""
         ctx = self.ctx
-        term, rounded = _times(ctx, self.term, top, bottom)
-        summand, summand_rounded = (term, rounded) if partial is top else _times(ctx, self.term, partial, bottom)
-        units = self.units + block_units + (rounded or summand_rounded)
-        if isinstance(units, float):  # a float sum rounds to nearest: step it up
-            units = math.nextafter(units, math.inf)
-        exact = self.exact and not units
+        prec = prec or ctx.prec
+        term, rounded = _times(prec, self.term, top, bottom)
+        summand, summand_rounded = (term, rounded) if partial is top else _times(prec, self.term, partial, bottom)
+        units, rel = self.units, self.rel
+        if prec == ctx.prec:
+            units = units + block_units + (rounded or summand_rounded)
+            if isinstance(units, float):  # a float sum rounds to nearest: step it up
+                units = math.nextafter(units, math.inf)
+        elif block_units or rounded or summand_rounded:  # eps = (ceil(units) + 1) 2^-prec
+            rel += (math.ceil(block_units) + 1) << (ctx.prec - prec)
+        exact = self.exact and not units and not rel
         # while every summand is exact, add exactly and see whether the sum fits
         raw = mpf_add(self.total, summand, 0 if exact else ctx.prec, "n")
         # sum|summand| at the working precision: rounded up at 30 bits, every summand would add an ulp
         abs_sum = mpf_add(self.abs_sum, mpf_abs(summand), ctx.prec, "u")
-        return _Run(ctx, term, units, self.terms + count, self.adds + 1, exact and raw[3] <= ctx.prec, mpf_pos(raw, ctx.prec, "n"), abs_sum)
+        weighted = _up(mpf_add, self.weighted, _up(mpf_mul, mpf_abs(summand), (0, rel, -ctx.prec, rel.bit_length()))) if rel else self.weighted
+        return _Run(ctx, term, units, rel, self.terms + count, self.adds + 1, exact and raw[3] <= ctx.prec, mpf_pos(raw, ctx.prec, "n") if exact else raw, abs_sum, weighted)
+
+    def precision(self, cap) -> int:
+        """The bits for the next term, t_j f with |f| <= cap (a pair in
+        lowest terms): prec - floor(log2(max(|sum|, 1) / (|t_j| cap))), read
+        off bit lengths and rounded up by at most 4 bits, and clamped to
+        [:data:`_LEAST_FOLD_BITS`, prec], so that its rounding moves the sum
+        by about 2^-prec max(|sum|, 1); prec while no cap is known.  It sets
+        how tight the radius is, never whether it holds."""
+        prec = self.ctx.prec
+        if cap is None or not cap[0]:
+            return prec
+        total, term = self.total, self.term
+        # each bit length is log2 within 1: the drop is within 2 of D, so D - 2 never overshoots
+        drop = (max(total[2] + total[3], 1) if total[1] else 1) - term[2] - term[3] + cap[1].bit_length() - cap[0].bit_length() - 2
+        return prec if drop < 1 else max(_LEAST_FOLD_BITS, prec - drop)
 
     def tail(self, cap, stop: int):
         """The tail test on the running term t_j: with rho = num/den < 1, the
@@ -294,12 +367,19 @@ class _Run(NamedTuple):
         return max(1, math.ceil(excess / shrink - 1e-6))
 
     def ball(self, tail) -> "BigFloat":
-        """The sum as a ball: tail + c/(1-c) (sum|summand| + tail), c = (u + adds) 2^-prec."""
+        """The sum as a ball: tail + g (sum|summand| + tail) + (1 + g) x,
+        g = c/(1-c), c = (u + adds) 2^-prec, and x = (W + E tail)/(1 - E)
+        the share of the folds below the working precision (0 without them)."""
         ctx = self.ctx
         c = fzero if self.exact else mpf_shift(_up(mpf_add, from_float(self.units), from_int(self.adds)), -ctx.prec)
         if not mpf_lt(c, fone):
             raise NoConvergence("the factors' radii swamp the sum")
-        spread = _up(mpf_mul, _up(mpf_div, c, mpf_sub(fone, c, 30, "d")), _up(mpf_add, self.abs_sum, tail))
+        grown = _up(mpf_div, c, mpf_sub(fone, c, 30, "d"))
+        spread = _up(mpf_mul, grown, _up(mpf_add, self.abs_sum, tail))
+        if self.rel:
+            rel = from_man_exp(self.rel, -ctx.prec)
+            share = _up(mpf_div, _up(mpf_add, self.weighted, _up(mpf_mul, rel, tail)), mpf_sub(fone, rel, 30, "d"))
+            spread = _up(mpf_add, spread, _up(mpf_add, share, _up(mpf_mul, grown, share)))
         return BigFloat(ctx.make_mpf(self.total), ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_add, tail, spread)))
 
 
@@ -319,8 +399,9 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
 
     ``factors`` yields pairs ``(f_n, cap_n)`` with t_0 = f_0 and
     t_n = t_{n-1} f_n.  f_n is an exact ratio p/q as an int pair ``(p, q)``,
-    q != 0 and either sign, or a :class:`BigFloat` ball at ``ctx``'s
-    precision, its radius in :meth:`BigFloat.units`; cap_n is an exact
+    q != 0 and either sign, a :class:`BigFloat` ball at ``ctx``'s
+    precision, its radius in :meth:`BigFloat.units`, or a :class:`Root`,
+    whose root the kernel proves itself (below); cap_n is an exact
     rational as an int pair likewise, with |f_m| <= cap_n for every m > n,
     or None while no cap is known.  Neither need be in lowest terms: the
     kernel reduces each exact factor once as it reads it, the sign to the
@@ -339,7 +420,7 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     for each of two values (:func:`_times`): t_i T/Q is one summand and
     t_i P/Q the next running term t_j.  A block ends at the first of: its
     denominators reaching the working precision ``prec`` in bits; a ball
-    factor, which is then a block of one through the same fold; a zero
+    or a root factor, which is then a block of one through the same fold; a zero
     factor; the ``max_terms``-th term; the stop index predicted from the last
     cap rho < 1 and the folded |t_i| and |sum| (:meth:`_Run.steps`).  The
     tail test then runs on the block's last term (:func:`_block`), so a
@@ -369,6 +450,24 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     terms cancel exactly, so sum|summand| <= sum|t|.  While every summand
     and partial sum is exact, the radius is the tail.
 
+    Root factors: the kernel proves the root of f_n = (p/q) (num/den)^(1/v)
+    by :func:`_root` at p_n = :meth:`_Run.precision` bits,
+    prec - floor(log2(max(|sum|, 1) / (|t_{n-1}| cap_{n-1}))) clamped to
+    [:data:`_LEAST_FOLD_BITS`, prec], and t_n = t_{n-1} mid p / q is
+    rounded at p_n.  Its units are the root's radius over 2^-p_n of the
+    midpoint's leading bit: 1 at v = 2, below 2.2 above it.  At p_n = prec
+    the fold counts them into u as a ball's.  Below prec it adds
+    eps = (ceil(units) + 1) 2^-p_n to E, a bound on sum eps over the running
+    term's folds below prec, kept exactly as an integer multiple of 2^-prec,
+    and each summand adds |summand| E to W, at 30 bits rounded up.  Those
+    folds move a summand's ratio to its computed value by at most
+    1/prod(1 - eps) - 1 <= E/(1 - E), so with g = c/(1-c) the radius gains
+    (1 + g)(W + E tail)/(1 - E), the share of the summands and of the tail's
+    t_n plus its cross term with g.  With no root factor below prec, E = 0
+    and the radius is the one above, bit for bit.  The precision is chosen
+    so that t_n's rounding moves the sum by about 2^-prec max(|sum|, 1): it
+    sets how tight the radius is, never whether it holds.
+
     Returns ``(ball, terms_used)``; raises :class:`BudgetExceeded` when
     ``max_terms`` terms do not meet the target, and :class:`NoConvergence`
     when c >= 1: the factors' radii swamp the sum.
@@ -377,19 +476,26 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     run, tail, last = _Run(ctx), None, None  # last: the cap of the last folded term, in lowest terms
     leaves, bits, held = [], 0, None  # held: the cap of the last leaf, as the stream gave it
     for n, (factor, cap) in enumerate(factors):
-        is_ball = isinstance(factor, BigFloat)
+        is_ball, is_root = isinstance(factor, BigFloat), isinstance(factor, Root)
         if not (factor.value if is_ball else factor[0]):
             break  # a zero factor: the series terminated
-        if is_ball and leaves:  # the run of rational factors ends before this one
+        if (is_ball or is_root) and leaves:  # the run of rational factors ends before this one
             run, tail = _block(run, leaves, _lowest(held), stop)
             leaves, bits = [], 0
             if tail is not None:
                 break
         if n == max_terms:
             raise BudgetExceeded(f"error bound not met within {max_terms} terms")
-        if is_ball:
-            value, units = _midpoint(ctx, factor)
-            run, last = run.fold(value, 1, value, units, 1), _lowest(cap)
+        if is_ball or is_root:  # a block of one
+            if is_ball:
+                prec, (top, units), q = ctx.prec, _midpoint(ctx, factor), 1
+            else:  # the root proved at the precision its term needs
+                prec = run.precision(last)
+                mid, radius = _root(factor.num, factor.den, factor.v, prec)
+                # radius / (2^-prec |mid|) with |mid| >= 2^(exp + bc - 1): exact in a float, as radius has <= 30 bits
+                units = math.ldexp(radius[1], radius[2] + prec + 1 - mid[2] - mid[3])
+                top, q = mpf_mul(mid, from_int(factor.p)), factor.q
+            run, last = run.fold(top, q, top, units, 1, prec), _lowest(cap)
             tail = run.tail(last, stop)
         else:
             if not leaves:  # a block starts after t_{n-1}: predict where the stop falls
@@ -443,7 +549,7 @@ class BigFloat:
         ctx, x, rx, y, ry = self._with(other)
         # the exact sum first, unless both are nonzero with lowest bits over prec apart
         near = not (x[1] and y[1]) or abs(x[2] - y[2]) <= ctx.prec
-        mid, rounds = _fit(ctx, mpf_add(x, y)) if near else (mpf_add(x, y, ctx.prec, "n"), True)
+        mid, rounds = _fit(ctx.prec, mpf_add(x, y)) if near else (mpf_add(x, y, ctx.prec, "n"), True)
         return _rounded(ctx, mid, _up(mpf_add, rx, ry), rounds)
 
     __radd__ = __add__
@@ -461,7 +567,7 @@ class BigFloat:
         ctx, x, rx, y, ry = self._with(other)
         # |XY - xy| <= |x| ry + (|y| + ry) rx for X, Y in the balls
         spread = _up(mpf_add, _up(mpf_mul, mpf_abs(x), ry), _up(mpf_mul, _up(mpf_add, mpf_abs(y), ry), rx))
-        mid, rounds = _fit(ctx, mpf_mul(x, y))
+        mid, rounds = _fit(ctx.prec, mpf_mul(x, y))
         return _rounded(ctx, mid, spread, rounds)
 
     __rmul__ = __mul__
@@ -474,7 +580,7 @@ class BigFloat:
         # |X/Y - x/y| <= (rx + |x/y| ry) / (|y| - ry) for X, Y in the balls
         spread = _up(mpf_add, rx, _up(mpf_div, _up(mpf_mul, mpf_abs(x), ry), mpf_abs(y)))
         # a quotient by +-2^e is a shift
-        mid, rounds = _fit(ctx, mpf_shift(mpf_neg(x) if y[0] else x, -y[2])) if y[1] == 1 else (mpf_div(x, y, ctx.prec, "n"), True)
+        mid, rounds = _fit(ctx.prec, mpf_shift(mpf_neg(x) if y[0] else x, -y[2])) if y[1] == 1 else (mpf_div(x, y, ctx.prec, "n"), True)
         return _rounded(ctx, mid, _up(mpf_div, spread, low), rounds)
 
     def __rtruediv__(self, other):

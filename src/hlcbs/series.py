@@ -11,9 +11,11 @@ The series is handed to the one summation kernel,
 definition and never from a closed form: the first term as a ball, then the
 exact term ratio (2z)^2 r(nu+1)/r(nu) (nu/(nu+1))^s, r(nu) = 1/C(2nu, nu),
 which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s: at integer s an exact int
-pair (p, q) of integer products, left for the kernel to reduce, and one
-proven root of an exact rational (:func:`~hlcbs.floats.rational_root`) at
-any other s, an integer square root at half-integer s.  The ratio tends
+pair (p, q) of integer products, left for the kernel to reduce, and at any
+other s a root factor (:class:`~hlcbs.floats.Root`): the exact part at
+floor(s) apart from the v-th root of (nu/(nu+1))^u, u/v the fractional part
+of s, whose root the kernel proves itself at the precision each term needs,
+an integer square root at half-integer s.  The ratio tends
 to z^2, which yields a provable geometric tail bound from an exact cap, an
 int pair too.  The kernel keeps the running product and every rounding
 count, owns the stop target and the budget error
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, as_fraction
-from .floats import BigFloat, context, rational_root, tail_bounded_sum
+from .floats import BigFloat, Root, context, tail_bounded_sum
 from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
 from .hyper import central_binomial_reciprocal_seed, check_domain, rational_power
 
@@ -68,10 +70,11 @@ def _phi_factors(ctx, s, a, z):
     definition's term ratio T_{n+1}/T_n = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s at
     nu = a + n, with r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) exact: r at
     integer s, as the int pair (num, den) of its products, unreduced and of
-    either sign (a may be negative there), else the ball of
-    (r^v (nu/(nu+1))^u)^(1/v) for the fractional part u/v of s, one
-    :func:`~hlcbs.floats.rational_root` of an exact rational, as r >= 0
-    there (a > 0).  The integers grow with v: r^v has v times r's bits.
+    either sign (a may be negative there), else the root factor
+    ``Root(num, den, p^u, (p+d)^u, v)``, r (nu/(nu+1))^(u/v) for the
+    fractional part u/v of s and nu = p/d, whose root the kernel proves at
+    the precision the term needs; r stays apart from the root, so the
+    rooted integers do not grow with v.
     For nu > 0 past the first term, both parts decrease in nu, so every
     later ratio is capped by
     2z^2 (nu+1)/(2nu+1) max(1, ((nu+1)/nu)^-s), its second part bounded
@@ -96,10 +99,7 @@ def _phi_factors(ctx, s, a, z):
         # r = num/den, the powers of nu/(nu+1) on the side their sign puts them
         rise, fall = (p, p + d) if whole >= 0 else (p + d, p)
         num, den = top * rise**power, bottom * fall**power
-        if u:  # r (nu/(nu+1))^(u/v) = (r^v (nu/(nu+1))^u)^(1/v), as r >= 0
-            factor = rational_root(ctx, num**v * p**u, den**v * (p + d) ** u, v)
-        else:
-            factor = num, den
+        factor = Root(num, den, p**u, (p + d) ** u, v) if u else (num, den)
 
 
 def phi_numeric(query: SeriesQuery) -> BigFloat:
@@ -112,7 +112,7 @@ def phi_terms(query: SeriesQuery, count: int):
     """First ``count`` series terms as mpf values (diagnostic/monotonicity
     aid): the factors multiplied by the ball rule, up to the first zero term."""
     ctx = context(query.precision_bits)
-    factors = (factor if isinstance(factor, BigFloat) else Fraction(*factor) for factor, _ in _phi_factors(ctx, query.s, query.a, query.z))
+    factors = (factor.ball(ctx) if isinstance(factor, Root) else factor if isinstance(factor, BigFloat) else Fraction(*factor) for factor, _ in _phi_factors(ctx, query.s, query.a, query.z))
     terms = itertools.accumulate(factors, lambda term, factor: factor * term)
     return [term.value for term in itertools.islice(itertools.takewhile(lambda term: term.value, terms), count)]
 

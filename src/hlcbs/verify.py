@@ -18,10 +18,11 @@ seed is recorded in the report.
 The checks' grids overlap, so every plain oracle value goes through
 :func:`_oracle`, which sums each distinct (s, a, z, precision) once and
 hands a repeated query the same ball: a pass at one precision sums 137
-series.  ``diff_relation`` calls the oracle itself, as its sums at P + 64
-bits and z +- h are never repeated.  The memo is bounded, and emptying it
-(the benchmark does, at the start of each pass) leaves every report as a
-fresh process gives it.
+series.  The arcsines that ``lehmer1`` and ``lehmer2`` share go through
+:func:`_asin_and_cos` likewise.  ``diff_relation`` calls the oracle itself,
+as its sums at P + 64 bits and z +- h are never repeated.  The memos are
+bounded, and emptying them (the benchmark does, at the start of each pass)
+leaves every report as a fresh process gives it.
 """
 
 from __future__ import annotations
@@ -72,10 +73,12 @@ def _oracle(s, a, z, precision_bits: int):
     return series.phi_numeric(series.SeriesQuery(s, a, z, precision_bits))
 
 
+@lru_cache(maxsize=64)
 def _asin_and_cos(z: Fraction, precision_bits: int):
-    """(arcsin z, cos(arcsin z) = sqrt(1 - z^2)) as balls; arcsin z is
-    z 2F1(1/2, 1/2; 3/2; z^2), summed by the kernel 16 bits past the precision
-    as the closed forms sum theirs."""
+    """(arcsin z, cos(arcsin z) = sqrt(1 - z^2)) as balls, once per (z,
+    precision): ``lehmer2`` re-reads ``lehmer1``'s z = 1/4 and 1/2.  arcsin z
+    is z 2F1(1/2, 1/2; 3/2; z^2), summed by the kernel 16 bits past the
+    precision as the closed forms sum theirs."""
     arcsin = z * pfq_eval(PFQParams((_HALF, _HALF), (3 * _HALF,), z * z), precision_bits + 16)
     return arcsin, rational_root(context(precision_bits), z.denominator**2 - z.numerator**2, z.denominator**2, 2)
 

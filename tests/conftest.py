@@ -11,10 +11,11 @@ from hlcbs import closedform, verify
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Each test starts with the verify oracle's and the ladder's memos
-    empty, so no monkeypatched fault and no refused mpmath call is answered
-    by a ball that an earlier test left there."""
+    """Each test starts with the verify oracle's, the arcsines' and the
+    ladder's memos empty, so no monkeypatched fault and no refused mpmath
+    call is answered by a ball that an earlier test left there."""
     verify._oracle.cache_clear()
+    verify._asin_and_cos.cache_clear()
     closedform._ladder_balls.cache_clear()
 
 

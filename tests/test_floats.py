@@ -251,6 +251,36 @@ NONZERO = FRACTIONS.filter(bool)
 BALLS = settings(max_examples=60, derandomize=True, deadline=None, database=None)
 
 
+class TestRootFolds:
+    """A root factor folded at p bits, below the working precision, adds
+    eps = (ceil(units) + 1) 2^-p to E, and the radius gains
+    (1 + g)(W + E tail)/(1 - E), W = sum |summand| E at each summand, with
+    g = c/(1-c) the factor of the folds at the working precision."""
+
+    @BALLS
+    @given(
+        precision=st.sampled_from([32, 64, 128]),  # a float count of 2^prec units fits
+        units=st.floats(0, 0.45),
+        adds=st.integers(0, 10**4),
+        rel=st.floats(2**-60, 0.45),
+        moduli=st.lists(st.fractions(F(1, 2**40), 2**40, max_denominator=2**40), min_size=2, max_size=2),
+        tail=st.fractions(0, 1, max_denominator=2**20),
+    )
+    def test_radius_is_the_stated_bound(self, precision, units, adds, rel, moduli, tail):
+        # units and E are fractions of 2^prec, so g and the share's cross term both count
+        ctx = context(precision)
+        abs_sum, weighted = moduli
+        units, e = math.ldexp(units, ctx.prec), int(F(rel) * 2**ctx.prec)
+        raw = [from_rational(x.numerator, x.denominator, 30, "u") for x in (abs_sum, weighted, tail)]
+        run = _Run(ctx, units=units, rel=e, adds=adds, exact=False, total=raw[0], abs_sum=raw[0], weighted=raw[1])
+        out = run.ball(raw[2])
+        abs_sum, weighted, tail = (exact(ctx.make_mpf(x)) for x in raw)
+        c = (F(units) + adds) / 2**ctx.prec
+        g, share = c / (1 - c), (weighted + F(e, 2**ctx.prec) * tail) / (1 - F(e, 2**ctx.prec))
+        bound = tail + g * (abs_sum + tail) + (1 + g) * share
+        assert bound <= exact(out.error_bound) <= bound * (1 + F(1, 2**20))
+
+
 class TestBallRule:
     """Every ball operation contains the exact result, checked in Fractions."""
 

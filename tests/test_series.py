@@ -4,13 +4,16 @@ and the two verify checks on the series itself."""
 import itertools
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hlcbs import series
+from hlcbs import floats, series
 from hlcbs.exact import DomainError
-from hlcbs.floats import BigFloat, context
+from hlcbs.floats import BigFloat, Root, context
 from hlcbs.hyper import gamma_ratio_shift
 from hlcbs.report import Tally
 from hlcbs.series import (
@@ -182,7 +185,11 @@ class TestOracleFactors:
 
     @pytest.mark.parametrize("s", [F(-5, 2), F(-1, 3), F(3, 2), F(7, 3)])
     def test_non_integer_s_factors_are_balls_with_rational_caps(self, s, ctx):
+        # each factor is a Root whose ball holds the ratio: the exact part
+        # r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) apart from the root
+        # of (nu/(nu+1))^u, whose integers do not grow with v
         a, z = F(5, 4), F(1, 2)
+        u, v = (s - math.floor(s)).numerator, s.denominator  # a = 5/4: nu = (5 + 4n)/4 in lowest terms
 
         def mp(q):
             return ctx.mpf(q.numerator) / q.denominator
@@ -193,7 +200,12 @@ class TestOracleFactors:
 
         _, *rest = itertools.islice(_phi_factors(context(128), s, a, z), 31)
         for n, (factor, cap) in enumerate(rest):
-            assert abs(factor.value - ratio(a + n)) <= factor.error_bound
+            nu = a + n
+            assert isinstance(factor, Root) and factor.v == v
+            assert F(factor.p, factor.q) == 2 * z * z * (nu + 1) / (2 * nu + 1) * (nu / (nu + 1)) ** math.floor(s)
+            assert (factor.num, factor.den) == (nu.numerator**u, (nu + 1).numerator ** u)
+            ball = factor.ball(context(128))
+            assert abs(ball.value - ratio(nu)) <= ball.error_bound
             assert cap is None or is_pair(cap)
         # the caps, Bernoulli's at s < 0, bound the exact ratios
         assert _caps_hold([ratio(a + n) for n in range(30)], [cap and mp(F(*cap)) for _, cap in rest])
@@ -201,9 +213,10 @@ class TestOracleFactors:
     @pytest.mark.parametrize("s", [F(-5, 2), F(1, 2), F(5, 2)])
     @pytest.mark.parametrize("precision", [32, 2048])
     def test_half_integer_s_ratios_are_isqrt_brackets(self, s, precision):
-        # bit for bit, each ratio is the isqrt bracket of r^2 nu/(nu+1) with
-        # r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) in the definition's
-        # integers: (y + 1/2) 2^-k with radius 2^-(k+1), y = isqrt(floor(num 4^k / den))
+        # each ratio is r sqrt(nu/(nu+1)) with r = 2z^2 (nu+1)/(2nu+1)
+        # (nu/(nu+1))^floor(s) in the definition's integers, and the root,
+        # proved at any precision P, is bit for bit the isqrt bracket
+        # (y + 1/2) 2^-k with radius 2^-(k+1), y = isqrt(floor(num 4^k / den))
         a, z, whole = F(3, 2), F(9, 10), math.floor(s)
         ctx = context(precision)
         _, *rest = itertools.islice(_phi_factors(ctx, s, a, z), 31)
@@ -212,16 +225,91 @@ class TestOracleFactors:
             rise, fall = (p, p + d) if whole >= 0 else (p + d, p)
             r_num = two_z_sq.numerator * (p + d) * rise ** abs(whole)
             r_den = two_z_sq.denominator * (2 * p + d) * fall ** abs(whole)
-            num, den = r_num * r_num * p, r_den * r_den * (p + d)
-            k = (2 * ctx.prec + den.bit_length() - num.bit_length()) // 2
-            y = math.isqrt((num << 2 * k) // den if k >= 0 else num // (den << -2 * k))
-            value, radius = (F(x.man_exp[0]) * F(2) ** x.man_exp[1] for x in (factor.value, factor.error_bound))
-            assert (value, radius) == ((2 * y + 1) * F(2) ** (-k - 1), F(2) ** (-k - 1))
+            assert factor == Root(r_num, r_den, p, p + d, 2)
+            for bits in (64, ctx.prec):
+                k = (2 * bits + (p + d).bit_length() - p.bit_length()) // 2
+                y = math.isqrt((p << 2 * k) // (p + d) if k >= 0 else p // ((p + d) << -2 * k))
+                value, radius = (F(x[1]) * F(2) ** x[2] for x in floats._root(p, p + d, 2, bits))
+                assert (value, radius) == ((2 * y + 1) * F(2) ** (-k - 1), F(2) ** (-k - 1))
 
     def test_caps_are_tight_at_integer_s(self):
         # at s < 0 the cap is the next ratio itself, not a rounded-up power
         factors = list(itertools.islice(_phi_factors(context(128), F(-3), F(2), F(1, 2)), 10))
         assert all(F(*cap) == F(*factors[n + 1][0]) for n, (_, cap) in enumerate(factors[:-1]) if cap is not None)
+
+
+def reference_phi(s, a, z, precision):
+    """Phi(s, a, z) in mpmath at precision + 200 bits, from the definition
+    alone: the first term by mpmath's gamma, each later one by the term ratio
+    with (nu/(nu+1))^(u/v) as mpmath's root, up to the first term below
+    2^-(precision + 220) of the sum.  For the points drawn here (z <= 9/10,
+    |s| <= 4) the ratios stay below 0.9 from there on, so what is left out is
+    far below the 2^-(precision + 180) of the sum that the tests allow."""
+    ref = mpmath.mp.clone()
+    ref.prec = precision + 200
+
+    def mp(q):
+        return ref.mpf(q.numerator) / q.denominator
+
+    nu, whole = mp(a), math.floor(s)
+    u, v = (s - whole).numerator, s.denominator
+    term = (2 * mp(z)) ** (2 * nu) * ref.gamma(nu + 1) ** 2 / ref.gamma(2 * nu + 1) / ref.root(nu ** (whole * v + u), v)
+    total, n = term, 0
+    while term and abs(term) > ref.ldexp(abs(total), -precision - 220):
+        x = mp(a + n)
+        term *= 2 * mp(z) ** 2 * (x + 1) / (2 * x + 1) * (x / (x + 1)) ** whole * ref.root((x / (x + 1)) ** u, v)
+        total += term
+        n += 1
+    return total
+
+
+ROOT_SUMS = settings(max_examples=30, derandomize=True, deadline=None, database=None)
+
+
+class TestRootSums:
+    """At non-integer s each term's root is proved at the precision the term
+    needs, falling with it; the radius carries those folds' errors."""
+
+    @ROOT_SUMS
+    @given(
+        s=st.tuples(st.integers(-8, 8), st.sampled_from([2, 3])).filter(lambda kv: kv[0] % kv[1]).map(lambda kv: F(*kv)),
+        a=st.fractions(F(1, 10), 4, max_denominator=12).filter(bool),
+        z=st.fractions(0, F(9, 10), max_denominator=20),
+        precision=st.sampled_from([32, 64, 128, 512, 2048]),
+        floor=st.booleans(),
+    )
+    # the CI's long sum, and the same sum with every root at the 64-bit floor
+    @example(s=F(5, 2), a=F(3, 2), z=F(9, 10), precision=2048, floor=False)
+    @example(s=F(5, 2), a=F(3, 2), z=F(9, 10), precision=2048, floor=True)
+    @example(s=F(-1, 3), a=F(1, 3), z=F(1, 2), precision=128, floor=True)
+    def test_ball_holds_the_reference(self, s, a, z, precision, floor):
+        # with floor, every root after the first is folded at the least
+        # precision whatever the schedule says: the radius must still hold
+        schedule = (lambda run, cap: floats._LEAST_FOLD_BITS) if floor else floats._Run.precision
+        with mock.patch.object(floats._Run, "precision", schedule):
+            out = phi_numeric(SeriesQuery(s, a, z, precision))
+        want = reference_phi(s, a, z, precision)
+        assert abs(out.value - want) <= out.error_bound + mpmath.ldexp(abs(want), -precision - 180)
+
+    @pytest.mark.parametrize(
+        "s,a,z,precision",
+        [(F(5, 2), F(3, 2), F(9, 10), 512), (F(7, 3), F(1, 3), F(9, 10), 512), (F(-1, 3), F(5, 4), F(1, 2), 2048), (F(1, 2), F(1), F(1, 5), 128), (F(3, 2), F(5, 4), F(1, 2), 2048)],
+    )
+    def test_radius_within_twice_the_full_precision_sum(self, s, a, z, precision):
+        # the same sum with every root folded at the working precision
+        bits, schedule = [], floats._Run.precision
+
+        def full(run, cap):
+            bits.append(schedule(run, cap))
+            return run.ctx.prec
+
+        query = SeriesQuery(s, a, z, precision)
+        falling = phi_numeric(query)
+        with mock.patch.object(floats._Run, "precision", full):
+            whole = phi_numeric(query)
+        assert min(bits) < context(precision).prec  # the schedule did fall
+        assert whole.error_bound / 2 <= falling.error_bound <= 2 * whole.error_bound
+        assert abs(falling.value - whole.value) <= falling.error_bound + whole.error_bound
 
 
 def assert_fault_edge(monkeypatch, precision, point):

@@ -8,7 +8,7 @@ import os
 import mpmath
 import pytest
 
-from hlcbs import series
+from hlcbs import series, verify
 from hlcbs.floats import BigFloat, context
 from hlcbs.report import CheckReport, Tally
 from hlcbs.verify import UnknownCheck, VerifyConfig, check_ids, run_all, run_check, summarize
@@ -109,6 +109,19 @@ class TestOracleMemo:
         monkeypatch.setattr(series, "phi_numeric", counting)
         run_all(VerifyConfig(precision_bits=128))
         assert sum(seen.values()) == len(seen) == 137
+
+    def test_each_arcsine_is_summed_once_per_pass(self, monkeypatch):
+        # lehmer1's six z and lehmer2's three share z = 1/4 and 1/2
+        seen = collections.Counter()
+        pfq = verify.pfq_eval
+
+        def counting(params, precision_bits):
+            seen[params, precision_bits] += 1
+            return pfq(params, precision_bits)
+
+        monkeypatch.setattr(verify, "pfq_eval", counting)
+        run_all(VerifyConfig(precision_bits=128))
+        assert sum(seen.values()) == len(seen) == 7
 
 
 class TestTally:
