@@ -36,10 +36,10 @@ P/Q = prod f_l and T/Q = sum_m prod_{l<=m} f_l, merged as P1 P2, Q1 Q2,
 T1 Q2 + P1 T2.  A block ends where its denominators reach the working
 precision in bits, where a ball, a root or a zero factor arrives, at the
 term budget, or at the stop index predicted from the last cap; a ball or a
-root factor is a block of one.  Each block is folded into the sum by one exact product and
-one rounded division for each of two values: t_i T/Q becomes one summand,
-and t_i P/Q the next running term, so each fold adds one unit when it
-rounds, and a power-of-two Q divides exactly.  The exact tail test then runs on the block's last term,
+root factor is a block of one.  Each block is folded into the sum by one
+exact product and one rounded division for each of two values: t_i T/Q
+becomes one summand, and t_i P/Q the next running term; a power-of-two Q
+divides exactly.  The exact tail test then runs on the block's last term,
 and the sum stops at the first block end that passes it, which may lie a
 few terms past the first term that would.  A float screen skips that test
 where log2 of the tail bound's lower estimate exceeds the target by more
@@ -54,16 +54,18 @@ floor(log2(max(|sum|, 1) / (|t_{n-1}| cap))) from the quantities the tail
 screen reads, taken from bit lengths and clamped to [64, prec], so the
 precision falls as the terms shrink below the sum (Brent and Zimmermann,
 Modern Computer Arithmetic, 2010; Johansson, Arb, 2017).  The running term
-is rounded at p_n too.  A fold at prec counts units as any other; a fold
-below it adds eps = (ceil(units) + 1) 2^-p_n instead to E, the sum of eps
-over the running term's folds below prec, kept exactly as an integer
-multiple of 2^-prec.  The
-radius gains (1 + g)(W + E tail)/(1 - E), g = c/(1-c) the factor above and
-W = sum |summand| E at each summand, at 30 bits: the folds below prec move
-a summand's ratio to its computed value by at most 1/prod(1 - eps) - 1
-<= E/(1 - E), and the cross term g (W + E tail) joins that to the folds at
-prec.  A sum with no root factor has E = 0 and the radius above bit for
-bit.  The schedule sets how tight a radius is, never whether it holds.
+is rounded at p_n too.  The schedule sets how tight a radius is, never
+whether it holds.
+
+One rule carries the running term's errors, as Arb's one radius does:
+every fold, at whatever precision p it runs, adds
+eps = (ceil(units) + [it rounded]) 2^-p to E, units the radius of its ball
+or root factor in units 2^-p of the midpoint, and E is kept exactly as an
+integer multiple of 2^-prec.  Each summand adds |summand| E to W, at 30
+bits.  The folds move a summand's ratio to its computed value by at most
+1/prod(1 - eps) - 1 <= E/(1 - E), and the n additions, each within 2^-prec
+of a partial sum, give c = n 2^-prec and g = c/(1-c), so the radius is
+tail + g (sum|summand| + tail) + (1 + g)(W + E tail)/(1 - E).
 
 The series oracle and the pFq evaluator only supply exact term ratios and
 caps; the oracle's ratios are the definition's, never a closed form's, and
@@ -79,7 +81,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath
-from mpmath.libmp import fone, fzero, from_float, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_nthroot, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub, to_float
+from mpmath.libmp import fone, fzero, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_nthroot, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub, to_float
 
 MIN_PRECISION_BITS = 32
 GUARD_BITS = 32
@@ -273,14 +275,13 @@ def _log2(x) -> float:
 
 class _Run(NamedTuple):
     """The state of one kernel sum after a block: the running term t_j (raw
-    mpf), its rounding count at the working precision prec and E 2^prec,
-    E the sum of eps over its folds below prec (an int), the terms read, the
-    additions, whether everything so far is exact, the sum of the summands
-    and sum|summand| at prec, and W = sum |summand| E at 30 bits."""
+    mpf), E 2^prec with E the sum of eps over its folds (an int), the terms
+    read, the additions, whether everything so far is exact, the sum of the
+    summands and sum|summand| at the working precision prec, and
+    W = sum |summand| E at 30 bits."""
 
     ctx: object
     term: tuple = fone
-    units: float = 0
     rel: int = 0
     terms: int = 0
     adds: int = -1
@@ -289,32 +290,24 @@ class _Run(NamedTuple):
     abs_sum: tuple = fzero
     weighted: tuple = fzero
 
-    def fold(self, top, bottom: int, partial, block_units, count: int, prec: int | None = None) -> "_Run":
+    def fold(self, top, bottom: int, partial, units, count: int, prec: int) -> "_Run":
         """The run after a block of ``count`` terms t_{i+1..j}: t_i
         partial/bottom is one summand and t_j = t_i top/bottom the next
         running term (``partial is top`` for a block of one), both rounded
-        at ``prec`` bits, the working precision unless given.  At the
-        working precision the count adds the block's own units, a root's or
-        a ball's, and one unit when the fold rounds; below it, E gains
-        eps = (ceil(units) + 1) 2^-prec, and W gains |summand| E."""
+        at ``prec`` bits.  E gains eps = (ceil(units) + [it rounded]) 2^-prec,
+        ``units`` the block's own, a root's or a ball's (0 for rational
+        factors), and W gains |summand| E, this fold's eps included."""
         ctx = self.ctx
-        prec = prec or ctx.prec
         term, rounded = _times(prec, self.term, top, bottom)
         summand, summand_rounded = (term, rounded) if partial is top else _times(prec, self.term, partial, bottom)
-        units, rel = self.units, self.rel
-        if prec == ctx.prec:
-            units = units + block_units + (rounded or summand_rounded)
-            if isinstance(units, float):  # a float sum rounds to nearest: step it up
-                units = math.nextafter(units, math.inf)
-        elif block_units or rounded or summand_rounded:  # eps = (ceil(units) + 1) 2^-prec
-            rel += (math.ceil(block_units) + 1) << (ctx.prec - prec)
-        exact = self.exact and not units and not rel
+        rel = self.rel + ((math.ceil(units) + (rounded or summand_rounded)) << (ctx.prec - prec))
+        exact = self.exact and not rel
         # while every summand is exact, add exactly and see whether the sum fits
         raw = mpf_add(self.total, summand, 0 if exact else ctx.prec, "n")
         # sum|summand| at the working precision: rounded up at 30 bits, every summand would add an ulp
         abs_sum = mpf_add(self.abs_sum, mpf_abs(summand), ctx.prec, "u")
         weighted = _up(mpf_add, self.weighted, _up(mpf_mul, mpf_abs(summand), (0, rel, -ctx.prec, rel.bit_length()))) if rel else self.weighted
-        return _Run(ctx, term, units, rel, self.terms + count, self.adds + 1, exact and raw[3] <= ctx.prec, mpf_pos(raw, ctx.prec, "n") if exact else raw, abs_sum, weighted)
+        return _Run(ctx, term, rel, self.terms + count, self.adds + 1, exact and raw[3] <= ctx.prec, mpf_pos(raw, ctx.prec, "n") if exact else raw, abs_sum, weighted)
 
     def precision(self, cap) -> int:
         """The bits for the next term, t_j f with |f| <= cap (a pair in
@@ -368,18 +361,16 @@ class _Run(NamedTuple):
 
     def ball(self, tail) -> "BigFloat":
         """The sum as a ball: tail + g (sum|summand| + tail) + (1 + g) x,
-        g = c/(1-c), c = (u + adds) 2^-prec, and x = (W + E tail)/(1 - E)
-        the share of the folds below the working precision (0 without them)."""
+        g = c/(1-c), c = adds 2^-prec, and x = (W + E tail)/(1 - E) the
+        share of the folds' errors."""
         ctx = self.ctx
-        c = fzero if self.exact else mpf_shift(_up(mpf_add, from_float(self.units), from_int(self.adds)), -ctx.prec)
-        if not mpf_lt(c, fone):
+        c = fzero if self.exact else from_man_exp(self.adds, -ctx.prec)
+        if not mpf_lt(c, fone) or self.rel >= 1 << ctx.prec:
             raise NoConvergence("the factors' radii swamp the sum")
         grown = _up(mpf_div, c, mpf_sub(fone, c, 30, "d"))
-        spread = _up(mpf_mul, grown, _up(mpf_add, self.abs_sum, tail))
-        if self.rel:
-            rel = from_man_exp(self.rel, -ctx.prec)
-            share = _up(mpf_div, _up(mpf_add, self.weighted, _up(mpf_mul, rel, tail)), mpf_sub(fone, rel, 30, "d"))
-            spread = _up(mpf_add, spread, _up(mpf_add, share, _up(mpf_mul, grown, share)))
+        rel = from_man_exp(self.rel, -ctx.prec)
+        share = _up(mpf_div, _up(mpf_add, self.weighted, _up(mpf_mul, rel, tail)), mpf_sub(fone, rel, 30, "d"))
+        spread = _up(mpf_add, _up(mpf_mul, grown, _up(mpf_add, self.abs_sum, tail)), _up(mpf_add, share, _up(mpf_mul, grown, share)))
         return BigFloat(ctx.make_mpf(self.total), ctx.prec - GUARD_BITS, ctx.make_mpf(_up(mpf_add, tail, spread)))
 
 
@@ -389,7 +380,7 @@ def _block(run, leaves, cap, stop: int):
     ``cap``: (run, tail or None)."""
     p, q, t = _split(leaves, 0, len(leaves))
     top = from_int(p)
-    run = run.fold(top, q, top if t == p else from_int(t), 0, len(leaves))
+    run = run.fold(top, q, top if t == p else from_int(t), 0, len(leaves), run.ctx.prec)
     return run, run.tail(cap, stop)
 
 
@@ -434,43 +425,37 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     |t_n| num/(den - num), so a screened term could never pass, and the
     decisions are those of the exact test alone.
 
-    The summands are added at the working precision, exactly while every
-    summand and partial sum fits, and sum|summand| beside it, rounded up.
-    The other bounds are radius arithmetic at 30 bits, rounded up as the ball
-    rule's: rho/(1-rho) = num/(den-num) from the exact cap, rounded up once,
-    and the tail |t_n| rho/(1-rho).  The running term carries u units: each
-    fold adds one when it rounds, and a ball factor adds its own.  With
-    c = (u + n) 2^-prec, u the last (largest) count and n the additions,
-    each within 2^-prec of a partial sum, the radius is
-    tail + c/(1-c) (sum|summand| + tail).  A summand is the exact block sum
-    times t_i, so its u + n relative errors of at most 2^-prec compound to
-    at most c/(1-c), against the computed summands and sums, and that factor
-    covers the rounded summands and partial sums and the rounded t_n under
-    the tail, with no higher-order term left over.  Inside a block the
-    terms cancel exactly, so sum|summand| <= sum|t|.  While every summand
-    and partial sum is exact, the radius is the tail.
-
     Root factors: the kernel proves the root of f_n = (p/q) (num/den)^(1/v)
     by :func:`_root` at p_n = :meth:`_Run.precision` bits,
     prec - floor(log2(max(|sum|, 1) / (|t_{n-1}| cap_{n-1}))) clamped to
     [:data:`_LEAST_FOLD_BITS`, prec], and t_n = t_{n-1} mid p / q is
     rounded at p_n.  Its units are the root's radius over 2^-p_n of the
-    midpoint's leading bit: 1 at v = 2, below 2.2 above it.  At p_n = prec
-    the fold counts them into u as a ball's.  Below prec it adds
-    eps = (ceil(units) + 1) 2^-p_n to E, a bound on sum eps over the running
-    term's folds below prec, kept exactly as an integer multiple of 2^-prec,
-    and each summand adds |summand| E to W, at 30 bits rounded up.  Those
-    folds move a summand's ratio to its computed value by at most
-    1/prod(1 - eps) - 1 <= E/(1 - E), so with g = c/(1-c) the radius gains
-    (1 + g)(W + E tail)/(1 - E), the share of the summands and of the tail's
-    t_n plus its cross term with g.  With no root factor below prec, E = 0
-    and the radius is the one above, bit for bit.  The precision is chosen
-    so that t_n's rounding moves the sum by about 2^-prec max(|sum|, 1): it
-    sets how tight the radius is, never whether it holds.
+    midpoint's leading bit: 1 at v = 2, below 2.2 above it.  The precision
+    is chosen so that t_n's rounding moves the sum by about
+    2^-prec max(|sum|, 1): it sets how tight the radius is, never whether
+    it holds.
+
+    The summands are added at the working precision, exactly while every
+    summand and partial sum fits, and sum|summand| beside it, rounded up.
+    The other bounds are radius arithmetic at 30 bits, rounded up as the ball
+    rule's: rho/(1-rho) = num/(den-num) from the exact cap, rounded up once,
+    and the tail |t_n| rho/(1-rho).  Every fold, a block, a ball or a root
+    at whatever precision p it runs, adds eps = (ceil(units) + [it rounded])
+    2^-p to E, units its factor's own (0 for a block), and E is kept exactly
+    as an integer multiple of 2^-prec; each summand adds |summand| E to W.
+    A summand is the exact block sum times t_i, so the folds move its ratio
+    to its computed value by at most 1/prod(1 - eps) - 1 <= E/(1 - E), and
+    the tail's t_n likewise.  With c = n 2^-prec for the n additions, each
+    within 2^-prec of a partial sum, and g = c/(1-c), the radius is
+    tail + g (sum|summand| + tail) + (1 + g)(W + E tail)/(1 - E): g covers
+    the rounded partial sums against the summands, and (1 + g) the cross
+    term, with no higher-order term left over.  Inside a block the terms
+    cancel exactly, so sum|summand| <= sum|t|.  While every summand and
+    partial sum is exact, the radius is the tail.
 
     Returns ``(ball, terms_used)``; raises :class:`BudgetExceeded` when
     ``max_terms`` terms do not meet the target, and :class:`NoConvergence`
-    when c >= 1: the factors' radii swamp the sum.
+    when c >= 1 or E >= 1: the factors' radii swamp the sum.
     """
     stop = ctx.prec - GUARD_BITS + 8  # the target is 2^-stop
     run, tail, last = _Run(ctx), None, None  # last: the cap of the last folded term, in lowest terms
@@ -587,8 +572,8 @@ class BigFloat:
         return rational(context(self.precision_bits), other) / self
 
     def units(self) -> float:
-        """The radius in units 2^-prec of |value|, rounded up: the count a
-        kernel factor carries (0 for an exact ball)."""
+        """The radius in units 2^-prec of |value|, rounded up (0 for an exact
+        ball): a kernel factor's count, whose ceiling its fold adds to E."""
         unit = _unit(context(self.precision_bits), self.value._mpf_)
         return to_float(mpf_div(self.error_bound._mpf_, unit, 53, "u")) if self.error_bound else 0.0
 

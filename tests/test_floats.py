@@ -47,9 +47,9 @@ def fold_one(run, factor):
     midpoint and units, a rational p/q as a block of one."""
     if isinstance(factor, BigFloat):
         value = factor.value._mpf_
-        return run.fold(value, 1, value, factor.units(), 1)
+        return run.fold(value, 1, value, factor.units(), 1, run.ctx.prec)
     top = from_int(factor.numerator)
-    return run.fold(top, factor.denominator, top, 0, 1)
+    return run.fold(top, factor.denominator, top, 0, 1, run.ctx.prec)
 
 
 def contains(out: BigFloat, value: F) -> bool:
@@ -148,15 +148,17 @@ class TestTailBoundedSum:
 
     def test_fold_counts_each_rounding(self):
         ctx = context(64)
+        ball = rational(ctx, F(1, 3))
         run, terms, counts = _Run(ctx), [], []
-        for factor in (3, F(1, 3), F(5), rational(ctx, F(1, 3))):
+        for factor in (3, F(1, 3), F(5), ball):
             run = fold_one(run, factor)
             terms.append(ctx.make_mpf(run.term))
-            counts.append(run.units)
-        # 3 is exact; 3 / 3 is a division that counts as rounded, though it
-        # lands on 1; 1 (5/1) is exact; the ball's unit and its product round
+            counts.append(run.rel)
+        # E 2^prec, exactly: 3 is exact; 3 / 3 is a division that counts as
+        # rounded, though it lands on 1; 1 (5/1) is exact; the ball adds its
+        # units, rounded up to an int, and its product rounds
         assert terms[:3] == [3, 1, 5]
-        assert counts[:3] == [0, 1, 1] and 3 <= counts[3] <= 3 + 2**-20
+        assert counts == [0, 1, 1, 1 + math.ceil(ball.units()) + 1]
 
     def test_loose_cap_near_one_stops(self):
         # rho/(1-rho) = 2^26 - 1 from the cap itself: the tail bound meets the
@@ -168,15 +170,18 @@ class TestTailBoundedSum:
         assert contains(out, F(1024, 1023))
 
     def test_rounding_counts_round_up(self):
-        # 60 balls around 3, each of a 53-bit unit count: a float sum of those
-        # counts may round down, and the count must not fall below their sum
+        # 60 balls around 5, each of a fractional unit count: every fold adds
+        # its count rounded up to an int, and one more once 5^n outgrows the
+        # working precision and its product rounds
         ctx = context(64)
         for share in (F(1, 3), F(5, 11), F(7, 3)):
-            factor = BigFloat(ctx.mpf(3), 64, 3 * ctx.ldexp(to_mid(ctx, share), -ctx.prec))
-            run = _Run(ctx)
+            factor = BigFloat(ctx.mpf(5), 64, 5 * ctx.ldexp(to_mid(ctx, share), -ctx.prec))
+            run, want = _Run(ctx), 0
             for _ in range(60):
+                want += math.ceil(factor.units()) + (mpf_mul(run.term, factor.value._mpf_)[3] > ctx.prec)
                 run = fold_one(run, factor)
-            assert F(run.units) >= 60 * F(factor.units())
+            assert run.rel == want >= 60 * math.ceil(factor.units())
+            assert want > 60 * math.ceil(factor.units())  # some of the folds rounded
 
     def test_long_sum_radius_is_first_order(self):
         # 500 terms (1/3) 2^-n: 500 factors counted as rounded and 499 rounded
@@ -252,30 +257,29 @@ BALLS = settings(max_examples=60, derandomize=True, deadline=None, database=None
 
 
 class TestRootFolds:
-    """A root factor folded at p bits, below the working precision, adds
-    eps = (ceil(units) + 1) 2^-p to E, and the radius gains
-    (1 + g)(W + E tail)/(1 - E), W = sum |summand| E at each summand, with
-    g = c/(1-c) the factor of the folds at the working precision."""
+    """Every fold, at whatever precision p it runs, adds
+    eps = (ceil(units) + [it rounded]) 2^-p to E, and the radius is
+    tail + g (sum|summand| + tail) + (1 + g)(W + E tail)/(1 - E), with
+    W = sum |summand| E at each summand, g = c/(1-c) and c = adds 2^-prec."""
 
     @BALLS
     @given(
-        precision=st.sampled_from([32, 64, 128]),  # a float count of 2^prec units fits
-        units=st.floats(0, 0.45),
+        precision=st.sampled_from([32, 64, 128]),
         adds=st.integers(0, 10**4),
-        rel=st.floats(2**-60, 0.45),
+        rel=st.floats(0, 0.45),
         moduli=st.lists(st.fractions(F(1, 2**40), 2**40, max_denominator=2**40), min_size=2, max_size=2),
         tail=st.fractions(0, 1, max_denominator=2**20),
     )
-    def test_radius_is_the_stated_bound(self, precision, units, adds, rel, moduli, tail):
-        # units and E are fractions of 2^prec, so g and the share's cross term both count
+    def test_radius_is_the_stated_bound(self, precision, adds, rel, moduli, tail):
+        # E is a fraction of 2^prec, so g, the share and their cross term all count
         ctx = context(precision)
         abs_sum, weighted = moduli
-        units, e = math.ldexp(units, ctx.prec), int(F(rel) * 2**ctx.prec)
+        e = int(F(rel) * 2**ctx.prec)
         raw = [from_rational(x.numerator, x.denominator, 30, "u") for x in (abs_sum, weighted, tail)]
-        run = _Run(ctx, units=units, rel=e, adds=adds, exact=False, total=raw[0], abs_sum=raw[0], weighted=raw[1])
+        run = _Run(ctx, rel=e, adds=adds, exact=False, total=raw[0], abs_sum=raw[0], weighted=raw[1])
         out = run.ball(raw[2])
         abs_sum, weighted, tail = (exact(ctx.make_mpf(x)) for x in raw)
-        c = (F(units) + adds) / 2**ctx.prec
+        c = F(adds, 2**ctx.prec)
         g, share = c / (1 - c), (weighted + F(e, 2**ctx.prec) * tail) / (1 - F(e, 2**ctx.prec))
         bound = tail + g * (abs_sum + tail) + (1 + g) * share
         assert bound <= exact(out.error_bound) <= bound * (1 + F(1, 2**20))
