@@ -25,13 +25,23 @@ error bound, and raises the one budget error, :class:`BudgetExceeded`.  It
 takes the series as its factors, t_0 = f_0 and t_n = t_{n-1} f_n, each an
 exact ratio as an int pair (p, q), q != 0, a ball, or a :class:`Root`, the
 exact p/q times (num/den)^(1/v), with an exact cap on the later ratios, an
-int pair too.  A stream hands over its integer
+int pair too.  A stream may end with one :class:`Ratios` run item for every
+later factor, each exact: a leaf function that builds the pairs of a range
+of factors in one go, and a cap function of n.  The kernel asks it for its
+leaves a chunk at a time, no further than the open block's predicted end,
+and for a cap only where a block ends; a series whose ratios are rational
+functions of n, the pFq series and the oracle at integer s, thus pays per
+term only for its integer products, a gcd and a leaf of the binary split
+(Brent and Zimmermann, 2010, section 4.9).  A stream hands over its integer
 products unreduced; the kernel brings each exact factor to lowest terms once
 (:func:`_lowest`: the sign to the denominator, then one gcd), as a Fraction
 would, so its leaves, its block cuts on denominator bits and every stop are
 those of the reduced ratios, and it reduces a cap only at a block end, where
-it reads one.  It sums each run of rational factors f_{i+1..j} = p_l/q_l as
-one block, by binary splitting in integers with no further gcd:
+it reads one.  One loop reads the rational factors of both kinds, pairs and
+a run item's leaves, so a run sums bit for bit as the same factors and caps
+given one pair at a time.  It sums each run of rational factors
+f_{i+1..j} = p_l/q_l as one block, by binary splitting in integers with no
+further gcd:
 P/Q = prod f_l and T/Q = sum_m prod_{l<=m} f_l, merged as P1 P2, Q1 Q2,
 T1 Q2 + P1 T2.  A block ends where its denominators reach the working
 precision in bits, where a ball, a root or a zero factor arrives, at the
@@ -68,17 +78,19 @@ of a partial sum, give c = n 2^-prec and g = c/(1-c), so the radius is
 tail + g (sum|summand| + tail) + (1 + g)(W + E tail)/(1 - E).
 
 The series oracle and the pFq evaluator only supply exact term ratios and
-caps; the oracle's ratios are the definition's, never a closed form's, and
-at non-integer s each is one :class:`Root`.
+caps; the oracle's ratios are the definition's, never a closed form's: at
+integer s a run item, as every pFq series' after its f_0, and at
+non-integer s one :class:`Root` each.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import mpmath
 from mpmath.libmp import fone, fzero, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_nthroot, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub, to_float
@@ -190,6 +202,29 @@ class Root(NamedTuple):
         return rational_root(ctx, self.num, self.den, self.v) * Fraction(self.p, self.q)
 
 
+class Ratios(NamedTuple):
+    """A factor stream's last item, a run that stands for every later
+    factor, each an exact ratio: from its own index n0 on, ``leaves(n0, n1)``
+    is the list of unreduced int pairs (p, q), q != 0, of the factors
+    n0 <= n < n1, and ``cap(n)`` the cap that goes with factor n, an
+    unreduced int pair, or None.  :func:`tail_bounded_sum` asks for the
+    leaves a chunk at a time and for a cap only where a block ends, so a
+    stream builds its leaves in bulk and its caps only there."""
+
+    leaves: Callable[[int, int], list]
+    cap: Callable[[int], tuple | None]
+
+
+def per_term(factors):
+    """The stream ``factors`` with its run item spelled out as one
+    (f_n, cap_n) pair per factor, as a stream without one gives them."""
+    for n, item in enumerate(factors):
+        if not isinstance(item, Ratios):
+            yield item
+            continue
+        yield from ((item.leaves(m, m + 1)[0], item.cap(m)) for m in itertools.count(n))
+
+
 def _up(op, x, y):
     """A libmp operation on raw mpf values, rounded up to 30 bits: radius
     arithmetic, as with Arb's mag_t (a lower bound rounds down instead)."""
@@ -233,6 +268,7 @@ def _lowest(pair):
 
 
 _FOLD = 6  # the most leaves :func:`_split` folds in a loop
+_CHUNK = 64  # the most leaves :func:`tail_bounded_sum` asks a run item for at once
 _LEAST_FOLD_BITS = 64  # the lowest precision a root factor is folded at
 
 
@@ -377,11 +413,13 @@ class _Run(NamedTuple):
 def _block(run, leaves, cap, stop: int):
     """Fold the rational factors ``leaves``, (p, q) pairs in lowest terms,
     into ``run`` as one block and test the tail on its last term with its
-    ``cap``: (run, tail or None)."""
+    ``cap``, an int pair or None, reduced here: (run, tail or None, the cap
+    in lowest terms)."""
+    cap = _lowest(cap)
     p, q, t = _split(leaves, 0, len(leaves))
     top = from_int(p)
     run = run.fold(top, q, top if t == p else from_int(t), 0, len(leaves), run.ctx.prec)
-    return run, run.tail(cap, stop)
+    return run, run.tail(cap, stop), cap
 
 
 def tail_bounded_sum(ctx, factors, max_terms: int):
@@ -389,41 +427,49 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     the context's target.
 
     ``factors`` yields pairs ``(f_n, cap_n)`` with t_0 = f_0 and
-    t_n = t_{n-1} f_n.  f_n is an exact ratio p/q as an int pair ``(p, q)``,
-    q != 0 and either sign, a :class:`BigFloat` ball at ``ctx``'s
-    precision, its radius in :meth:`BigFloat.units`, or a :class:`Root`,
-    whose root the kernel proves itself (below); cap_n is an exact
-    rational as an int pair likewise, with |f_m| <= cap_n for every m > n,
-    or None while no cap is known.  Neither need be in lowest terms: the
-    kernel reduces each exact factor once as it reads it, the sign to the
-    denominator and then one gcd (:func:`_lowest`), and a cap only at a
-    block end, where the tail test and the stop prediction read it, so a
-    stream of ``(k p, k q)`` sums bit for bit as one of ``(p, q)``.  The
-    target is 2^-(P+8), P = ``ctx.prec - GUARD_BITS`` the requested
-    precision.  The sum stops after the first folded t_n with
-    |t_n| rho/(1-rho) <= target * max(|sum|, 1), rho = cap_n < 1.  A stream
-    that runs out, or reaches a zero factor, means the series terminated:
-    its tail is 0, and nothing past the zero factor is read.
+    t_n = t_{n-1} f_n, and may end with one :class:`Ratios` run item, which
+    stands for every later factor.  f_n is an exact ratio p/q as an int pair
+    ``(p, q)``, q != 0 and either sign, a :class:`BigFloat` ball at
+    ``ctx``'s precision, its radius in :meth:`BigFloat.units`, or a
+    :class:`Root`, whose root the kernel proves itself (below); cap_n is an
+    exact rational as an int pair likewise, with |f_m| <= cap_n for every
+    m > n, or None while no cap is known.  A run item at index n0 gives the
+    exact factors from n0 on as ``leaves(n0, n1)``, their pairs for
+    n0 <= n < n1, and cap_n as ``cap(n)``; the kernel asks it for its leaves
+    a chunk of at most :data:`_CHUNK` at a time, no further than the open
+    block's predicted end, and for a cap only where a block ends.  Neither
+    a factor nor a cap need be in lowest terms: the kernel reduces each
+    exact factor once as it reads it, the sign to the denominator and then
+    one gcd (:func:`_lowest`), and a cap only at a block end, where the tail
+    test and the stop prediction read it, so a stream of ``(k p, k q)`` sums
+    bit for bit as one of ``(p, q)``, and a run item as the same factors and
+    caps given one pair at a time.  The target is 2^-(P+8),
+    P = ``ctx.prec - GUARD_BITS`` the requested precision.  The sum stops
+    after the first folded t_n with |t_n| rho/(1-rho) <= target * max(|sum|, 1),
+    rho = cap_n < 1.  A stream that runs out, or reaches a zero factor,
+    means the series terminated: its tail is 0, and nothing past the zero
+    factor is read.
 
     Blocks: each run of rational factors f_{i+1..j} = p_l/q_l is summed
     exactly by binary splitting (:func:`_split`) into integers P, Q and T,
     and folded into the sum with one exact product and one rounded division
     for each of two values (:func:`_times`): t_i T/Q is one summand and
-    t_i P/Q the next running term t_j.  A block ends at the first of: its
-    denominators reaching the working precision ``prec`` in bits; a ball
-    or a root factor, which is then a block of one through the same fold; a zero
-    factor; the ``max_terms``-th term; the stop index predicted from the last
-    cap rho < 1 and the folded |t_i| and |sum| (:meth:`_Run.steps`).  The
-    tail test then runs on the block's last term (:func:`_block`), so a
-    prediction that falls short costs one more block, never a wrong stop,
-    and the sum stops at the first block end that passes it: never before
-    a per-term loop would, and past it when the block runs on beyond the
-    first passing term, which the prediction and the cut at ``prec`` bits
-    keep to a short block.  Before the exact test, a float screen
-    (:meth:`_Run.tail`) skips it where log2 |t_n| + log2 num - log2(den - num)
-    + stop - max(log2 |sum|, 0) > 1: the exact bound is at least
-    |t_n| num/(den - num), so a screened term could never pass, and the
-    decisions are those of the exact test alone.
+    t_i P/Q the next running term t_j.  One loop reads the rational factors
+    of both sources, pairs and run items, and a block ends at the first of:
+    its denominators reaching the working precision ``prec`` in bits; a ball
+    or a root factor, which is then a block of one through the same fold; a
+    zero factor; the ``max_terms``-th term; the stop index predicted, as the
+    block opens, from the last cap rho < 1 and the folded |t_i| and |sum|
+    (:meth:`_Run.steps`).  The tail test then runs on the block's last term
+    (:func:`_block`), so a prediction that falls short costs one more block,
+    never a wrong stop, and the sum stops at the first block end that passes
+    it: never before a per-term loop would, and past it when the block runs
+    on beyond the first passing term, which the prediction and the cut at
+    ``prec`` bits keep to a short block.  Before the exact test, a float
+    screen (:meth:`_Run.tail`) skips it where log2 |t_n| + log2 num
+    - log2(den - num) + stop - max(log2 |sum|, 0) > 1: the exact bound is at
+    least |t_n| num/(den - num), so a screened term could never pass, and
+    the decisions are those of the exact test alone.
 
     Root factors: the kernel proves the root of f_n = (p/q) (num/den)^(1/v)
     by :func:`_root` at p_n = :meth:`_Run.precision` bits,
@@ -457,48 +503,73 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     ``max_terms`` terms do not meet the target, and :class:`NoConvergence`
     when c >= 1 or E >= 1: the factors' radii swamp the sum.
     """
-    stop = ctx.prec - GUARD_BITS + 8  # the target is 2^-stop
+    stop, width = ctx.prec - GUARD_BITS + 8, ctx.prec  # the target is 2^-stop; a block ends where its denominators reach width bits
     run, tail, last = _Run(ctx), None, None  # last: the cap of the last folded term, in lowest terms
-    leaves, bits, held = [], 0, None  # held: the cap of the last leaf, as the stream gave it
-    for n, (factor, cap) in enumerate(factors):
-        is_ball, is_root = isinstance(factor, BigFloat), isinstance(factor, Root)
-        if not (factor.value if is_ball else factor[0]):
-            break  # a zero factor: the series terminated
-        if (is_ball or is_root) and leaves:  # the run of rational factors ends before this one
-            run, tail = _block(run, leaves, _lowest(held), stop)
-            leaves, bits = [], 0
-            if tail is not None:
-                break
-        if n == max_terms:
-            raise BudgetExceeded(f"error bound not met within {max_terms} terms")
-        if is_ball or is_root:  # a block of one
-            if is_ball:
-                prec, (top, units), q = ctx.prec, _midpoint(ctx, factor), 1
-            else:  # the root proved at the precision its term needs
-                prec = run.precision(last)
-                mid, radius = _root(factor.num, factor.den, factor.v, prec)
-                # radius / (2^-prec |mid|) with |mid| >= 2^(exp + bc - 1): exact in a float, as radius has <= 30 bits
-                units = math.ldexp(radius[1], radius[2] + prec + 1 - mid[2] - mid[3])
-                top, q = mpf_mul(mid, from_int(factor.p)), factor.q
-            run, last = run.fold(top, q, top, units, 1, prec), _lowest(cap)
-            tail = run.tail(last, stop)
+    leaves, bits, end = [], 0, 0  # the open block: its leaves in lowest terms, their denominators' bits, its last index
+    n, items, ratios = 0, iter(factors), None  # n: the index of the next factor
+    caps = prior = first = None  # caps(m): cap_m of the pairs read from index ``first`` on; prior: the caps before them
+    while True:
+        if ratios is not None:  # its next leaves: up to the open block's predicted end, or the one that opens a block
+            size = min(_CHUNK, end + 1 - n) if leaves else 1
+            pairs, prior, caps, first = ratios.leaves(n, n + size), caps, ratios.cap, n
         else:
-            if not leaves:  # a block starts after t_{n-1}: predict where the stop falls
+            item = next(items, None)
+            if item is None:
+                break  # the stream ran out
+            if isinstance(item, Ratios):
+                ratios = item
+                continue
+            factor, cap = item
+            if isinstance(factor, (BigFloat, Root)):  # a block of one
+                is_ball = isinstance(factor, BigFloat)
+                if not (factor.value if is_ball else factor.p):
+                    break  # a zero factor: the series terminated
+                if leaves:  # the open block ends before this factor
+                    (run, tail, last), leaves, bits = _block(run, leaves, caps(n - 1), stop), [], 0
+                    if tail is not None:
+                        break
+                if n == max_terms:
+                    raise BudgetExceeded(f"error bound not met within {max_terms} terms")
+                if is_ball:
+                    prec, (top, units), q = ctx.prec, _midpoint(ctx, factor), 1
+                else:  # the root proved at the precision its term needs
+                    prec = run.precision(last)
+                    mid, radius = _root(factor.num, factor.den, factor.v, prec)
+                    # radius / (2^-prec |mid|) with |mid| >= 2^(exp + bc - 1): exact in a float, as radius has <= 30 bits
+                    units = math.ldexp(radius[1], radius[2] + prec + 1 - mid[2] - mid[3])
+                    top, q = mpf_mul(mid, from_int(factor.p)), factor.q
+                run, last, n = run.fold(top, q, top, units, 1, prec), _lowest(cap), n + 1
+                tail = run.tail(last, stop)
+                if tail is not None:
+                    break
+                continue
+            pairs, prior, caps, first = [factor], caps, (lambda _, cap=cap: cap), n
+        # the rational factors n, n+1, ... of either source, pairs or a run item, read into blocks
+        for pair in pairs:
+            if not pair[0]:
+                break  # a zero factor: the series terminated
+            if not leaves:  # a block opens at factor n: the budget, and where its stop should fall
+                if n == max_terms:
+                    raise BudgetExceeded(f"error bound not met within {max_terms} terms")
                 steps = run.steps(last, stop)
                 end = max_terms - 1 if steps is None else min(max_terms - 1, n - 1 + steps)
-            p, q = _lowest(factor)
-            leaves.append((p, q))
+            p, q = pair  # to lowest terms, as :func:`_lowest`
+            g = math.gcd(p, q)
+            if q < 0:
+                g = -g
+            q //= g
+            leaves.append((p // g, q))
             bits += q.bit_length()
-            held = cap
-            if bits < ctx.prec and n < end:
-                continue
-            last = _lowest(cap)
-            run, tail = _block(run, leaves, last, stop)
-            leaves, bits = [], 0
-        if tail is not None:
-            break
-    if leaves:  # the stream ran out, or reached a zero factor
-        run, tail = _block(run, leaves, _lowest(held), stop)
+            n += 1
+            if bits >= width or n > end:  # the block ends with factor n - 1
+                (run, tail, last), leaves, bits = _block(run, leaves, caps(n - 1), stop), [], 0
+                if tail is not None:
+                    break
+        else:
+            continue
+        break
+    if leaves:  # the stream ran out, or reached a zero factor: the last leaf's cap
+        run, tail, _ = _block(run, leaves, (caps if n > first else prior)(n - 1), stop)
     return run.ball(fzero if tail is None else tail), run.terms
 
 

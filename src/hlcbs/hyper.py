@@ -25,7 +25,10 @@ z prod(alpha+n) / (prod(beta+n) (n+1)), to the one summation kernel,
 owns the stop target and the budget error and stops only once a provable
 geometric tail bound falls below that target: each ratio factor
 (alpha+n)/(beta+n) is monotone in n with limit 1, so past any index N the
-term ratio is bounded by the exact |z| * prod_c max(h_c(N), 1).
+term ratio is bounded by the exact |z| * prod_c max(h_c(N), 1).  After
+f_0 the ratios reach the kernel as one :class:`~hlcbs.floats.Ratios` run
+item: a chunk of leaves is one exact product per parameter over an
+arithmetic progression of n, and a cap is built only where a block ends.
 
 :func:`check_domain` is the one place that decides where the series is
 defined.  At z = 0 it needs a > 0, where the factor (2z)^(2a) is 0, so every
@@ -38,14 +41,14 @@ incomplete beta and :func:`hlcbs.closedform.zeta_exact`.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import DomainError, PiExtValue, as_fraction
-from .floats import GUARD_BITS, BigFloat, NoConvergence, context, rational, rational_root, tail_bounded_sum
+from .floats import GUARD_BITS, BigFloat, NoConvergence, Ratios, context, rational, rational_root, tail_bounded_sum
 
 
 class LowerParamPole(DomainError):
@@ -128,9 +131,12 @@ class PFQParams:
 
 
 def _pfq_factors(params: PFQParams):
-    """Yield (f_n, cap_n) of the series: f_0 = 1 and the exact term ratio
-    f_{n+1} = z prod(u+n) / (prod(l+n) (n+1)), z folded in.  An upper
-    parameter that reaches 0 makes a factor 0, where the kernel stops."""
+    """Yield (f_0, cap_0) = ((1, 1), None), then one
+    :class:`~hlcbs.floats.Ratios` run item for every later factor: the exact
+    term ratio f_{n+1} = z prod(u+n) / (prod(l+n) (n+1)), z folded in, as an
+    unreduced int pair, its leaves built a chunk at a time, and cap_n, built
+    only where the kernel asks for it.  An upper parameter that reaches 0
+    makes a factor 0, where the kernel stops."""
     # each upper paired with a lower, the implicit 1 of n! among them
     pairs = list(zip(sorted(params.upper), sorted(params.lower + (Fraction(1),))))
     # below n_safe a ratio factor may still be negative or non-monotone
@@ -139,23 +145,28 @@ def _pfq_factors(params: PFQParams):
     )
     # u + n = (num + n den)/den: each factor and cap is a pair of integer
     # products, the parameters' denominators in fixed scales; every Fraction
-    # is read here, once, so the loop works in ints
+    # is read here, once, so the leaves and caps are built in ints
     z, rising = params.z, [(u, l) for u, l in pairs if u > l]
-    uppers, lowers = _ints(params.upper), _ints(params.lower)
+    uppers, lowers = _ints(params.upper), _ints(params.lower + (Fraction(1),))
     rising_uppers, rising_lowers = _ints(u for u, _ in rising), _ints(l for _, l in rising)
     top_scale = z.numerator * math.prod(den for _, den in lowers)
     bottom_scale = z.denominator * math.prod(den for _, den in uppers)
     cap_top_scale = abs(z.numerator) * math.prod(den for _, den in rising_lowers)
     cap_bottom_scale = z.denominator * math.prod(den for _, den in rising_uppers)
-    factor = 1, 1
-    for n in itertools.count():
+
+    def leaves(n0: int, n1: int) -> list:
+        # f_n is the ratio at n - 1; the lower 1 gives its (n - 1) + 1
+        return list(zip(_shifted(uppers, n0 - 1, n1 - 1, top_scale), _shifted(lowers, n0 - 1, n1 - 1, bottom_scale)))
+
+    def cap(n: int):
         # past n_safe each (u+m)/(l+m) is positive and monotone with limit 1
         # for m >= n, so it is capped by max(value, 1): above 1 only if u > l
-        cap = None
-        if n >= n_safe:
-            cap = cap_top_scale * _shifted(rising_uppers, n), cap_bottom_scale * _shifted(rising_lowers, n)
-        yield factor, cap
-        factor = top_scale * _shifted(uppers, n), bottom_scale * (n + 1) * _shifted(lowers, n)
+        if n < n_safe:
+            return None
+        return _shifted(rising_uppers, n, n + 1, cap_top_scale)[0], _shifted(rising_lowers, n, n + 1, cap_bottom_scale)[0]
+
+    yield (1, 1), None  # n_safe >= 1
+    yield Ratios(leaves, cap)
 
 
 def _ints(params):
@@ -163,9 +174,14 @@ def _ints(params):
     return [(x.numerator, x.denominator) for x in params]
 
 
-def _shifted(ints, n: int) -> int:
-    """prod (num + n den) over ``ints``: the numerators of prod (x + n)."""
-    return math.prod(num + n * den for num, den in ints)
+def _shifted(ints, m0: int, m1: int, scale: int) -> list:
+    """scale prod (num + m den) over ``ints``, the numerators of
+    scale prod (x + m), for each m0 <= m < m1: one exact product per
+    parameter over the whole range, each x + m an arithmetic progression."""
+    values = [scale] * (m1 - m0)
+    for num, den in ints:
+        values = list(map(operator.mul, values, range(num + m0 * den, num + m1 * den, den)))
+    return values
 
 
 def pfq_eval(params: PFQParams, precision_bits: int = 128) -> BigFloat:

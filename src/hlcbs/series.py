@@ -10,15 +10,17 @@ The series is handed to the one summation kernel,
 :func:`hlcbs.floats.tail_bounded_sum`, as its factors, built from this
 definition and never from a closed form: the first term as a ball, then the
 exact term ratio (2z)^2 r(nu+1)/r(nu) (nu/(nu+1))^s, r(nu) = 1/C(2nu, nu),
-which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s: at integer s an exact int
-pair (p, q) of integer products, left for the kernel to reduce, and at any
-other s a root factor (:class:`~hlcbs.floats.Root`): the exact part at
-floor(s) apart from the v-th root of (nu/(nu+1))^u, u/v the fractional part
-of s, whose root the kernel proves itself at the precision each term needs,
-an integer square root at half-integer s.  The ratio tends
-to z^2, which yields a provable geometric tail bound from an exact cap, an
-int pair too.  The kernel keeps the running product and every rounding
-count, owns the stop target and the budget error
+which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s.  At integer s each ratio is an
+exact int pair (p, q) of integer products, left for the kernel to reduce,
+and all of them come as one :class:`~hlcbs.floats.Ratios` run item, which
+builds them a chunk at a time and a cap only where the kernel ends a
+block.  At any other s each is a root factor (:class:`~hlcbs.floats.Root`):
+the exact part at floor(s) apart from the v-th root of (nu/(nu+1))^u, u/v
+the fractional part of s, whose root the kernel proves itself at the
+precision each term needs, an integer square root at half-integer s.  The
+ratio tends to z^2, which yields a provable geometric tail bound from an
+exact cap, an int pair too.  The kernel keeps the running product and
+every rounding count, owns the stop target and the budget error
 (:class:`~hlcbs.floats.BudgetExceeded`), stops on the bound and states it.
 Where the series is defined is :func:`hlcbs.hyper.check_domain`'s call
 alone.  This module only sums; the checks on the series live in
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, as_fraction
-from .floats import BigFloat, Root, context, tail_bounded_sum
+from .floats import BigFloat, Ratios, Root, context, per_term, tail_bounded_sum
 from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
 from .hyper import central_binomial_reciprocal_seed, check_domain, rational_power
 
@@ -66,11 +68,14 @@ def _phi_factors(ctx, s, a, z):
     """Yield (f_n, cap_n) for the terms T_n, n >= 0, of the definition.
 
     The first factor is the term at nu = a, (2z)^(2a) g(a) a^-s, a ball
-    from hyper's powers and seed.  Each later factor is the
+    from hyper's powers and seed, with no cap.  Each later factor is the
     definition's term ratio T_{n+1}/T_n = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s at
-    nu = a + n, with r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) exact: r at
-    integer s, as the int pair (num, den) of its products, unreduced and of
-    either sign (a may be negative there), else the root factor
+    nu = a + n, with r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) exact.  At
+    integer s it is r, the int pair (num, den) of its products, unreduced
+    and of either sign (a may be negative there), and all of them come as
+    one :class:`~hlcbs.floats.Ratios` run item after the first term: its
+    leaves built a chunk at a time, its caps only where the kernel asks.
+    At any other s each factor is the root factor
     ``Root(num, den, p^u, (p+d)^u, v)``, r (nu/(nu+1))^(u/v) for the
     fractional part u/v of s and nu = p/d, whose root the kernel proves at
     the precision the term needs; r stays apart from the root, so the
@@ -82,24 +87,33 @@ def _phi_factors(ctx, s, a, z):
     Bernoulli's (1 + 1/nu)^f <= 1 + f/nu at the fractional part f.  Each cap
     is an unreduced int pair of nonnegative products.
     """
-    factor = rational_power(ctx, 2 * z, 2 * a) * central_binomial_reciprocal_seed(ctx, a) * rational_power(ctx, a, -s)
-    # every Fraction is read here, once: the loop works in ints
-    two_z_sq, d = 2 * z * z, a.denominator
+    head = rational_power(ctx, 2 * z, 2 * a) * central_binomial_reciprocal_seed(ctx, a) * rational_power(ctx, a, -s)
+    # every Fraction is read here, once: the leaves and caps are built in ints
+    two_z_sq, p0, d = 2 * z * z, a.numerator, a.denominator  # nu = p/d with p = p0 + n d at term n
     two_z_num, two_z_den = two_z_sq.numerator, two_z_sq.denominator
     whole, frac = divmod(s, 1)
     k, f = divmod(-s, 1)
     u, v, f_num, f_den, power = frac.numerator, frac.denominator, f.numerator, f.denominator, abs(whole)
-    for n in itertools.count():
-        p = a.numerator + n * d  # nu = p/d: each ratio and cap is a pair of integer products
-        top, bottom = two_z_num * (p + d), two_z_den * (2 * p + d)
-        cap = None
-        if p > 0 and n:
-            cap = (top, bottom) if whole >= 0 else (top * (p + d) ** k * (p * f_den + f_num * d), bottom * p ** (k + 1) * f_den)
-        yield factor, cap
-        # r = num/den, the powers of nu/(nu+1) on the side their sign puts them
+
+    def exact(p: int):
+        # r at nu = p/d, the powers of nu/(nu+1) on the side their sign puts them
         rise, fall = (p, p + d) if whole >= 0 else (p + d, p)
-        num, den = top * rise**power, bottom * fall**power
-        factor = Root(num, den, p**u, (p + d) ** u, v) if u else (num, den)
+        return two_z_num * (p + d) * rise**power, two_z_den * (2 * p + d) * fall**power
+
+    def cap(n: int):  # n >= 1
+        p = p0 + n * d
+        if p <= 0:
+            return None
+        top, bottom = two_z_num * (p + d), two_z_den * (2 * p + d)
+        return (top, bottom) if whole >= 0 else (top * (p + d) ** k * (p * f_den + f_num * d), bottom * p ** (k + 1) * f_den)
+
+    yield head, None
+    if not u:  # factor n is r at nu = a + n - 1
+        yield Ratios(lambda n0, n1: [exact(p) for p in range(p0 + (n0 - 1) * d, p0 + (n1 - 1) * d, d)], cap)
+        return
+    for n in itertools.count(1):
+        p = p0 + (n - 1) * d
+        yield Root(*exact(p), p**u, (p + d) ** u, v), cap(n)
 
 
 def phi_numeric(query: SeriesQuery) -> BigFloat:
@@ -112,7 +126,7 @@ def phi_terms(query: SeriesQuery, count: int):
     """First ``count`` series terms as mpf values (diagnostic/monotonicity
     aid): the factors multiplied by the ball rule, up to the first zero term."""
     ctx = context(query.precision_bits)
-    factors = (factor.ball(ctx) if isinstance(factor, Root) else factor if isinstance(factor, BigFloat) else Fraction(*factor) for factor, _ in _phi_factors(ctx, query.s, query.a, query.z))
+    factors = (factor.ball(ctx) if isinstance(factor, Root) else factor if isinstance(factor, BigFloat) else Fraction(*factor) for factor, _ in per_term(_phi_factors(ctx, query.s, query.a, query.z)))
     terms = itertools.accumulate(factors, lambda term, factor: factor * term)
     return [term.value for term in itertools.islice(itertools.takewhile(lambda term: term.value, terms), count)]
 

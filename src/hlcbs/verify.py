@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from . import closedform, polyfam, series
 from .exact import PiExtValue
-from .floats import BigFloat, context, rational, rational_root
+from .floats import BigFloat, context, per_term, rational, rational_root
 from .hyper import PFQParams, central_binomial_reciprocal_seed, exact_gamma_ratio, gamma_ratio_shift, pfq_eval, piext_to_float, rational_power
 from .report import CheckReport, Tally, sci
 
@@ -49,6 +49,9 @@ class UnknownCheck(KeyError):
 class VerifyConfig:
     precision_bits: int = 128
     seed: int = 20240811
+
+    def __post_init__(self):
+        context(self.precision_bits)  # rejects a precision below MIN_PRECISION_BITS, as the user gave it
 
 
 def _random_rationals(rng, count, lattice_free=True):
@@ -192,7 +195,7 @@ def _euler_operator_point(tally, s: int, a: Fraction, z: Fraction, precision_bit
     truncation = phi_at(s - 3, z + h, precision_bits) * (2 * z * h * h / (3 * (z - h) ** 3)) * BigFloat(ctx.zero, precision_bits, ctx.one)
     tally.agree(fd + truncation, phi_at(s - 1, z))
 
-    ratios = zip(series._phi_factors(ctx, s, a, z), series._phi_factors(ctx, s - 1, a, z))
+    ratios = zip(per_term(series._phi_factors(ctx, s, a, z)), per_term(series._phi_factors(ctx, s - 1, a, z)))
     for n, ((f_s, _), (f_lowered, _)) in itertools.islice(enumerate(ratios), 1, 21):
         tally.exact(Fraction(*f_lowered) * (a + n - 1) == Fraction(*f_s) * (a + n))
 

@@ -244,6 +244,12 @@ class TestVerifyCommand:
             "elapsed_ms",
         }
 
+    def test_precision_below_minimum_names_it(self, capsys):
+        # the precision named is the one given, not a check's own P + 16
+        code, out, err = run_cli(capsys, "verify", "--precision", "8")
+        assert code == 1 and not out
+        assert err.startswith("error: precision_bits must be >= 32, got 8")
+
     def test_unknown_check_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "verify", "definitely_not_a_check")
         assert code == 1

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_int, from_rational, mpf_abs, mpf_add, mpf_mul, mpf_neg, mpf_shift
 
-from hlcbs import floats, hyper
+from hlcbs import floats, hyper, series
 from hlcbs.exact import DomainError
 from hlcbs.floats import GUARD_BITS, BigFloat, BudgetExceeded, _Run, context, rational, rational_root, tail_bounded_sum
 from hlcbs.hyper import NoConvergence, PFQParams, pfq_eval
+
+from conftest import is_pair
 
 
 def as_pairs(factors, scale=1, cap_scale=1):
@@ -573,3 +576,110 @@ class TestSplitKernel:
         out = pfq_eval(PFQParams((F(1, 2), F(3, 4)), (F(7, 4),), z), 2048)
         assert contains(out, exact(expected))
         assert 0 < out.error_bound < abs(out.value) * ref.ldexp(1, -2048)
+
+
+def _upper():
+    """A pFq upper parameter: a negative integer (the sum terminates) or a
+    fraction of either sign."""
+    return st.integers(-12, -1).map(F) | st.fractions(F(-9, 2), F(9, 2), max_denominator=7)
+
+
+def _lower():
+    """A pFq lower parameter: never a nonpositive integer, and at times a
+    negative fraction, so n_safe > 1."""
+    return st.fractions(F(-9, 2), F(9, 2), max_denominator=7).filter(lambda l: l.denominator > 1 or l > 0)
+
+
+@st.composite
+def run_streams(draw):
+    """(ctx, make, max_terms): ``make()`` is a fresh stream that ends in a
+    run item, a pFq series' or the integer-s oracle's, at a precision of
+    32-4096 bits."""
+    ctx = context(draw(st.sampled_from([32, 53, 128, 300, 1024, 4096])))
+    if draw(st.booleans()):
+        lower = draw(st.lists(_lower(), min_size=1, max_size=2))
+        upper = draw(st.lists(_upper(), min_size=len(lower) + 1, max_size=len(lower) + 1))
+        params = PFQParams(tuple(upper), tuple(lower), draw(st.fractions(F(-3, 4), F(3, 4), max_denominator=9)))
+        return ctx, lambda: hyper._pfq_factors(params), hyper._MAX_PFQ_TERMS
+    s = draw(st.integers(-4, 3))
+    a = draw(st.fractions(F(-9, 2), F(9, 2), max_denominator=6).filter(lambda a: (2 * a).denominator > 1 or a > 0))
+    query = series.SeriesQuery(s, a, draw(st.fractions(F(1, 10), F(3, 4), max_denominator=10)), ctx.prec - GUARD_BITS)
+    return ctx, lambda: series._phi_factors(ctx, query.s, query.a, query.z), query.max_terms
+
+
+def counted(factors, tally):
+    """``factors`` with its run item's calls counted in ``tally``: the
+    caps read, and the leaves made."""
+    for item in factors:
+        if isinstance(item, floats.Ratios):
+
+            def leaves(n0, n1, make=item.leaves):
+                tally["leaves"] += n1 - n0
+                return make(n0, n1)
+
+            def cap(n, read=item.cap):
+                tally["caps"] += 1
+                return read(n)
+
+            item = floats.Ratios(leaves, cap)
+        yield item
+
+
+class TestRunItems:
+    """A stream that ends in a :class:`~hlcbs.floats.Ratios` run item sums bit
+    for bit as the same factors and caps given one pair at a time."""
+
+    @BALLS
+    @given(case=run_streams())
+    # terminating, with a negative lower parameter: n_safe = 5
+    @example(case=(context(128), lambda: hyper._pfq_factors(PFQParams((F(-5, 2), F(-7)), (F(-7, 2),), F(-1, 3))), hyper._MAX_PFQ_TERMS))
+    # negative a and s at 4096 bits: thousands of leaves in chunks
+    @example(case=(context(4096), lambda: series._phi_factors(context(4096), F(-3), F(-5, 4), F(3, 4)), series.DEFAULT_MAX_TERMS))
+    def test_a_run_sums_as_its_pairs(self, case):
+        ctx, make, max_terms = case
+
+        def summed(factors, max_terms):
+            try:
+                out, used = tail_bounded_sum(ctx, factors, max_terms)
+            except BudgetExceeded:
+                return "BudgetExceeded"
+            return out.value._mpf_, out.error_bound._mpf_, used
+
+        head, run = make()
+        assert is_pair(head[0]) or isinstance(head[0], BigFloat)
+        assert isinstance(run, floats.Ratios)
+        whole = summed(make(), max_terms)
+        assert whole != "BudgetExceeded" and whole == summed(floats.per_term(make()), max_terms)
+        assert summed(make(), whole[2] - 1) == summed(floats.per_term(make()), whole[2] - 1)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(case=run_streams())
+    def test_caps_only_where_blocks_end(self, case):
+        # one cap per block, and no leaf made twice or more than one chunk
+        # past the last term read
+        ctx, make, max_terms = case
+        tally, fold = {"caps": 0, "leaves": 0, "blocks": 0}, floats._block
+
+        def block(*args):
+            tally["blocks"] += 1
+            return fold(*args)
+
+        with mock.patch.object(floats, "_block", block):
+            _, used = tail_bounded_sum(ctx, counted(make(), tally), max_terms)
+        assert tally["caps"] <= tally["blocks"] + 1
+        assert tally["leaves"] - used <= floats._CHUNK
+
+    @pytest.mark.parametrize(
+        "precision,make",
+        [
+            (128, lambda: series._phi_factors(context(128), F(2), F(3, 2), F(9, 10))),
+            (128, lambda: series._phi_factors(context(128), F(-3), F(-5, 4), F(1, 2))),
+            (512, lambda: hyper._pfq_factors(PFQParams((F(1, 2), F(3, 4)), (F(7, 4),), F(-1, 2)))),
+        ],
+    )
+    def test_chunks_end_at_the_predicted_stop(self, precision, make):
+        # these sums stop in a block whose end was predicted, and no chunk
+        # runs past a prediction, so no leaf is made past the last term read
+        tally = {"caps": 0, "leaves": 0}
+        _, used = tail_bounded_sum(context(precision), counted(make(), tally), 10**4)
+        assert 0 < tally["leaves"] <= used

@@ -28,7 +28,7 @@ from hlcbs.hyper import (
     rational_power,
     real_central_binomial,
 )
-from hlcbs.floats import context
+from hlcbs.floats import Ratios, context
 
 from conftest import is_pair
 
@@ -134,7 +134,9 @@ class TestPFQFactors:
                 t /= pochhammer(l, n)
             return t
 
-        pairs, caps = zip(*itertools.islice(_pfq_factors(PFQParams(upper, lower, z)), 40))
+        (head, head_cap), run = _pfq_factors(PFQParams(upper, lower, z))  # f_0, then the run item
+        assert isinstance(run, Ratios)
+        pairs, caps = [head, *run.leaves(1, 40)], [head_cap, *map(run.cap, range(1, 40))]
         assert all(is_pair(f) for f in pairs) and all(cap is None or is_pair(cap) for cap in caps)
         factors, caps = [F(*f) for f in pairs], [cap and F(*cap) for cap in caps]
         assert factors[0] == 1
@@ -144,7 +146,8 @@ class TestPFQFactors:
         assert all(cap is None or all(abs(f) <= cap for f in live[n + 1 :]) for n, cap in enumerate(caps))
 
     def test_caps_start_at_n_safe(self):
-        caps = [cap for _, cap in itertools.islice(_pfq_factors(PFQParams((F(-5, 2), 1), (F(-7, 2),), F(1, 3))), 8)]
+        (_, head_cap), run = _pfq_factors(PFQParams((F(-5, 2), 1), (F(-7, 2),), F(1, 3)))
+        caps = [head_cap, *map(run.cap, range(1, 8))]
         assert caps[:5] == [None] * 5 and None not in caps[5:]
 
     def test_exact_terms_keep_bound_zero(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hlcbs import floats, series
 from hlcbs.exact import DomainError
-from hlcbs.floats import BigFloat, Root, context
+from hlcbs.floats import BigFloat, Ratios, Root, context
 from hlcbs.hyper import gamma_ratio_shift
 from hlcbs.report import Tally
 from hlcbs.series import (
@@ -175,7 +175,9 @@ class TestOracleFactors:
             nu = n + a
             return (2 * z) ** (2 * nu) / math.comb(2 * nu, nu) / F(nu) ** s
 
-        first, *rest = itertools.islice(_phi_factors(context(128), F(s), F(a), z), 31)
+        first, run = _phi_factors(context(128), F(s), F(a), z)  # the head, then the run item
+        assert isinstance(run, Ratios)
+        rest = list(zip(run.leaves(1, 31), map(run.cap, range(1, 31))))
         lead = ctx.mpf(term(0).numerator) / term(0).denominator
         assert isinstance(first[0], BigFloat) and abs(first[0].value - lead) <= first[0].error_bound
         for n, (factor, cap) in enumerate(rest):  # factor n + 1 is T_{n+1}/T_n
@@ -234,7 +236,8 @@ class TestOracleFactors:
 
     def test_caps_are_tight_at_integer_s(self):
         # at s < 0 the cap is the next ratio itself, not a rounded-up power
-        factors = list(itertools.islice(_phi_factors(context(128), F(-3), F(2), F(1, 2)), 10))
+        _, run = _phi_factors(context(128), F(-3), F(2), F(1, 2))
+        factors = list(zip(run.leaves(1, 11), map(run.cap, range(1, 11))))
         assert all(F(*cap) == F(*factors[n + 1][0]) for n, (_, cap) in enumerate(factors[:-1]) if cap is not None)
 
 
