@@ -13,26 +13,29 @@ operands' radii can move the result and by the operation's own rounding,
 2^-prec of the result (none for an exact product or sum that fits the
 precision, or a quotient by a power of two).  No caller counts roundings by
 hand.  Every fractional power and square root is proved: :func:`rational_root`
-is the one root constructor, the ball of (num/den)^(1/v) from an integer
-square root at v = 2 and from a checked candidate above it, and its proof
-(:func:`_root`) takes the precision directly.  Every other
-transcendental, the off-lattice gamma seed and pi among them, is a series
-summed by :func:`tail_bounded_sum`.
+is the one root constructor, the ball of (num/den)^(1/v), and it shares
+the one integer root (:func:`_root_floor`) with the kernel's root runs: y
+with y <= (num/den)^(1/v) 2^k < y + w, proved by the bracket
+y^v den <= num 2^(vk) < (y+w)^v den, in exact integers up to v = 8 and by
+libmp's outward-rounded powers above it.  Every other transcendental, the
+off-lattice gamma seed and pi among them, is a series summed by
+:func:`tail_bounded_sum`.
 
 :func:`tail_bounded_sum` is the one place that sums a series: it derives the
 stop target from the context's precision, decides when to stop, states the
 error bound, and raises the one budget error, :class:`BudgetExceeded`.  It
 takes the series as its factors, t_0 = f_0 and t_n = t_{n-1} f_n, each an
-exact ratio as an int pair (p, q), q != 0, a ball, or a :class:`Root`, the
-exact p/q times (num/den)^(1/v), with an exact cap on the later ratios, an
-int pair too.  A stream may end with one :class:`Ratios` run item for every
-later factor, each exact: a leaf function that builds the pairs of a range
-of factors in one go, and a cap function of n.  The kernel asks it for its
-leaves a chunk at a time, no further than the open block's predicted end,
-and for a cap only where a block ends; a series whose ratios are rational
-functions of n, the pFq series and the oracle at integer s, thus pays per
-term only for its integer products, a gcd and a leaf of the binary split
-(Brent and Zimmermann, 2010, section 4.9).  A stream hands over its integer
+exact ratio as an int pair (p, q), q != 0, or a ball, with an exact cap on
+the later ratios, an int pair too.  A stream may end with one run item for
+every later factor: a :class:`Ratios` run of exact factors, a leaf
+function that builds the pairs of a range of factors in one go and a cap
+function of n, or its twin for root factors, a :class:`Roots` run of the
+exact p/q times (num/den)^(1/v).  The kernel asks a :class:`Ratios` run
+for its leaves a chunk at a time, no further than the open block's
+predicted end, and for a cap only where a block ends; a series whose
+ratios are rational functions of n, the pFq series and the oracle at
+integer s, thus pays per term only for its integer products, a gcd and a
+leaf of the binary split (Brent and Zimmermann, 2010, section 4.9).  A stream hands over its integer
 products unreduced; the kernel brings each exact factor to lowest terms once
 (:func:`_lowest`: the sign to the denominator, then one gcd), as a Fraction
 would, so its leaves, its block cuts on denominator bits and every stop are
@@ -44,9 +47,9 @@ f_{i+1..j} = p_l/q_l as one block, by binary splitting in integers with no
 further gcd:
 P/Q = prod f_l and T/Q = sum_m prod_{l<=m} f_l, merged as P1 P2, Q1 Q2,
 T1 Q2 + P1 T2.  A block ends where its denominators reach the working
-precision in bits, where a ball, a root or a zero factor arrives, at the
-term budget, or at the stop index predicted from the last cap; a ball or a
-root factor is a block of one.  Each block is folded into the sum by one
+precision in bits, where a ball, a root run or a zero factor arrives, at
+the term budget, or at the stop index predicted from the last cap; a ball
+is a block of one.  Each block is folded into the sum by one
 exact product and one rounded division for each of two values: t_i T/Q
 becomes one summand, and t_i P/Q the next running term; a power-of-two Q
 divides exactly.  The exact tail test then runs on the block's last term,
@@ -58,29 +61,30 @@ rounded up, as the ball rule's radii are (Arb's mag_t): the tail and the
 rounding radius at 30 bits, and sum|summand| at the working precision,
 with no slack factor.
 
-A root factor's root is proved by the kernel itself, at the precision p_n
-its term needs, not at the working precision prec: p_n = prec -
-floor(log2(max(|sum|, 1) / (|t_{n-1}| cap))) from the quantities the tail
-screen reads, taken from bit lengths and clamped to [64, prec], so the
-precision falls as the terms shrink below the sum (Brent and Zimmermann,
-Modern Computer Arithmetic, 2010; Johansson, Arb, 2017).  The running term
-is rounded at p_n too.  The schedule sets how tight a radius is, never
-whether it holds.
+A root run is summed in fixed point, in one loop over Python ints
+(:func:`_roots`), as mpmath sums its own hypergeometric series (Brent and
+Zimmermann, Modern Computer Arithmetic, 2010, ch. 4): every value a whole
+number of units 2^e, about 2^-prec max(|sum|, 1), each term one
+:func:`_root_step` from the last, its root taken at the least K that keeps
+the root's share below one unit, so the precision falls as the terms
+shrink, and its error an exact count of units.  The stop, the zero-factor
+rule and the budget are int comparisons on every term, and the run is
+folded into the sum once, as one summand with its units and its tail.
 
 One rule carries the running term's errors, as Arb's one radius does:
-every fold, at whatever precision p it runs, adds
-eps = (ceil(units) + [it rounded]) 2^-p to E, units the radius of its ball
-or root factor in units 2^-p of the midpoint, and E is kept exactly as an
-integer multiple of 2^-prec.  Each summand adds |summand| E to W, at 30
-bits.  The folds move a summand's ratio to its computed value by at most
+every fold adds eps = (ceil(units) + [it rounded]) 2^-prec to E, units the
+radius of its ball factor in units 2^-prec of the midpoint, and E is kept
+exactly as an integer multiple of 2^-prec.  Each summand adds |summand| E
+to W, at 30 bits, and a root run's summand its units 2^e too.  The folds
+move a summand's ratio to its computed value by at most
 1/prod(1 - eps) - 1 <= E/(1 - E), and the n additions, each within 2^-prec
 of a partial sum, give c = n 2^-prec and g = c/(1-c), so the radius is
 tail + g (sum|summand| + tail) + (1 + g)(W + E tail)/(1 - E).
 
 The series oracle and the pFq evaluator only supply exact term ratios and
 caps; the oracle's ratios are the definition's, never a closed form's: at
-integer s a run item, as every pFq series' after its f_0, and at
-non-integer s one :class:`Root` each.
+integer s a :class:`Ratios` run item, as every pFq series' after its f_0,
+and at non-integer s a :class:`Roots` run item.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import mpmath
-from mpmath.libmp import fone, fzero, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_nthroot, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub, to_float
+from mpmath.libmp import fone, fzero, from_int, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_nthroot, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub, to_float, to_int
 
 MIN_PRECISION_BITS = 32
 GUARD_BITS = 32
@@ -131,8 +135,9 @@ def _midpoint(ctx, x):
     unrounded, any other Fraction rounded once."""
     if isinstance(x, BigFloat):
         return x.value._mpf_, x.units()
-    if x.denominator & (x.denominator - 1) == 0:
-        return from_man_exp(x.numerator, 1 - x.denominator.bit_length()), 0
+    if x.denominator & (x.denominator - 1) == 0:  # libmp strips trailing zeros 8 at a time, each a shift of the whole int
+        zeros = (x.numerator & -x.numerator).bit_length() - 1 if x.numerator else 0
+        return from_man_exp(x.numerator >> zeros, zeros + 1 - x.denominator.bit_length()), 0
     return from_rational(x.numerator, x.denominator, ctx.prec, "n"), 1
 
 
@@ -145,51 +150,90 @@ def rational(ctx, q) -> "BigFloat":
 
 def rational_root(ctx, num: int, den: int, v: int) -> "BigFloat":
     """The ball of r = q^(1/v), q = num/den, for ints num >= 0, den > 0 and
-    v >= 2, proved in integers and directed roundings (:func:`_root`) at the
-    context's precision: no result is trusted.  0 is exact."""
+    v >= 2, proved at the context's precision: no result is trusted.  0 is
+    exact.
+
+    The one integer root (:func:`_root_floor`) puts r in [y, y+w) 2^-k:
+    the ball (y + w/2) 2^-k of radius w 2^-(k+1).  k makes
+    num 2^(vk)/den >= 2^(v(prec-1)), so y >= 2^(prec-1) and the radius is
+    at most w units 2^-prec of the midpoint: 1 unit, as w = 1 but where
+    :func:`_root_floor` says otherwise."""
     if not num:
         return rational(ctx, 0)
-    mid, radius = _root(num, den, v, ctx.prec)
-    return BigFloat(ctx.make_mpf(mid), ctx.prec - GUARD_BITS, ctx.make_mpf(radius))
+    k = -((num.bit_length() - den.bit_length() - 1 - v * (ctx.prec - 1)) // v)
+    y, w = _root_floor(num, den, v, k)
+    return BigFloat(ctx.make_mpf(from_man_exp(2 * y + w, -k - 1)), ctx.prec - GUARD_BITS, ctx.make_mpf(from_man_exp(w, -k - 1)))
 
 
-def _root(num: int, den: int, v: int, prec: int):
-    """(midpoint, radius) of r = q^(1/v), q = num/den > 0, v >= 2, as raw
-    mpf values at ``prec`` bits, so the kernel proves a root at the precision
-    its term needs with no context made for it.
+_INT_BRACKET = 8  # the highest v whose root bracket is decided in exact integers
 
-    Q = floor(num 2^K / den) puts q in [Q, Q+1) 2^-K.  At v = 2,
-    y = isqrt(Q) with K = 2k puts r in [y, y+1) 2^-k: the ball
-    (y + 1/2) 2^-k of radius 2^-(k+1), and K makes y at least prec bits, so
-    the radius is below 1 unit 2^-prec r.  At v > 2, K makes Q at least
-    w = prec + 8 bits.  The midpoint c is libmp's rounded root of Q 2^-K, a
-    candidate never trusted: the mean value theorem,
-    c^v - q = v xi^(v-1) (c - r) with xi between c and r, gives
-    |c - r| <= |c^v - q| c / (v min(c^v, q)), and c^v is bracketed by
-    roundings down and up at w bits, so every rounding is on the safe side.
-    For a candidate within 1 unit 2^-prec c of r, as a rounded root is,
-    |c^v - q| <= ((1 + 2^-prec)^v - 1) q and the brackets add under
-    4 2^-w q, so the radius is below 1.1 units for v <= 1000.
-    """
-    # Q >= 2^(2 prec - 2), so y >= 2^(prec-1), at v = 2; Q >= 2^w above it
-    k = 2 * ((2 * prec + den.bit_length() - num.bit_length()) // 2) if v == 2 else prec + 9 + den.bit_length() - num.bit_length()
-    big = (num << k) // den if k >= 0 else num // (den << -k)
-    if v == 2:  # raw values: 2y + 1 is odd, so the mantissas are normalized
-        m = 2 * math.isqrt(big) + 1
-        return (0, m, -k // 2 - 1, m.bit_length()), (0, 1, -k // 2 - 1, 1)
-    low, high, w = from_man_exp(big, -k), from_man_exp(big + 1, -k), prec + 8
-    c = mpf_nthroot(low, v, prec, "n")
-    under, over = mpf_pow_int(c, v, w, "d"), mpf_pow_int(c, v, w, "u")
-    above, below = mpf_sub(over, low, 30, "u"), mpf_sub(high, under, 30, "u")  # the larger is >= |c^v - q|
-    gap = below if mpf_lt(above, below) else above
-    return c, _up(mpf_div, _up(mpf_mul, gap, c), mpf_mul(from_int(v), under if mpf_lt(under, low) else low))
+
+def _root_floor(num: int, den: int, v: int, k: int):
+    """(y, w) with y <= r 2^k < y + w, r = (num/den)^(1/v), for ints
+    num >= 0, den > 0, v >= 2 and k: the one integer v-th root, of
+    :func:`rational_root` and of the kernel's root runs, proved by the
+    bracket y^v den <= num 2^(vk) < (y+w)^v den.
+
+    At v = 2, y is :func:`math.isqrt` of Q = floor(num 2^(2k) / den), and
+    w = 1.  Above it libmp's rounded root is a candidate, never trusted.  Up
+    to v = :data:`_INT_BRACKET` the bracket is decided in exact integers:
+    y is the floor root of Q = floor(num 2^(vk) / den) (:func:`_iroot`),
+    and w = 1.  Above that the bracket's integers would have v k bits, so
+    libmp's directed roundings of the two powers decide it at a few bits
+    past y's, each compared exactly with num 2^(vk)/den: ``mpf_pow_int``
+    rounds every step outward, up for y^v and down for (y+w)^v.  Each end
+    moves out from the candidate by steps that double until its side holds,
+    so w = 1 but where r 2^k lies within the roundings' reach of an
+    integer, or the candidate was off."""
+    if v <= _INT_BRACKET:
+        big = (num << v * k) // den if k >= 0 else num // (den << -v * k)
+        if v == 2:
+            return math.isqrt(big), 1
+    bits = max(k + (num.bit_length() - den.bit_length()) // v, 0) + 10  # y's bits, and a margin
+    shift = bits + den.bit_length() - num.bit_length()  # num/den to about ``bits`` bits, in one int division
+    scaled = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    low = max(to_int(mpf_shift(mpf_nthroot(from_man_exp(scaled, -shift), v, bits, "d"), k), "f"), 0)
+    if v <= _INT_BRACKET:
+        return _iroot(big, v, low), 1
+
+    def side(y: int, rnd: str) -> int:  # the sign of y^v den - num 2^(vk), y^v rounded rnd
+        _, m, e, _ = mpf_pow_int(from_int(y), v, bits, rnd)
+        shift = e - v * k
+        left, right = (m * den << shift, num) if shift >= 0 else (m * den, num << -shift)
+        return (left > right) - (left < right)
+
+    high, step = low + 1, 1
+    while side(low, "u") > 0:
+        low, step = max(low - step, 0), 2 * step
+    step = 1
+    while side(high, "d") <= 0:
+        high, step = high + step, 2 * step
+    return low, high - low
+
+
+def _iroot(big: int, v: int, y: int) -> int:
+    """floor(big^(1/v)) for ints big >= 0 and v >= 2, from a candidate y
+    never trusted, proved by the exact bracket y^v <= big < (y+1)^v.
+    Integer Newton steps y <- ((v-1) y + floor(big / y^(v-1))) // v move a
+    candidate that fails it: by the AM-GM inequality a step from any y > 0
+    lands at or above the floor root, and from above the bracket it falls
+    strictly, so every candidate ends at the floor root."""
+    y = max(y, 0)
+    while True:
+        low = y ** (v - 1)
+        if low * y > big:  # above: a step stays at or above the floor root
+            y = ((v - 1) * y + big // low) // v
+        elif low * (y + v) > big or (y + 1) ** v > big:  # (y+1)^v >= y^v + v y^(v-1), and mostly that settles it
+            return y
+        else:  # below: one step from y + 1 lands at or above the floor root
+            y = ((v - 1) * (y + 1) + big // (y + 1) ** (v - 1)) // v
 
 
 class Root(NamedTuple):
-    """A kernel factor (p/q) (num/den)^(1/v): an exact ratio p/q, ints with
-    q > 0, times the v-th root, v >= 2, of an exact rational num/den,
-    ints num > 0 and den > 0.  :func:`tail_bounded_sum` proves the root
-    itself (:func:`_root`), at the precision its term needs."""
+    """One factor (p/q) (num/den)^(1/v) of a :class:`Roots` run, as
+    :func:`per_term` spells the run out: an exact ratio p/q, ints with
+    q > 0, times the v-th root, v >= 2, of an exact rational num/den, ints
+    with 0 < num < den."""
 
     p: int
     q: int
@@ -215,14 +259,31 @@ class Ratios(NamedTuple):
     cap: Callable[[int], tuple | None]
 
 
+class Roots(NamedTuple):
+    """A factor stream's last item, the twin of :class:`Ratios` for root
+    factors (p/q) (num/den)^(1/v): from its own index n0 on,
+    ``leaves(n0, n1)`` is the list of int tuples (p, q, num, den), q > 0 and
+    0 < num < den, of the factors n0 <= n < n1, and ``cap(n)`` the cap that
+    goes with factor n, as :class:`Ratios` gives it.
+    :func:`tail_bounded_sum` sums the run in fixed point (:func:`_roots`),
+    and reads every cap, as it tests the tail on every term."""
+
+    leaves: Callable[[int, int], list]
+    cap: Callable[[int], tuple | None]
+    v: int
+
+
 def per_term(factors):
     """The stream ``factors`` with its run item spelled out as one
-    (f_n, cap_n) pair per factor, as a stream without one gives them."""
+    (f_n, cap_n) pair per factor, as a stream without one gives them: a
+    :class:`Roots` factor as a :class:`Root`."""
     for n, item in enumerate(factors):
-        if not isinstance(item, Ratios):
+        if isinstance(item, Ratios):
+            yield from ((item.leaves(m, m + 1)[0], item.cap(m)) for m in itertools.count(n))
+        elif isinstance(item, Roots):
+            yield from ((Root(*item.leaves(m, m + 1)[0], item.v), item.cap(m)) for m in itertools.count(n))
+        else:
             yield item
-            continue
-        yield from ((item.leaves(m, m + 1)[0], item.cap(m)) for m in itertools.count(n))
 
 
 def _up(op, x, y):
@@ -269,7 +330,6 @@ def _lowest(pair):
 
 _FOLD = 6  # the most leaves :func:`_split` folds in a loop
 _CHUNK = 64  # the most leaves :func:`tail_bounded_sum` asks a run item for at once
-_LEAST_FOLD_BITS = 64  # the lowest precision a root factor is folded at
 
 
 def _split(leaves, lo: int, hi: int):
@@ -326,17 +386,17 @@ class _Run(NamedTuple):
     abs_sum: tuple = fzero
     weighted: tuple = fzero
 
-    def fold(self, top, bottom: int, partial, units, count: int, prec: int) -> "_Run":
+    def fold(self, top, bottom: int, partial, units, count: int) -> "_Run":
         """The run after a block of ``count`` terms t_{i+1..j}: t_i
         partial/bottom is one summand and t_j = t_i top/bottom the next
         running term (``partial is top`` for a block of one), both rounded
-        at ``prec`` bits.  E gains eps = (ceil(units) + [it rounded]) 2^-prec,
-        ``units`` the block's own, a root's or a ball's (0 for rational
-        factors), and W gains |summand| E, this fold's eps included."""
+        at the working precision.  E gains eps = (ceil(units) + [it rounded])
+        2^-prec, ``units`` a ball's (0 for a block of rational factors), and
+        W gains |summand| E, this fold's eps included."""
         ctx = self.ctx
-        term, rounded = _times(prec, self.term, top, bottom)
-        summand, summand_rounded = (term, rounded) if partial is top else _times(prec, self.term, partial, bottom)
-        rel = self.rel + ((math.ceil(units) + (rounded or summand_rounded)) << (ctx.prec - prec))
+        term, rounded = _times(ctx.prec, self.term, top, bottom)
+        summand, summand_rounded = (term, rounded) if partial is top else _times(ctx.prec, self.term, partial, bottom)
+        rel = self.rel + math.ceil(units) + (rounded or summand_rounded)
         exact = self.exact and not rel
         # while every summand is exact, add exactly and see whether the sum fits
         raw = mpf_add(self.total, summand, 0 if exact else ctx.prec, "n")
@@ -344,21 +404,6 @@ class _Run(NamedTuple):
         abs_sum = mpf_add(self.abs_sum, mpf_abs(summand), ctx.prec, "u")
         weighted = _up(mpf_add, self.weighted, _up(mpf_mul, mpf_abs(summand), (0, rel, -ctx.prec, rel.bit_length()))) if rel else self.weighted
         return _Run(ctx, term, rel, self.terms + count, self.adds + 1, exact and raw[3] <= ctx.prec, mpf_pos(raw, ctx.prec, "n") if exact else raw, abs_sum, weighted)
-
-    def precision(self, cap) -> int:
-        """The bits for the next term, t_j f with |f| <= cap (a pair in
-        lowest terms): prec - floor(log2(max(|sum|, 1) / (|t_j| cap))), read
-        off bit lengths and rounded up by at most 4 bits, and clamped to
-        [:data:`_LEAST_FOLD_BITS`, prec], so that its rounding moves the sum
-        by about 2^-prec max(|sum|, 1); prec while no cap is known.  It sets
-        how tight the radius is, never whether it holds."""
-        prec = self.ctx.prec
-        if cap is None or not cap[0]:
-            return prec
-        total, term = self.total, self.term
-        # each bit length is log2 within 1: the drop is within 2 of D, so D - 2 never overshoots
-        drop = (max(total[2] + total[3], 1) if total[1] else 1) - term[2] - term[3] + cap[1].bit_length() - cap[0].bit_length() - 2
-        return prec if drop < 1 else max(_LEAST_FOLD_BITS, prec - drop)
 
     def tail(self, cap, stop: int):
         """The tail test on the running term t_j: with rho = num/den < 1, the
@@ -418,8 +463,86 @@ def _block(run, leaves, cap, stop: int):
     cap = _lowest(cap)
     p, q, t = _split(leaves, 0, len(leaves))
     top = from_int(p)
-    run = run.fold(top, q, top if t == p else from_int(t), 0, len(leaves), run.ctx.prec)
+    run = run.fold(top, q, top if t == p else from_int(t), 0, len(leaves))
     return run, run.tail(cap, stop), cap
+
+
+def _root_step(t: int, err: int, p: int, q: int, num: int, den: int, v: int):
+    """One term of a root run in fixed point: from t, within err units of
+    the true term x, the next term within the returned units of
+    x (p/q) r, r = (num/den)^(1/v) in (0, 1), as (t, err).
+
+    The root is y with y <= r 2^K < y + w (:func:`_root_floor`, w = 1 but
+    for a rounded bracket), and the term floor(t p y / (2^K q)).  K is the
+    least that keeps the root's share |x p/q| (r - y 2^-K) below w units,
+    read off bit lengths: |x| <= |t| + err < 2^b and
+    |p|/q < 2^(bitlen p - bitlen q + 1), so K = b + bitlen p - bitlen q + 1,
+    and the precision falls with the term.  With y 2^-K <= r < 1, err
+    carries over as err |p|/q, and the root and the floor add under w units
+    and 1: err' = ceil(err |p|/q) + w + 1."""
+    k = max((abs(t) + err).bit_length() + p.bit_length() - q.bit_length() + 1, 0)
+    y, w = _root_floor(num, den, v, k)
+    return (t * p * y >> k) // q, -(-err * abs(p) // q) + w + 1
+
+
+def _whole(x, e: int) -> int:
+    """A raw mpf x as a whole number of units 2^e, e at most its exponent."""
+    return 0 if not x[1] else -(x[1] << x[2] - e) if x[0] else x[1] << x[2] - e
+
+
+def _roots(run, item, n: int, max_terms: int, stop: int):
+    """Sum the :class:`Roots` run ``item``, factors n, n+1, ..., into
+    ``run`` in one Python-int loop: (run, tail or None).
+
+    Every value is a whole number of units 2^e, e set once from bit lengths:
+    2^-prec max(|sum|, 1), no coarser than the last bits of t_i and of the
+    sum, so both are exact.  Each term is one :func:`_root_step` from the
+    last, T_0 = t_i, its error an exact count E_n of units, and the sum S
+    and sum E_n add exactly.  The zero-factor rule, the budget and the tail
+    test run on every term in ints, the test on the bound |T_n| + E_n
+    against the kernel's target 2^-stop max(|sum|, 1), after a screen on
+    bit lengths that skips only tests that fail.  The run is then folded
+    into ``run`` once: one summand S 2^e, one rounded addition, and
+    W gains |S 2^e| E_i + (sum E_n) 2^e, E_i the running term's relative
+    error, which the run leaves as it is."""
+    ctx, term, total = run.ctx, run.term, run.total
+    lead = max(total[2] + total[3] - 1, 0) if total[1] else 0  # floor(log2 max(|sum|, 1))
+    e = min([lead - ctx.prec] + [x[2] for x in (term, total) if x[1]])
+    t, base, one = _whole(term, e), _whole(total, e), 1 << -e if e < 0 else 1  # one: 1, or a unit when that is more
+    first, s, units, err, tail = n, 0, 0, 0, None
+
+    def leaves():  # a chunk no longer than the run so far, up to _CHUNK
+        m = first
+        while True:
+            size = min(_CHUNK, max(m - first, 1))
+            yield from item.leaves(m, m + size)
+            m += size
+
+    for p, q, num, den in leaves():
+        if not p:
+            break  # a zero factor: the series terminated
+        if n == max_terms:
+            raise BudgetExceeded(f"error bound not met within {max_terms} terms")
+        t, err = _root_step(t, err, p, q, num, den, item.v)
+        s, units, n = s + t, units + err, n + 1
+        cap = _lowest(item.cap(n - 1))
+        if cap is None or cap[0] >= cap[1]:
+            continue
+        top, bottom = cap[0], cap[1] - cap[0]  # rho/(1-rho)
+        bound, size = abs(t) + err, max(abs(base + s), one)
+        # bound top 2^stop <= bottom size; bit lengths put the left side at 2^(bits - 2) or more
+        if top and bound.bit_length() + top.bit_length() + stop - 2 >= bottom.bit_length() + size.bit_length():
+            continue
+        if bound * top << stop <= bottom * size:
+            tail = _up(mpf_mul, from_man_exp(bound, e, 30, "u"), from_rational(top, bottom, 30, "u"))
+            break
+    if n == first:
+        return run, tail
+    summand = from_man_exp(s, e)
+    share = _up(mpf_add, from_man_exp(units, e, 30, "u"), _up(mpf_mul, mpf_abs(summand), from_man_exp(run.rel, -ctx.prec)))
+    total = mpf_add(total, summand, ctx.prec, "n")
+    abs_sum = mpf_add(run.abs_sum, mpf_abs(summand), ctx.prec, "u")
+    return run._replace(term=from_man_exp(t, e), terms=run.terms + n - first, adds=run.adds + 1, exact=False, total=total, abs_sum=abs_sum, weighted=_up(mpf_add, run.weighted, share)), tail
 
 
 def tail_bounded_sum(ctx, factors, max_terms: int):
@@ -427,18 +550,20 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     the context's target.
 
     ``factors`` yields pairs ``(f_n, cap_n)`` with t_0 = f_0 and
-    t_n = t_{n-1} f_n, and may end with one :class:`Ratios` run item, which
-    stands for every later factor.  f_n is an exact ratio p/q as an int pair
-    ``(p, q)``, q != 0 and either sign, a :class:`BigFloat` ball at
-    ``ctx``'s precision, its radius in :meth:`BigFloat.units`, or a
-    :class:`Root`, whose root the kernel proves itself (below); cap_n is an
-    exact rational as an int pair likewise, with |f_m| <= cap_n for every
-    m > n, or None while no cap is known.  A run item at index n0 gives the
-    exact factors from n0 on as ``leaves(n0, n1)``, their pairs for
-    n0 <= n < n1, and cap_n as ``cap(n)``; the kernel asks it for its leaves
-    a chunk of at most :data:`_CHUNK` at a time, no further than the open
-    block's predicted end, and for a cap only where a block ends.  Neither
-    a factor nor a cap need be in lowest terms: the kernel reduces each
+    t_n = t_{n-1} f_n, and may end with one run item, :class:`Ratios` or
+    :class:`Roots`, which stands for every later factor.  f_n is an exact
+    ratio p/q as an int pair ``(p, q)``, q != 0 and either sign, or a
+    :class:`BigFloat` ball at ``ctx``'s precision, its radius in
+    :meth:`BigFloat.units`; cap_n is an exact rational as an int pair
+    likewise, with |f_m| <= cap_n for every m > n, or None while no cap is
+    known.  A :class:`Ratios` item at index n0 gives the exact factors from
+    n0 on as ``leaves(n0, n1)``, their pairs for n0 <= n < n1, and cap_n as
+    ``cap(n)``; the kernel asks it for its leaves a chunk of at most
+    :data:`_CHUNK` at a time, no further than the open block's predicted
+    end, and for a cap only where a block ends.  A :class:`Roots` item gives
+    root factors (p/q) (num/den)^(1/v) likewise, summed in fixed point
+    (below).  Neither a factor nor a cap need be in lowest terms: the
+    kernel reduces each
     exact factor once as it reads it, the sign to the denominator and then
     one gcd (:func:`_lowest`), and a cap only at a block end, where the tail
     test and the stop prediction read it, so a stream of ``(k p, k q)`` sums
@@ -456,8 +581,8 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     for each of two values (:func:`_times`): t_i T/Q is one summand and
     t_i P/Q the next running term t_j.  One loop reads the rational factors
     of both sources, pairs and run items, and a block ends at the first of:
-    its denominators reaching the working precision ``prec`` in bits; a ball
-    or a root factor, which is then a block of one through the same fold; a
+    its denominators reaching the working precision ``prec`` in bits; a ball,
+    which is then a block of one through the same fold, or a root run; a
     zero factor; the ``max_terms``-th term; the stop index predicted, as the
     block opens, from the last cap rho < 1 and the folded |t_i| and |sum|
     (:meth:`_Run.steps`).  The tail test then runs on the block's last term
@@ -471,24 +596,29 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     least |t_n| num/(den - num), so a screened term could never pass, and
     the decisions are those of the exact test alone.
 
-    Root factors: the kernel proves the root of f_n = (p/q) (num/den)^(1/v)
-    by :func:`_root` at p_n = :meth:`_Run.precision` bits,
-    prec - floor(log2(max(|sum|, 1) / (|t_{n-1}| cap_{n-1}))) clamped to
-    [:data:`_LEAST_FOLD_BITS`, prec], and t_n = t_{n-1} mid p / q is
-    rounded at p_n.  Its units are the root's radius over 2^-p_n of the
-    midpoint's leading bit: 1 at v = 2, below 2.2 above it.  The precision
-    is chosen so that t_n's rounding moves the sum by about
-    2^-prec max(|sum|, 1): it sets how tight the radius is, never whether
-    it holds.
+    Root runs (:func:`_roots`): the kernel sums every later factor
+    f_n = (p/q) (num/den)^(1/v) in one loop over Python ints, each value a
+    whole number of units 2^e, 2^-prec max(|sum|, 1) as the run opens, from
+    T_0 = t_i.  Each term is one :func:`_root_step`:
+    T_n = floor(T_{n-1} p Y / (2^K q)), Y <= (num/den)^(1/v) 2^K < Y + w
+    by the one integer root (:func:`_root_floor`), K the least that keeps
+    the root's share below w units, so the precision falls with the term;
+    its error is an exact count, E_n = ceil(E_{n-1} |p|/q) + w + 1.  The
+    sum S adds exactly; the zero-factor rule, the budget and the tail test,
+    on |T_n| + E_n against the same target, run on every term in ints.  The
+    run is folded in once: the summand S 2^e, within (sum E_n) 2^e of t_i
+    times the run's exact sum, and t_i within E of its own, so one rounded
+    addition, and W gains |S 2^e| E + (sum E_n) 2^e; the tail is
+    (|T_n| + E_n) 2^e rho/(1-rho).
 
     The summands are added at the working precision, exactly while every
     summand and partial sum fits, and sum|summand| beside it, rounded up.
     The other bounds are radius arithmetic at 30 bits, rounded up as the ball
     rule's: rho/(1-rho) = num/(den-num) from the exact cap, rounded up once,
-    and the tail |t_n| rho/(1-rho).  Every fold, a block, a ball or a root
-    at whatever precision p it runs, adds eps = (ceil(units) + [it rounded])
-    2^-p to E, units its factor's own (0 for a block), and E is kept exactly
-    as an integer multiple of 2^-prec; each summand adds |summand| E to W.
+    and the tail |t_n| rho/(1-rho).  Every fold, a block or a ball, adds
+    eps = (ceil(units) + [it rounded]) 2^-prec to E, units its factor's own
+    (0 for a block), and E is kept exactly as an integer multiple of
+    2^-prec; each summand adds |summand| E to W.
     A summand is the exact block sum times t_i, so the folds move its ratio
     to its computed value by at most 1/prod(1 - eps) - 1 <= E/(1 - E), and
     the tail's t_n likewise.  With c = n 2^-prec for the n additions, each
@@ -519,30 +649,26 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
             if isinstance(item, Ratios):
                 ratios = item
                 continue
-            factor, cap = item
-            if isinstance(factor, (BigFloat, Root)):  # a block of one
-                is_ball = isinstance(factor, BigFloat)
-                if not (factor.value if is_ball else factor.p):
-                    break  # a zero factor: the series terminated
-                if leaves:  # the open block ends before this factor
+            if isinstance(item, Roots) or isinstance(item[0], BigFloat):
+                if leaves:  # the open block ends before a ball or a root run
                     (run, tail, last), leaves, bits = _block(run, leaves, caps(n - 1), stop), [], 0
                     if tail is not None:
                         break
+                if isinstance(item, Roots):  # every later factor, summed in ints
+                    run, tail = _roots(run, item, n, max_terms, stop)
+                    break
+                factor, cap = item  # a ball: a block of one
+                if not factor.value:
+                    break  # a zero factor: the series terminated
                 if n == max_terms:
                     raise BudgetExceeded(f"error bound not met within {max_terms} terms")
-                if is_ball:
-                    prec, (top, units), q = ctx.prec, _midpoint(ctx, factor), 1
-                else:  # the root proved at the precision its term needs
-                    prec = run.precision(last)
-                    mid, radius = _root(factor.num, factor.den, factor.v, prec)
-                    # radius / (2^-prec |mid|) with |mid| >= 2^(exp + bc - 1): exact in a float, as radius has <= 30 bits
-                    units = math.ldexp(radius[1], radius[2] + prec + 1 - mid[2] - mid[3])
-                    top, q = mpf_mul(mid, from_int(factor.p)), factor.q
-                run, last, n = run.fold(top, q, top, units, 1, prec), _lowest(cap), n + 1
+                top, units = _midpoint(ctx, factor)
+                run, last, n = run.fold(top, 1, top, units, 1), _lowest(cap), n + 1
                 tail = run.tail(last, stop)
                 if tail is not None:
                     break
                 continue
+            factor, cap = item
             pairs, prior, caps, first = [factor], caps, (lambda _, cap=cap: cap), n
         # the rational factors n, n+1, ... of either source, pairs or a run item, read into blocks
         for pair in pairs:

@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import DomainError, PiExtValue, as_fraction
-from .floats import GUARD_BITS, BigFloat, NoConvergence, Ratios, context, rational, rational_root, tail_bounded_sum
+from .floats import _FOLD, GUARD_BITS, BigFloat, NoConvergence, Ratios, context, rational, rational_root, tail_bounded_sum
 
 
 class LowerParamPole(DomainError):
@@ -210,8 +210,9 @@ def incomplete_beta_numeric(z, alpha, beta, precision_bits: int = 128) -> BigFlo
     if alpha <= 0 or beta <= 0:
         raise DomainError(f"incomplete beta needs alpha, beta > 0, got {alpha}, {beta}")
     alpha, z = check_domain(alpha, z)
+    ctx = context(precision_bits)  # before the 2F1's P + 16: a precision below MIN_PRECISION_BITS is named as given
     f = pfq_eval(PFQParams((alpha, 1 - beta), (alpha + 1,), z), precision_bits + 16)
-    return rational_power(context(precision_bits), z, alpha) / alpha * f
+    return rational_power(ctx, z, alpha) / alpha * f
 
 
 @lru_cache(maxsize=None)
@@ -246,6 +247,18 @@ def incomplete_beta_exact(alpha) -> PiExtValue:
 # power roots an exact rational and amplifies none.
 
 
+def _product(factors: range) -> int:
+    """The product of an arithmetic progression of ints by balanced halves,
+    ranges of at most :data:`~hlcbs.floats._FOLD` factors by
+    :func:`math.prod`, as :func:`~hlcbs.floats._split` merges its leaves: a
+    product from the left over many factors multiplies ever longer
+    integers."""
+    if len(factors) <= _FOLD:
+        return math.prod(factors)
+    mid = len(factors) // 2
+    return _product(factors[:mid]) * _product(factors[mid:])
+
+
 def gamma_ratio_shift(a):
     """(a0, num, den) with g(a) = g(a0) num/den, a0 = a - floor(a) in [0, 1).
 
@@ -257,9 +270,9 @@ def gamma_ratio_shift(a):
     m = math.floor(a)
     a0 = a - m
     p, d = a0.numerator, a0.denominator
-    steps = range(min(m, 0), max(m, 0))
-    up = math.prod(p + (j + 1) * d for j in steps)  # d (x+1) at x = a0 + j
-    down = math.prod(2 * p + (2 * j + 1) * d for j in steps)  # d (2x+1)
+    lo, hi = min(m, 0), max(m, 0)  # the steps j, x = a0 + j
+    up = _product(range(p + (lo + 1) * d, p + (hi + 1) * d, d))  # d (x+1)
+    down = _product(range(2 * p + (2 * lo + 1) * d, 2 * p + (2 * hi + 1) * d, 2 * d))  # d (2x+1)
     if m >= 0:
         return a0, up, down << m
     return a0, down << -m, up

@@ -14,12 +14,13 @@ which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s.  At integer s each ratio is an
 exact int pair (p, q) of integer products, left for the kernel to reduce,
 and all of them come as one :class:`~hlcbs.floats.Ratios` run item, which
 builds them a chunk at a time and a cap only where the kernel ends a
-block.  At any other s each is a root factor (:class:`~hlcbs.floats.Root`):
-the exact part at floor(s) apart from the v-th root of (nu/(nu+1))^u, u/v
-the fractional part of s, whose root the kernel proves itself at the
-precision each term needs, an integer square root at half-integer s.  The
-ratio tends to z^2, which yields a provable geometric tail bound from an
-exact cap, an int pair too.  The kernel keeps the running product and
+block.  At any other s they come as one :class:`~hlcbs.floats.Roots` run
+item: each factor the exact part at floor(s) apart from the v-th root of
+(nu/(nu+1))^u, u/v the fractional part of s, which the kernel sums in
+fixed point, each root an integer root at the least precision its term
+allows, an integer square root at half-integer s.  The ratio tends to
+z^2, which yields a provable geometric tail bound from an exact cap, an
+int pair too.  The kernel keeps the running product and
 every rounding count, owns the stop target and the budget error
 (:class:`~hlcbs.floats.BudgetExceeded`), stops on the bound and states it.
 Where the series is defined is :func:`hlcbs.hyper.check_domain`'s call
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, as_fraction
-from .floats import BigFloat, Ratios, Root, context, per_term, tail_bounded_sum
+from .floats import BigFloat, Ratios, Root, Roots, context, per_term, tail_bounded_sum
 from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
 from .hyper import central_binomial_reciprocal_seed, check_domain, rational_power
 
@@ -75,10 +76,10 @@ def _phi_factors(ctx, s, a, z):
     and of either sign (a may be negative there), and all of them come as
     one :class:`~hlcbs.floats.Ratios` run item after the first term: its
     leaves built a chunk at a time, its caps only where the kernel asks.
-    At any other s each factor is the root factor
-    ``Root(num, den, p^u, (p+d)^u, v)``, r (nu/(nu+1))^(u/v) for the
-    fractional part u/v of s and nu = p/d, whose root the kernel proves at
-    the precision the term needs; r stays apart from the root, so the
+    At any other s they come as one :class:`~hlcbs.floats.Roots` run item
+    whose leaves are ``(num, den, p^u, (p+d)^u)``, the factor
+    r (nu/(nu+1))^(u/v) for the fractional part u/v of s and nu = p/d, which
+    the kernel sums in fixed point; r stays apart from the root, so the
     rooted integers do not grow with v.
     For nu > 0 past the first term, both parts decrease in nu, so every
     later ratio is capped by
@@ -107,13 +108,14 @@ def _phi_factors(ctx, s, a, z):
         top, bottom = two_z_num * (p + d), two_z_den * (2 * p + d)
         return (top, bottom) if whole >= 0 else (top * (p + d) ** k * (p * f_den + f_num * d), bottom * p ** (k + 1) * f_den)
 
+    def span(n0: int, n1: int):  # p of factors n0 <= n < n1: factor n is r at nu = a + n - 1
+        return range(p0 + (n0 - 1) * d, p0 + (n1 - 1) * d, d)
+
     yield head, None
-    if not u:  # factor n is r at nu = a + n - 1
-        yield Ratios(lambda n0, n1: [exact(p) for p in range(p0 + (n0 - 1) * d, p0 + (n1 - 1) * d, d)], cap)
-        return
-    for n in itertools.count(1):
-        p = p0 + (n - 1) * d
-        yield Root(*exact(p), p**u, (p + d) ** u, v), cap(n)
+    if u:
+        yield Roots(lambda n0, n1: [(*exact(p), p**u, (p + d) ** u) for p in span(n0, n1)], cap, v)
+    else:
+        yield Ratios(lambda n0, n1: [exact(p) for p in span(n0, n1)], cap)
 
 
 def phi_numeric(query: SeriesQuery) -> BigFloat:

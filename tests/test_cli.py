@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, round-trips, exit codes."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -147,9 +148,18 @@ class TestEvalCommand:
         assert err.startswith("error: precision_bits must be >= 32")
 
     def test_beta_precision_below_minimum(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "beta", "--z", "1/4", "--alpha", "1/2", "--beta", "1/2", "--precision", "8")
-        assert code == 1
-        assert err.startswith("error: precision_bits must be >= 32")
+        # the precision named is the one given, not the 2F1's own P + 16
+        code, out, err = run_cli(capsys, "eval", "beta", "--z", "1/4", "--alpha", "1/2", "--beta", "1/2", "--precision", "8")
+        assert code == 1 and not out
+        assert err == "error: precision_bits must be >= 32, got 8\n"
+
+    def test_large_a_ends_fast(self, capsys):
+        # g(a) at a = 100000 takes two exact products of 10^5 factors each,
+        # formed by balanced halves: the evaluation ends within 2 s
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "eval", "phi", "--s", "3/2", "--a", "100000", "--z", "1/2")
+        assert code == 0 and out.strip()
+        assert time.perf_counter() - start < 2
 
     def test_prints_only_certified_digits(self, capsys):
         # the bound 1.7e-45 on 1.18e-30 certifies 14 significant digits

@@ -50,9 +50,9 @@ def fold_one(run, factor):
     midpoint and units, a rational p/q as a block of one."""
     if isinstance(factor, BigFloat):
         value = factor.value._mpf_
-        return run.fold(value, 1, value, factor.units(), 1, run.ctx.prec)
+        return run.fold(value, 1, value, factor.units(), 1)
     top = from_int(factor.numerator)
-    return run.fold(top, factor.denominator, top, 0, 1, run.ctx.prec)
+    return run.fold(top, factor.denominator, top, 0, 1)
 
 
 def contains(out: BigFloat, value: F) -> bool:
@@ -260,8 +260,8 @@ BALLS = settings(max_examples=60, derandomize=True, deadline=None, database=None
 
 
 class TestRootFolds:
-    """Every fold, at whatever precision p it runs, adds
-    eps = (ceil(units) + [it rounded]) 2^-p to E, and the radius is
+    """Every fold adds eps = (ceil(units) + [it rounded]) 2^-prec to E, and
+    the radius is
     tail + g (sum|summand| + tail) + (1 + g)(W + E tail)/(1 - E), with
     W = sum |summand| E at each summand, g = c/(1-c) and c = adds 2^-prec."""
 
@@ -363,30 +363,38 @@ class TestBallRule:
     @example(num=2**700 - 1, den=3, v=3, precision=32)
     def test_rational_root(self, num, den, v, precision):
         # the root is proved, not trusted: the ball holds (num/den)^(1/v),
-        # decided in integers, within the 1.1 units that rational_root's
-        # docstring proves above v = 2 for a rounded candidate
+        # decided in integers, within the 1 unit that rational_root's
+        # docstring proves at every v from the integer root's bracket
         ctx = context(precision)
         root = rational_root(ctx, num, den, v)
         assert holds_root(root, num, den, v)
-        assert exact(root.error_bound) <= F(11, 10) * F(2) ** -ctx.prec * exact(root.value)
+        assert exact(root.error_bound) <= F(2) ** -ctx.prec * exact(root.value)
 
     @pytest.mark.parametrize("v", [3, 7, 50, 1000])
     @pytest.mark.parametrize("precision", [32, 128, 512])
     @pytest.mark.parametrize("side", [1, -1])
     def test_rational_root_survives_a_moved_candidate(self, monkeypatch, v, precision, side):
-        # libmp's root moved by 2^-(P/2) relative: the check widens the ball
-        # to about that much, and it still holds the root
+        # libmp's root moved by 2^-(P/2) relative: up to v = 8 the exact
+        # bracket refuses it and Newton's steps bring it to the floor root,
+        # so the ball is the unmoved candidate's, bit for bit; above, the
+        # rounded bracket widens the ball to about that much, and it still
+        # holds the root
         candidate = floats.mpf_nthroot
+        cases = ((3001, 3004), (2**700 - 1, 3), (1, 2**700 - 1))
+        want = [rational_root(context(precision), num, den, v) for num, den in cases]
 
         def moved(*args):
             c = candidate(*args)
             return mpf_add(c, mpf_shift(c if side > 0 else mpf_neg(c), -(precision // 2)))
 
         monkeypatch.setattr(floats, "mpf_nthroot", moved)
-        for num, den in ((3001, 3004), (2**700 - 1, 3), (1, 2**700 - 1)):
+        for (num, den), unmoved in zip(cases, want):
             root = rational_root(context(precision), num, den, v)
             assert holds_root(root, num, den, v)
-            assert F(2) ** -(precision // 2 + 1) * exact(root.value) <= exact(root.error_bound) <= F(2) ** (1 - precision // 2) * exact(root.value)
+            if v <= floats._INT_BRACKET:
+                assert (root.value, root.error_bound) == (unmoved.value, unmoved.error_bound)
+            else:
+                assert F(2) ** -(precision // 2 + 2) * exact(root.value) <= exact(root.error_bound) <= F(2) ** (1 - precision // 2) * exact(root.value)
 
     def test_dyadic_rationals_are_exact(self):
         # 3/1024 and 5 (1/2) are exact in binary: no rounding unit in either ball
@@ -683,3 +691,117 @@ class TestRunItems:
         tally = {"caps": 0, "leaves": 0}
         _, used = tail_bounded_sum(context(precision), counted(make(), tally), 10**4)
         assert 0 < tally["leaves"] <= used
+
+
+class TestIntegerRoot:
+    """floats._iroot is the one integer v-th root, of rational_root and of
+    the kernel's root runs: floor(Q^(1/v)), proved by y^v <= Q < (y+1)^v."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(bits=st.integers(0, 16000), low=st.integers(0, 2**64), v=st.integers(2, 7), move=st.sampled_from([0, 1, -1, 2, -2]))
+    @example(bits=16000, low=0, v=7, move=2)  # Q = 2^16000, a perfect power
+    @example(bits=6000, low=2**64, v=3, move=-2)
+    @example(bits=0, low=0, v=5, move=-1)  # Q = 0
+    def test_bracket_holds_for_a_moved_candidate(self, bits, low, v, move):
+        # a candidate within 1 of the root, moved by whole units: the floor root all the same
+        big = (1 << bits) + low - (1 if low and bits else 0)
+        y = floats._iroot(big, v, math.isqrt(big) if v == 2 else int(mpmath.root(big, v)) + move)
+        assert y >= 0 and y**v <= big < (y + 1) ** v
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(num=st.integers(0, 2**200), den=st.integers(1, 2**200), v=st.integers(2, 40), k=st.integers(-60, 300))
+    @example(num=1, den=2**90, v=9, k=40)  # r 2^k = 2^30 exactly, a bracket end
+    @example(num=3**36, den=1, v=12, k=0)  # r = 9
+    def test_root_floor_is_bracketed(self, num, den, v, k):
+        # y <= r 2^k < y + w, decided in integers, exact in ints up to v = 8
+        # (w = 1) and in directed roundings above it, where w stays small
+        y, w = floats._root_floor(num, den, v, k)
+        scale = 1 << v * abs(k)
+        lhs, rhs = (num * scale, den) if k >= 0 else (num, den * scale)
+        assert y >= 0 and y**v * rhs <= lhs < (y + w) ** v * rhs
+        assert w == 1 if v <= floats._INT_BRACKET else 1 <= w <= 2
+
+
+class TestRootSteps:
+    """One term of a root run in fixed point: from t within err units of the
+    true term x, the next term lies within its units of x (p/q) r,
+    r = (num/den)^(1/v) in (0, 1), decided in integers."""
+
+    @staticmethod
+    def holds(t, err, delta, p, q, num, den, v):
+        x = t + delta  # the true term, within err of t
+        t1, err1 = floats._root_step(t, err, p, q, num, den, v)
+        c, lo, hi = x * F(p, q), t1 - err1, t1 + err1
+        return (lo <= 0 or F(lo) ** v * den <= c**v * num) and hi >= 0 and c**v * num <= F(hi) ** v * den
+
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @given(
+        t=st.integers(0, 2**700),
+        err=st.integers(0, 60),
+        side=st.fractions(-1, 1, max_denominator=8),
+        p=st.integers(1, 2**80),
+        q=st.integers(1, 2**80),
+        root=st.tuples(st.integers(1, 2**90), st.integers(1, 2**90)).map(sorted).filter(lambda nd: nd[0] < nd[1]),
+        v=st.integers(2, 12),
+    )
+    # the least K: a term of full length, p/q just under 2^(bitlen p - bitlen q + 1),
+    # and a root just under a power of two, so that the root's share nears
+    # its one unit and the floor its other
+    @example(t=2**300 - 1, err=0, side=F(0), p=2**64 - 1, q=2**63, root=(2**2000 - 1, 2**2000), v=2)
+    @example(t=2**40 - 1, err=0, side=F(0), p=2**64 - 1, q=2**63, root=(2**2000 - 1, 2**2000), v=3)
+    # the units carried over: the true term err units above t, p/q and r near 1
+    @example(t=2**100, err=50, side=F(1), p=2**64 - 1, q=2**64, root=(2**2000 - 1, 2**2000), v=2)
+    def test_next_term_within_its_units(self, t, err, side, p, q, root, v):
+        assert self.holds(max(t, err), err, side * err, p, q, *root, v)
+
+
+def root_run(head, p, q, c, d, v, zero_at=None):
+    """A stream of the head pair and a :class:`~hlcbs.floats.Roots` run whose
+    every factor is (p/q) ((c/d)^v)^(1/v) = (p/q)(c/d), rational, with the
+    exact cap p c/(q d), and a zero factor at index ``zero_at``."""
+
+    def leaves(n0, n1):
+        return [(0 if n == zero_at else p, q, c**v, d**v) for n in range(n0, n1)]
+
+    return [((head.numerator, head.denominator), None), floats.Roots(leaves, lambda n: (p * c, q * d), v)]
+
+
+class TestRootRuns:
+    """A Roots run item is summed in one int loop and folded once: its ball
+    holds the exact sum, and it keeps the kernel's rules on zero factors,
+    the budget and the stop."""
+
+    @BALLS
+    @given(
+        head=st.fractions(F(-4), F(4), max_denominator=2**40).filter(bool),
+        ratio=st.fractions(F(1, 100), F(99, 100), max_denominator=1000),
+        c=st.integers(1, 40),
+        extra=st.integers(1, 40),
+        v=st.sampled_from([2, 3, 4, 9, 12]),
+        precision=st.sampled_from([32, 64, 128, 512]),
+        zero_at=st.none() | st.integers(1, 30),
+    )
+    def test_ball_holds_the_exact_sum(self, head, ratio, c, extra, v, precision, zero_at):
+        # perfect powers under the root make every factor rational, so the
+        # sum is exact in Fractions: a finite one up to a zero factor, or
+        # the head over 1 - f
+        p, q, d = ratio.numerator, ratio.denominator, c + extra
+        f = ratio * F(c, d)
+        out, used = tail_bounded_sum(context(precision), root_run(head, p, q, c, d, v, zero_at), 10**4)
+        want = head * (1 - f**zero_at) / (1 - f) if zero_at else head / (1 - f)
+        assert contains(out, want)
+        assert zero_at is None or used <= zero_at
+        assert exact(out.error_bound) <= max(abs(want), 1) * F(2) ** -precision
+
+    def test_budget_raises(self):
+        stream = root_run(F(1), 1, 2, 1, 2, 2)
+        assert tail_bounded_sum(context(64), stream, 40)[1] < 40
+        with pytest.raises(BudgetExceeded):
+            tail_bounded_sum(context(64), root_run(F(1), 1, 2, 1, 2, 2), 5)
+
+    def test_stops_where_a_per_term_loop_stops(self):
+        # the stop is tested on every term, as per_term_used's loop tests it
+        for precision, (p, q, c, d) in itertools.product([32, 128, 512], [(1, 2, 1, 2), (9, 10, 7, 8), (1, 5, 1, 3)]):
+            ctx = context(precision)
+            _, used = tail_bounded_sum(ctx, root_run(F(1), p, q, c, d, 2), 10**4)
+            assert used == per_term_used(ctx, as_pairs(itertools.chain([(1, None)], itertools.repeat((F(p * c, q * d), F(p * c, q * d))))))

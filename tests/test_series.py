@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hlcbs import floats, series
 from hlcbs.exact import DomainError
-from hlcbs.floats import BigFloat, Ratios, Root, context
+from hlcbs.floats import BigFloat, Ratios, Root, Roots, context, per_term
 from hlcbs.hyper import gamma_ratio_shift
 from hlcbs.report import Tally
 from hlcbs.series import (
@@ -187,9 +187,10 @@ class TestOracleFactors:
 
     @pytest.mark.parametrize("s", [F(-5, 2), F(-1, 3), F(3, 2), F(7, 3)])
     def test_non_integer_s_factors_are_balls_with_rational_caps(self, s, ctx):
-        # each factor is a Root whose ball holds the ratio: the exact part
-        # r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) apart from the root
-        # of (nu/(nu+1))^u, whose integers do not grow with v
+        # after the first term one Roots run item, whose factors, spelled
+        # out by per_term, are Roots whose balls hold the ratio: the exact
+        # part r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) apart from the
+        # root of (nu/(nu+1))^u, whose integers do not grow with v
         a, z = F(5, 4), F(1, 2)
         u, v = (s - math.floor(s)).numerator, s.denominator  # a = 5/4: nu = (5 + 4n)/4 in lowest terms
 
@@ -200,7 +201,9 @@ class TestOracleFactors:
             x = mp(nu)
             return 2 * mp(z) ** 2 * (x + 1) / (2 * x + 1) * (x / (x + 1)) ** mp(s)
 
-        _, *rest = itertools.islice(_phi_factors(context(128), s, a, z), 31)
+        _, run = _phi_factors(context(128), s, a, z)
+        assert isinstance(run, Roots) and run.v == v
+        _, *rest = itertools.islice(per_term(_phi_factors(context(128), s, a, z)), 31)
         for n, (factor, cap) in enumerate(rest):
             nu = a + n
             assert isinstance(factor, Root) and factor.v == v
@@ -215,23 +218,25 @@ class TestOracleFactors:
     @pytest.mark.parametrize("s", [F(-5, 2), F(1, 2), F(5, 2)])
     @pytest.mark.parametrize("precision", [32, 2048])
     def test_half_integer_s_ratios_are_isqrt_brackets(self, s, precision):
-        # each ratio is r sqrt(nu/(nu+1)) with r = 2z^2 (nu+1)/(2nu+1)
-        # (nu/(nu+1))^floor(s) in the definition's integers, and the root,
-        # proved at any precision P, is bit for bit the isqrt bracket
-        # (y + 1/2) 2^-k with radius 2^-(k+1), y = isqrt(floor(num 4^k / den))
+        # each ratio, read through per_term, is r sqrt(nu/(nu+1)) with
+        # r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) in the definition's
+        # integers, and the root, proved at any precision P, is bit for bit
+        # the isqrt bracket (y + 1/2) 2^-k with radius 2^-(k+1),
+        # y = isqrt(floor(num 4^k / den))
         a, z, whole = F(3, 2), F(9, 10), math.floor(s)
         ctx = context(precision)
-        _, *rest = itertools.islice(_phi_factors(ctx, s, a, z), 31)
+        _, *rest = itertools.islice(per_term(_phi_factors(ctx, s, a, z)), 31)
         for n, (factor, _) in enumerate(rest):
             p, d, two_z_sq = a.numerator + n * a.denominator, a.denominator, 2 * z * z
             rise, fall = (p, p + d) if whole >= 0 else (p + d, p)
             r_num = two_z_sq.numerator * (p + d) * rise ** abs(whole)
             r_den = two_z_sq.denominator * (2 * p + d) * fall ** abs(whole)
             assert factor == Root(r_num, r_den, p, p + d, 2)
-            for bits in (64, ctx.prec):
-                k = (2 * bits + (p + d).bit_length() - p.bit_length()) // 2
+            for work in (context(32), ctx):
+                k = (2 * work.prec + (p + d).bit_length() - p.bit_length()) // 2
                 y = math.isqrt((p << 2 * k) // (p + d) if k >= 0 else p // ((p + d) << -2 * k))
-                value, radius = (F(x[1]) * F(2) ** x[2] for x in floats._root(p, p + d, 2, bits))
+                root = floats.rational_root(work, p, p + d, 2)
+                value, radius = (F(x.man_exp[0]) * F(2) ** x.man_exp[1] for x in (root.value, root.error_bound))
                 assert (value, radius) == ((2 * y + 1) * F(2) ** (-k - 1), F(2) ** (-k - 1))
 
     def test_caps_are_tight_at_integer_s(self):
@@ -269,9 +274,24 @@ def reference_phi(s, a, z, precision):
 ROOT_SUMS = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
 
+def full_width(width: int, least: list):
+    """floats._root_step with K held at full width: the same recurrence, its
+    root taken as if the term still had ``width`` bits, appending to
+    ``least`` the bits of |t| + err that the least K is read from."""
+
+    def step(t, err, p, q, num, den, v):
+        least.append((abs(t) + err).bit_length())
+        k = max(least[-1], width) + p.bit_length() - q.bit_length() + 1
+        y, w = floats._root_floor(num, den, v, k)
+        return (t * p * y >> k) // q, -(-err * abs(p) // q) + w + 1
+
+    return step
+
+
 class TestRootSums:
-    """At non-integer s each term's root is proved at the precision the term
-    needs, falling with it; the radius carries those folds' errors."""
+    """At non-integer s the terms are summed in fixed point, each root taken
+    at the least K its term allows, falling with it; the radius carries
+    every unit those steps lose."""
 
     @ROOT_SUMS
     @given(
@@ -281,15 +301,15 @@ class TestRootSums:
         precision=st.sampled_from([32, 64, 128, 512, 2048]),
         floor=st.booleans(),
     )
-    # the CI's long sum, and the same sum with every root at the 64-bit floor
+    # the CI's long sum, with every root at the least K and with K held at full width
     @example(s=F(5, 2), a=F(3, 2), z=F(9, 10), precision=2048, floor=False)
     @example(s=F(5, 2), a=F(3, 2), z=F(9, 10), precision=2048, floor=True)
     @example(s=F(-1, 3), a=F(1, 3), z=F(1, 2), precision=128, floor=True)
     def test_ball_holds_the_reference(self, s, a, z, precision, floor):
-        # with floor, every root after the first is folded at the least
-        # precision whatever the schedule says: the radius must still hold
-        schedule = (lambda run, cap: floats._LEAST_FOLD_BITS) if floor else floats._Run.precision
-        with mock.patch.object(floats._Run, "precision", schedule):
+        # with floor, every root is taken at the least K, as the kernel takes
+        # it; without, at full width: the radius must hold either way
+        step = floats._root_step if floor else full_width(context(precision).prec + 8, [])
+        with mock.patch.object(floats, "_root_step", step):
             out = phi_numeric(SeriesQuery(s, a, z, precision))
         want = reference_phi(s, a, z, precision)
         assert abs(out.value - want) <= out.error_bound + mpmath.ldexp(abs(want), -precision - 180)
@@ -299,18 +319,13 @@ class TestRootSums:
         [(F(5, 2), F(3, 2), F(9, 10), 512), (F(7, 3), F(1, 3), F(9, 10), 512), (F(-1, 3), F(5, 4), F(1, 2), 2048), (F(1, 2), F(1), F(1, 5), 128), (F(3, 2), F(5, 4), F(1, 2), 2048)],
     )
     def test_radius_within_twice_the_full_precision_sum(self, s, a, z, precision):
-        # the same sum with every root folded at the working precision
-        bits, schedule = [], floats._Run.precision
-
-        def full(run, cap):
-            bits.append(schedule(run, cap))
-            return run.ctx.prec
-
+        # the same sum with K held at full width
+        width, least = context(precision).prec + 8, []
         query = SeriesQuery(s, a, z, precision)
         falling = phi_numeric(query)
-        with mock.patch.object(floats._Run, "precision", full):
+        with mock.patch.object(floats, "_root_step", full_width(width, least)):
             whole = phi_numeric(query)
-        assert min(bits) < context(precision).prec  # the schedule did fall
+        assert min(least) < width  # the least K did fall
         assert whole.error_bound / 2 <= falling.error_bound <= 2 * whole.error_bound
         assert abs(falling.value - whole.value) <= falling.error_bound + whole.error_bound
 
