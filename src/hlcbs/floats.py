@@ -15,9 +15,10 @@ precision, or a quotient by a power of two).  No caller counts roundings by
 hand.  Every fractional power and square root is proved: :func:`rational_root`
 is the one root constructor, the ball of (num/den)^(1/v), and it shares
 the one integer root (:func:`_root_floor`) with the kernel's root runs: y
-with y <= (num/den)^(1/v) 2^k < y + w, proved by the bracket
-y^v den <= num 2^(vk) < (y+w)^v den, in exact integers up to v = 8 and by
-libmp's outward-rounded powers above it.  Every other transcendental, the
+with y <= (num/den)^(1/v) 2^k < y + 1, proved by the exact bracket
+y^v den <= num 2^(vk) < (y+1)^v den, each side decided by libmp's
+outward-rounded powers of y and in exact integers only where those cannot
+decide it.  Every other transcendental, the
 off-lattice gamma seed and pi among them, is a series summed by
 :func:`tail_bounded_sum`.
 
@@ -153,80 +154,59 @@ def rational_root(ctx, num: int, den: int, v: int) -> "BigFloat":
     v >= 2, proved at the context's precision: no result is trusted.  0 is
     exact.
 
-    The one integer root (:func:`_root_floor`) puts r in [y, y+w) 2^-k:
-    the ball (y + w/2) 2^-k of radius w 2^-(k+1).  k makes
+    The one integer root (:func:`_root_floor`) puts r in [y, y+1) 2^-k:
+    the ball (y + 1/2) 2^-k of radius 2^-(k+1).  k makes
     num 2^(vk)/den >= 2^(v(prec-1)), so y >= 2^(prec-1) and the radius is
-    at most w units 2^-prec of the midpoint: 1 unit, as w = 1 but where
-    :func:`_root_floor` says otherwise."""
+    at most 1 unit 2^-prec of the midpoint."""
     if not num:
         return rational(ctx, 0)
     k = -((num.bit_length() - den.bit_length() - 1 - v * (ctx.prec - 1)) // v)
-    y, w = _root_floor(num, den, v, k)
-    return BigFloat(ctx.make_mpf(from_man_exp(2 * y + w, -k - 1)), ctx.prec - GUARD_BITS, ctx.make_mpf(from_man_exp(w, -k - 1)))
+    y = _root_floor(num, den, v, k)
+    return BigFloat(ctx.make_mpf(from_man_exp(2 * y + 1, -k - 1)), ctx.prec - GUARD_BITS, ctx.make_mpf(from_man_exp(1, -k - 1)))
 
 
-_INT_BRACKET = 8  # the highest v whose root bracket is decided in exact integers
+def _root_floor(num: int, den: int, v: int, k: int) -> int:
+    """floor(r 2^k), r = (num/den)^(1/v), for ints num >= 0, den > 0, v >= 2
+    and k: the one integer v-th root, of :func:`rational_root` and of the
+    kernel's root runs, proved by the exact bracket
+    y^v den <= num 2^(vk) < (y+1)^v den.
 
-
-def _root_floor(num: int, den: int, v: int, k: int):
-    """(y, w) with y <= r 2^k < y + w, r = (num/den)^(1/v), for ints
-    num >= 0, den > 0, v >= 2 and k: the one integer v-th root, of
-    :func:`rational_root` and of the kernel's root runs, proved by the
-    bracket y^v den <= num 2^(vk) < (y+w)^v den.
-
-    At v = 2, y is :func:`math.isqrt` of Q = floor(num 2^(2k) / den), and
-    w = 1.  Above it libmp's rounded root is a candidate, never trusted.  Up
-    to v = :data:`_INT_BRACKET` the bracket is decided in exact integers:
-    y is the floor root of Q = floor(num 2^(vk) / den) (:func:`_iroot`),
-    and w = 1.  Above that the bracket's integers would have v k bits, so
-    libmp's directed roundings of the two powers decide it at a few bits
-    past y's, each compared exactly with num 2^(vk)/den: ``mpf_pow_int``
-    rounds every step outward, up for y^v and down for (y+w)^v.  Each end
-    moves out from the candidate by steps that double until its side holds,
-    so w = 1 but where r 2^k lies within the roundings' reach of an
-    integer, or the candidate was off."""
-    if v <= _INT_BRACKET:
-        big = (num << v * k) // den if k >= 0 else num // (den << -v * k)
-        if v == 2:
-            return math.isqrt(big), 1
+    At v = 2, y is :func:`math.isqrt` of floor(num 2^(2k) / den).  Above it
+    libmp's rounded root is a candidate, never trusted, and each side of the
+    bracket is decided without the v k-bit integers where that can be: y^v
+    is rounded outward by ``mpf_pow_int`` at a few bits past y's, down and
+    up, and each bound compared exactly with num 2^(vk)/den; only where the
+    two bounds straddle it, as where r 2^k is an integer, is y^v den
+    compared with num 2^(vk) in exact integers.  The candidate's ends move
+    out by steps that double until the bracket holds, and the bracket then
+    halves to width 1."""
+    if v == 2:
+        return math.isqrt((num << 2 * k) // den if k >= 0 else num // (den << -2 * k))
     bits = max(k + (num.bit_length() - den.bit_length()) // v, 0) + 10  # y's bits, and a margin
     shift = bits + den.bit_length() - num.bit_length()  # num/den to about ``bits`` bits, in one int division
     scaled = (num << shift) // den if shift >= 0 else num // (den << -shift)
-    low = max(to_int(mpf_shift(mpf_nthroot(from_man_exp(scaled, -shift), v, bits, "d"), k), "f"), 0)
-    if v <= _INT_BRACKET:
-        return _iroot(big, v, low), 1
+    candidate = max(to_int(mpf_shift(mpf_nthroot(from_man_exp(scaled, -shift), v, bits, "d"), k), "f"), 0)
 
-    def side(y: int, rnd: str) -> int:  # the sign of y^v den - num 2^(vk), y^v rounded rnd
-        _, m, e, _ = mpf_pow_int(from_int(y), v, bits, rnd)
-        shift = e - v * k
-        left, right = (m * den << shift, num) if shift >= 0 else (m * den, num << -shift)
-        return (left > right) - (left < right)
+    def above(y: int, first: str) -> bool:  # y^v den > num 2^(vk), the rounding ``first`` tried first
+        for rnd in (first, "d" if first == "u" else "u"):
+            _, m, e, _ = mpf_pow_int(from_int(y), v, bits, rnd)
+            shift = e - v * k
+            left, right = (m * den << shift, num) if shift >= 0 else (m * den, num << -shift)
+            if rnd == "d" and left > right or rnd == "u" and left <= right:
+                return rnd == "d"
+        left, right = (y**v * den, num << v * k) if k >= 0 else (y**v * (den << -v * k), num)
+        return left > right
 
-    high, step = low + 1, 1
-    while side(low, "u") > 0:
+    low, step = candidate, 1
+    while above(low, "u"):
         low, step = max(low - step, 0), 2 * step
-    step = 1
-    while side(high, "d") <= 0:
-        high, step = high + step, 2 * step
-    return low, high - low
-
-
-def _iroot(big: int, v: int, y: int) -> int:
-    """floor(big^(1/v)) for ints big >= 0 and v >= 2, from a candidate y
-    never trusted, proved by the exact bracket y^v <= big < (y+1)^v.
-    Integer Newton steps y <- ((v-1) y + floor(big / y^(v-1))) // v move a
-    candidate that fails it: by the AM-GM inequality a step from any y > 0
-    lands at or above the floor root, and from above the bracket it falls
-    strictly, so every candidate ends at the floor root."""
-    y = max(y, 0)
-    while True:
-        low = y ** (v - 1)
-        if low * y > big:  # above: a step stays at or above the floor root
-            y = ((v - 1) * y + big // low) // v
-        elif low * (y + v) > big or (y + 1) ** v > big:  # (y+1)^v >= y^v + v y^(v-1), and mostly that settles it
-            return y
-        else:  # below: one step from y + 1 lands at or above the floor root
-            y = ((v - 1) * (y + 1) + big // (y + 1) ** (v - 1)) // v
+    high, step = low + 1, 1
+    while not above(high, "d"):
+        low, high, step = high, high + step, 2 * step
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if above(mid, "d") else (mid, high)
+    return low
 
 
 class Root(NamedTuple):
@@ -353,6 +333,17 @@ def _split(leaves, lo: int, hi: int):
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
+def balanced_product(factors: range) -> int:
+    """The product of an arithmetic progression of ints by balanced halves,
+    ranges of at most :data:`_FOLD` factors by :func:`math.prod`, as
+    :func:`_split` merges its leaves: a product from the left over many
+    factors multiplies ever longer integers."""
+    if len(factors) <= _FOLD:
+        return math.prod(factors)
+    mid = len(factors) // 2
+    return balanced_product(factors[:mid]) * balanced_product(factors[mid:])
+
+
 def _times(prec: int, term, top, bottom: int):
     """``term`` top/bottom for raw mpf values term and top and an int
     bottom > 0: one exact product and one division rounded at ``prec``
@@ -472,17 +463,15 @@ def _root_step(t: int, err: int, p: int, q: int, num: int, den: int, v: int):
     the true term x, the next term within the returned units of
     x (p/q) r, r = (num/den)^(1/v) in (0, 1), as (t, err).
 
-    The root is y with y <= r 2^K < y + w (:func:`_root_floor`, w = 1 but
-    for a rounded bracket), and the term floor(t p y / (2^K q)).  K is the
-    least that keeps the root's share |x p/q| (r - y 2^-K) below w units,
-    read off bit lengths: |x| <= |t| + err < 2^b and
-    |p|/q < 2^(bitlen p - bitlen q + 1), so K = b + bitlen p - bitlen q + 1,
-    and the precision falls with the term.  With y 2^-K <= r < 1, err
-    carries over as err |p|/q, and the root and the floor add under w units
-    and 1: err' = ceil(err |p|/q) + w + 1."""
+    The root is y with y <= r 2^K < y + 1 (:func:`_root_floor`), and the
+    term floor(t p y / (2^K q)).  K is the least that keeps the root's share
+    |x p/q| (r - y 2^-K) below 1 unit, read off bit lengths:
+    |x| <= |t| + err < 2^b and |p|/q < 2^(bitlen p - bitlen q + 1), so
+    K = b + bitlen p - bitlen q + 1, and the precision falls with the term.
+    With y 2^-K <= r < 1, err carries over as err |p|/q, and the root and
+    the floor add under 1 unit each: err' = ceil(err |p|/q) + 2."""
     k = max((abs(t) + err).bit_length() + p.bit_length() - q.bit_length() + 1, 0)
-    y, w = _root_floor(num, den, v, k)
-    return (t * p * y >> k) // q, -(-err * abs(p) // q) + w + 1
+    return (t * p * _root_floor(num, den, v, k) >> k) // q, -(-err * abs(p) // q) + 2
 
 
 def _whole(x, e: int) -> int:
@@ -600,10 +589,10 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     f_n = (p/q) (num/den)^(1/v) in one loop over Python ints, each value a
     whole number of units 2^e, 2^-prec max(|sum|, 1) as the run opens, from
     T_0 = t_i.  Each term is one :func:`_root_step`:
-    T_n = floor(T_{n-1} p Y / (2^K q)), Y <= (num/den)^(1/v) 2^K < Y + w
+    T_n = floor(T_{n-1} p Y / (2^K q)), Y <= (num/den)^(1/v) 2^K < Y + 1
     by the one integer root (:func:`_root_floor`), K the least that keeps
-    the root's share below w units, so the precision falls with the term;
-    its error is an exact count, E_n = ceil(E_{n-1} |p|/q) + w + 1.  The
+    the root's share below 1 unit, so the precision falls with the term;
+    its error is an exact count, E_n = ceil(E_{n-1} |p|/q) + 2.  The
     sum S adds exactly; the zero-factor rule, the budget and the tail test,
     on |T_n| + E_n against the same target, run on every term in ints.  The
     run is folded in once: the summand S 2^e, within (sum E_n) 2^e of t_i

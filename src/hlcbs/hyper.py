@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import DomainError, PiExtValue, as_fraction
-from .floats import _FOLD, GUARD_BITS, BigFloat, NoConvergence, Ratios, context, rational, rational_root, tail_bounded_sum
+from .floats import GUARD_BITS, BigFloat, NoConvergence, Ratios, balanced_product, context, rational, rational_root, tail_bounded_sum
 
 
 class LowerParamPole(DomainError):
@@ -247,18 +247,6 @@ def incomplete_beta_exact(alpha) -> PiExtValue:
 # power roots an exact rational and amplifies none.
 
 
-def _product(factors: range) -> int:
-    """The product of an arithmetic progression of ints by balanced halves,
-    ranges of at most :data:`~hlcbs.floats._FOLD` factors by
-    :func:`math.prod`, as :func:`~hlcbs.floats._split` merges its leaves: a
-    product from the left over many factors multiplies ever longer
-    integers."""
-    if len(factors) <= _FOLD:
-        return math.prod(factors)
-    mid = len(factors) // 2
-    return _product(factors[:mid]) * _product(factors[mid:])
-
-
 def gamma_ratio_shift(a):
     """(a0, num, den) with g(a) = g(a0) num/den, a0 = a - floor(a) in [0, 1).
 
@@ -271,8 +259,8 @@ def gamma_ratio_shift(a):
     a0 = a - m
     p, d = a0.numerator, a0.denominator
     lo, hi = min(m, 0), max(m, 0)  # the steps j, x = a0 + j
-    up = _product(range(p + (lo + 1) * d, p + (hi + 1) * d, d))  # d (x+1)
-    down = _product(range(2 * p + (2 * lo + 1) * d, 2 * p + (2 * hi + 1) * d, 2 * d))  # d (2x+1)
+    up = balanced_product(range(p + (lo + 1) * d, p + (hi + 1) * d, d))  # d (x+1)
+    down = balanced_product(range(2 * p + (2 * lo + 1) * d, 2 * p + (2 * hi + 1) * d, 2 * d))  # d (2x+1)
     if m >= 0:
         return a0, up, down << m
     return a0, down << -m, up

@@ -361,6 +361,9 @@ class TestBallRule:
     @example(num=9, den=4, v=3, precision=64)
     @example(num=1, den=2**700 - 1, v=3, precision=128)
     @example(num=2**700 - 1, den=3, v=3, precision=32)
+    @example(num=3**50, den=1, v=50, precision=32)  # r 2^k an integer whose v-th power has more bits than the roundings
+    @example(num=7**50, den=1, v=50, precision=64)
+    @example(num=5**21, den=2**63, v=3, precision=32)  # r = 5^7/2^21
     def test_rational_root(self, num, den, v, precision):
         # the root is proved, not trusted: the ball holds (num/den)^(1/v),
         # decided in integers, within the 1 unit that rational_root's
@@ -374,11 +377,9 @@ class TestBallRule:
     @pytest.mark.parametrize("precision", [32, 128, 512])
     @pytest.mark.parametrize("side", [1, -1])
     def test_rational_root_survives_a_moved_candidate(self, monkeypatch, v, precision, side):
-        # libmp's root moved by 2^-(P/2) relative: up to v = 8 the exact
-        # bracket refuses it and Newton's steps bring it to the floor root,
-        # so the ball is the unmoved candidate's, bit for bit; above, the
-        # rounded bracket widens the ball to about that much, and it still
-        # holds the root
+        # libmp's root moved by 2^-(P/2) relative: the bracket refuses it
+        # and its ends move out and halve back to the floor root, so the
+        # ball is the unmoved candidate's, bit for bit
         candidate = floats.mpf_nthroot
         cases = ((3001, 3004), (2**700 - 1, 3), (1, 2**700 - 1))
         want = [rational_root(context(precision), num, den, v) for num, den in cases]
@@ -391,10 +392,7 @@ class TestBallRule:
         for (num, den), unmoved in zip(cases, want):
             root = rational_root(context(precision), num, den, v)
             assert holds_root(root, num, den, v)
-            if v <= floats._INT_BRACKET:
-                assert (root.value, root.error_bound) == (unmoved.value, unmoved.error_bound)
-            else:
-                assert F(2) ** -(precision // 2 + 2) * exact(root.value) <= exact(root.error_bound) <= F(2) ** (1 - precision // 2) * exact(root.value)
+            assert (root.value, root.error_bound) == (unmoved.value, unmoved.error_bound)
 
     def test_dyadic_rationals_are_exact(self):
         # 3/1024 and 5 (1/2) are exact in binary: no rounding unit in either ball
@@ -694,32 +692,35 @@ class TestRunItems:
 
 
 class TestIntegerRoot:
-    """floats._iroot is the one integer v-th root, of rational_root and of
-    the kernel's root runs: floor(Q^(1/v)), proved by y^v <= Q < (y+1)^v."""
+    """floats._root_floor is the one integer v-th root, of rational_root and
+    of the kernel's root runs: floor(r 2^k), r = (num/den)^(1/v), proved by
+    y^v den <= num 2^(vk) < (y+1)^v den."""
 
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(bits=st.integers(0, 16000), low=st.integers(0, 2**64), v=st.integers(2, 7), move=st.sampled_from([0, 1, -1, 2, -2]))
-    @example(bits=16000, low=0, v=7, move=2)  # Q = 2^16000, a perfect power
+    @example(bits=16000, low=0, v=5, move=2)  # Q = 2^16000, a perfect power
+    @example(bits=554, low=3**350 - 2**554 + 1, v=7, move=-1)  # Q = 3^350, a perfect power past the roundings' bits
     @example(bits=6000, low=2**64, v=3, move=-2)
     @example(bits=0, low=0, v=5, move=-1)  # Q = 0
     def test_bracket_holds_for_a_moved_candidate(self, bits, low, v, move):
-        # a candidate within 1 of the root, moved by whole units: the floor root all the same
+        # libmp's candidate for floor(Q^(1/v)), k = 0, moved by whole units: the floor root all the same
         big = (1 << bits) + low - (1 if low and bits else 0)
-        y = floats._iroot(big, v, math.isqrt(big) if v == 2 else int(mpmath.root(big, v)) + move)
+        candidate = floats.mpf_nthroot
+        with mock.patch.object(floats, "mpf_nthroot", lambda *args: mpf_add(candidate(*args), from_int(move))):
+            y = floats._root_floor(big, 1, v, 0)
         assert y >= 0 and y**v <= big < (y + 1) ** v
 
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(num=st.integers(0, 2**200), den=st.integers(1, 2**200), v=st.integers(2, 40), k=st.integers(-60, 300))
     @example(num=1, den=2**90, v=9, k=40)  # r 2^k = 2^30 exactly, a bracket end
     @example(num=3**36, den=1, v=12, k=0)  # r = 9
+    @example(num=3**50, den=1, v=50, k=62)  # r 2^k = 3 2^62, y^v past the roundings' bits
     def test_root_floor_is_bracketed(self, num, den, v, k):
-        # y <= r 2^k < y + w, decided in integers, exact in ints up to v = 8
-        # (w = 1) and in directed roundings above it, where w stays small
-        y, w = floats._root_floor(num, den, v, k)
+        # y <= r 2^k < y + 1 at every v, decided in integers
+        y = floats._root_floor(num, den, v, k)
         scale = 1 << v * abs(k)
         lhs, rhs = (num * scale, den) if k >= 0 else (num, den * scale)
-        assert y >= 0 and y**v * rhs <= lhs < (y + w) ** v * rhs
-        assert w == 1 if v <= floats._INT_BRACKET else 1 <= w <= 2
+        assert y >= 0 and y**v * rhs <= lhs < (y + 1) ** v * rhs
 
 
 class TestRootSteps:

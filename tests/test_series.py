@@ -282,8 +282,7 @@ def full_width(width: int, least: list):
     def step(t, err, p, q, num, den, v):
         least.append((abs(t) + err).bit_length())
         k = max(least[-1], width) + p.bit_length() - q.bit_length() + 1
-        y, w = floats._root_floor(num, den, v, k)
-        return (t * p * y >> k) // q, -(-err * abs(p) // q) + w + 1
+        return (t * p * floats._root_floor(num, den, v, k) >> k) // q, -(-err * abs(p) // q) + 2
 
     return step
 
