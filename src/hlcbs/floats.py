@@ -25,42 +25,40 @@ off-lattice gamma seed and pi among them, is a series summed by
 :func:`tail_bounded_sum` is the one place that sums a series: it derives the
 stop target from the context's precision, decides when to stop, states the
 error bound, and raises the one budget error, :class:`BudgetExceeded`.  It
-takes the series as its factors, t_0 = f_0 and t_n = t_{n-1} f_n, each an
-exact ratio as an int pair (p, q), q != 0, or a ball, with an exact cap on
-the later ratios, an int pair too.  A stream may end with one run item for
-every later factor: a :class:`Ratios` run of exact factors, a leaf
-function that builds the pairs of a range of factors in one go and a cap
-function of n, or its twin for root factors, a :class:`Roots` run of the
-exact p/q times (num/den)^(1/v).  The kernel asks a :class:`Ratios` run
-for its leaves a chunk at a time, no further than the open block's
-predicted end, and for a cap only where a block ends; a series whose
-ratios are rational functions of n, the pFq series and the oracle at
-integer s, thus pays per term only for its integer products, a gcd and a
-leaf of the binary split (Brent and Zimmermann, 2010, section 4.9).  A stream hands over its integer
-products unreduced; the kernel brings each exact factor to lowest terms once
-(:func:`_lowest`: the sign to the denominator, then one gcd), as a Fraction
-would, so its leaves, its block cuts on denominator bits and every stop are
-those of the reduced ratios, and it reduces a cap only at a block end, where
-it reads one.  One loop reads the rational factors of both kinds, pairs and
-a run item's leaves, so a run sums bit for bit as the same factors and caps
-given one pair at a time.  It sums each run of rational factors
-f_{i+1..j} = p_l/q_l as one block, by binary splitting in integers with no
-further gcd:
+takes a series as a first term and a rule for the ratios, as binary
+splitting does (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+section 4.9): a head t_0, an exact ratio as an int pair (p, q), q != 0, or
+a ball, and one run of every later factor, t_n = t_{n-1} f_n.  A
+:class:`Ratios` run builds the pairs of a range of exact factors in one go
+and gives an exact cap on the later ratios, an int pair too, as a function
+of n; its twin, a :class:`Roots` run, gives root factors, the exact p/q
+times (num/den)^(1/v).  A zero factor ends a finite series.  The kernel
+asks a :class:`Ratios` run for its leaves a chunk at a time, no further
+than the open block's predicted end, and for a cap only where a block
+ends; a series whose ratios are rational functions of n, the pFq series
+and the oracle at integer s, thus pays per term only for its integer
+products, a gcd and a leaf of the binary split.  A run hands over its
+integer products unreduced; the kernel brings each exact factor to lowest
+terms once (:func:`_lowest`: the sign to the denominator, then one gcd), as
+a Fraction would, so its leaves, its block cuts on denominator bits and
+every stop are those of the reduced ratios, and it reduces a cap only at a
+block end, where it reads one.  It sums each run of rational factors
+f_{i+1..j} = p_l/q_l, a pair head the first of the first, as one block, by
+binary splitting in integers with no further gcd:
 P/Q = prod f_l and T/Q = sum_m prod_{l<=m} f_l, merged as P1 P2, Q1 Q2,
 T1 Q2 + P1 T2.  A block ends where its denominators reach the working
-precision in bits, where a ball, a root run or a zero factor arrives, at
-the term budget, or at the stop index predicted from the last cap; a ball
-is a block of one.  Each block is folded into the sum by one
-exact product and one rounded division for each of two values: t_i T/Q
-becomes one summand, and t_i P/Q the next running term; a power-of-two Q
-divides exactly.  The exact tail test then runs on the block's last term,
-and the sum stops at the first block end that passes it, which may lie a
-few terms past the first term that would.  A float screen skips that test
-where log2 of the tail bound's lower estimate exceeds the target by more
-than 1 bit, so no decision changes.  Its bounds are raw libmp values
-rounded up, as the ball rule's radii are (Arb's mag_t): the tail and the
-rounding radius at 30 bits, and sum|summand| at the working precision,
-with no slack factor.
+precision in bits, at a zero factor, at the term budget, or at the stop
+index predicted from the last cap; a ball head is a block of one.  Each
+block is folded into the sum by one exact product and one rounded division
+for each of two values: t_i T/Q becomes one summand, and t_i P/Q the next
+running term; a power-of-two Q divides exactly.  The exact tail test then
+runs on the block's last term, and the sum stops at the first block end
+that passes it, which may lie a few terms past the first term that would.
+A float screen skips that test where log2 of the tail bound's lower
+estimate exceeds the target by more than 1 bit, so no decision changes.
+Its bounds are raw libmp values rounded up, as the ball rule's radii are
+(Arb's mag_t): the tail and the rounding radius at 30 bits, and
+sum|summand| at the working precision, with no slack factor.
 
 A root run is summed in fixed point, in one loop over Python ints
 (:func:`_roots`), as mpmath sums its own hypergeometric series (Brent and
@@ -74,7 +72,7 @@ folded into the sum once, as one summand with its units and its tail.
 
 One rule carries the running term's errors, as Arb's one radius does:
 every fold adds eps = (ceil(units) + [it rounded]) 2^-prec to E, units the
-radius of its ball factor in units 2^-prec of the midpoint, and E is kept
+radius of a ball head in units 2^-prec of its midpoint, and E is kept
 exactly as an integer multiple of 2^-prec.  Each summand adds |summand| E
 to W, at 30 bits, and a root run's summand its units 2^e too.  The folds
 move a summand's ratio to its computed value by at most
@@ -82,15 +80,14 @@ move a summand's ratio to its computed value by at most
 of a partial sum, give c = n 2^-prec and g = c/(1-c), so the radius is
 tail + g (sum|summand| + tail) + (1 + g)(W + E tail)/(1 - E).
 
-The series oracle and the pFq evaluator only supply exact term ratios and
-caps; the oracle's ratios are the definition's, never a closed form's: at
-integer s a :class:`Ratios` run item, as every pFq series' after its f_0,
-and at non-integer s a :class:`Roots` run item.
+The series oracle and the pFq evaluator only supply a head, exact term
+ratios and caps; the oracle's ratios are the definition's, never a closed
+form's: at integer s a :class:`Ratios` run, as every pFq series' after its
+head, and at non-integer s a :class:`Roots` run.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,61 +206,30 @@ def _root_floor(num: int, den: int, v: int, k: int) -> int:
     return low
 
 
-class Root(NamedTuple):
-    """One factor (p/q) (num/den)^(1/v) of a :class:`Roots` run, as
-    :func:`per_term` spells the run out: an exact ratio p/q, ints with
-    q > 0, times the v-th root, v >= 2, of an exact rational num/den, ints
-    with 0 < num < den."""
-
-    p: int
-    q: int
-    num: int
-    den: int
-    v: int
-
-    def ball(self, ctx) -> "BigFloat":
-        """The factor as a ball at ``ctx``'s precision, by the ball rule."""
-        return rational_root(ctx, self.num, self.den, self.v) * Fraction(self.p, self.q)
-
-
 class Ratios(NamedTuple):
-    """A factor stream's last item, a run that stands for every later
-    factor, each an exact ratio: from its own index n0 on, ``leaves(n0, n1)``
-    is the list of unreduced int pairs (p, q), q != 0, of the factors
-    n0 <= n < n1, and ``cap(n)`` the cap that goes with factor n, an
-    unreduced int pair, or None.  :func:`tail_bounded_sum` asks for the
+    """A series' run of exact factors f_n, n >= 1, the ratios t_n/t_{n-1}
+    after its head: ``leaves(n0, n1)`` is the list of unreduced int pairs
+    (p, q), q != 0, of the factors n0 <= n < n1, and ``cap(n)`` an exact cap
+    on every later factor, |f_m| <= cap_n for m > n, an unreduced int pair,
+    or None while none is known.  :func:`tail_bounded_sum` asks for the
     leaves a chunk at a time and for a cap only where a block ends, so a
-    stream builds its leaves in bulk and its caps only there."""
+    series builds its leaves in bulk and its caps only there."""
 
     leaves: Callable[[int, int], list]
     cap: Callable[[int], tuple | None]
 
 
 class Roots(NamedTuple):
-    """A factor stream's last item, the twin of :class:`Ratios` for root
-    factors (p/q) (num/den)^(1/v): from its own index n0 on,
-    ``leaves(n0, n1)`` is the list of int tuples (p, q, num, den), q > 0 and
-    0 < num < den, of the factors n0 <= n < n1, and ``cap(n)`` the cap that
-    goes with factor n, as :class:`Ratios` gives it.
-    :func:`tail_bounded_sum` sums the run in fixed point (:func:`_roots`),
-    and reads every cap, as it tests the tail on every term."""
+    """The twin of :class:`Ratios` for root factors (p/q) (num/den)^(1/v),
+    n >= 1: ``leaves(n0, n1)`` is the list of int tuples (p, q, num, den),
+    q > 0 and 0 < num < den, of the factors n0 <= n < n1, and ``cap(n)`` as
+    :class:`Ratios` gives it.  :func:`tail_bounded_sum` sums the run in
+    fixed point (:func:`_roots`), and reads every cap, as it tests the tail
+    on every term."""
 
     leaves: Callable[[int, int], list]
     cap: Callable[[int], tuple | None]
     v: int
-
-
-def per_term(factors):
-    """The stream ``factors`` with its run item spelled out as one
-    (f_n, cap_n) pair per factor, as a stream without one gives them: a
-    :class:`Roots` factor as a :class:`Root`."""
-    for n, item in enumerate(factors):
-        if isinstance(item, Ratios):
-            yield from ((item.leaves(m, m + 1)[0], item.cap(m)) for m in itertools.count(n))
-        elif isinstance(item, Roots):
-            yield from ((Root(*item.leaves(m, m + 1)[0], item.v), item.cap(m)) for m in itertools.count(n))
-        else:
-            yield item
 
 
 def _up(op, x, y):
@@ -309,7 +275,7 @@ def _lowest(pair):
 
 
 _FOLD = 6  # the most leaves :func:`_split` folds in a loop
-_CHUNK = 64  # the most leaves :func:`tail_bounded_sum` asks a run item for at once
+_CHUNK = 64  # the most leaves :func:`tail_bounded_sum` asks a run for at once
 
 
 def _split(leaves, lo: int, hi: int):
@@ -534,69 +500,64 @@ def _roots(run, item, n: int, max_terms: int, stop: int):
     return run._replace(term=from_man_exp(t, e), terms=run.terms + n - first, adds=run.adds + 1, exact=False, total=total, abs_sum=abs_sum, weighted=_up(mpf_add, run.weighted, share)), tail
 
 
-def tail_bounded_sum(ctx, factors, max_terms: int):
-    """Sum a series, given by its factors, until a geometric tail bound meets
-    the context's target.
+def tail_bounded_sum(ctx, head, run, max_terms: int):
+    """Sum a series, given as its head and its run of term ratios, until a
+    geometric tail bound meets the context's target.
 
-    ``factors`` yields pairs ``(f_n, cap_n)`` with t_0 = f_0 and
-    t_n = t_{n-1} f_n, and may end with one run item, :class:`Ratios` or
-    :class:`Roots`, which stands for every later factor.  f_n is an exact
-    ratio p/q as an int pair ``(p, q)``, q != 0 and either sign, or a
-    :class:`BigFloat` ball at ``ctx``'s precision, its radius in
-    :meth:`BigFloat.units`; cap_n is an exact rational as an int pair
-    likewise, with |f_m| <= cap_n for every m > n, or None while no cap is
-    known.  A :class:`Ratios` item at index n0 gives the exact factors from
-    n0 on as ``leaves(n0, n1)``, their pairs for n0 <= n < n1, and cap_n as
-    ``cap(n)``; the kernel asks it for its leaves a chunk of at most
-    :data:`_CHUNK` at a time, no further than the open block's predicted
-    end, and for a cap only where a block ends.  A :class:`Roots` item gives
-    root factors (p/q) (num/den)^(1/v) likewise, summed in fixed point
-    (below).  Neither a factor nor a cap need be in lowest terms: the
-    kernel reduces each
-    exact factor once as it reads it, the sign to the denominator and then
-    one gcd (:func:`_lowest`), and a cap only at a block end, where the tail
-    test and the stop prediction read it, so a stream of ``(k p, k q)`` sums
-    bit for bit as one of ``(p, q)``, and a run item as the same factors and
-    caps given one pair at a time.  The target is 2^-(P+8),
-    P = ``ctx.prec - GUARD_BITS`` the requested precision.  The sum stops
-    after the first folded t_n with |t_n| rho/(1-rho) <= target * max(|sum|, 1),
-    rho = cap_n < 1.  A stream that runs out, or reaches a zero factor,
-    means the series terminated: its tail is 0, and nothing past the zero
-    factor is read.
+    ``head`` is t_0: an exact ratio p/q as an int pair ``(p, q)``, q != 0
+    and either sign, or a :class:`BigFloat` ball at ``ctx``'s precision, its
+    radius in :meth:`BigFloat.units`.  ``run`` gives every later factor,
+    t_n = t_{n-1} f_n for n >= 1: a :class:`Ratios` run of exact ratios, or
+    a :class:`Roots` run of root factors (p/q) (num/den)^(1/v), summed in
+    fixed point (below).  Its ``cap(n)`` is cap_n, an exact rational as an
+    int pair with |f_m| <= cap_n for every m > n, or None while no cap is
+    known; the head has none.  The kernel asks a :class:`Ratios` run for its
+    leaves, ``leaves(n0, n1)`` the pairs of the factors n0 <= n < n1, a
+    chunk of at most :data:`_CHUNK` at a time, no further than the open
+    block's predicted end, and for a cap only where a block ends.  Neither a
+    factor nor a cap need be in lowest terms: the kernel reduces each exact
+    factor once as it reads it, the sign to the denominator and then one gcd
+    (:func:`_lowest`), and a cap only at a block end, where the tail test and
+    the stop prediction read it, so a run of ``(k p, k q)`` sums bit for bit
+    as one of ``(p, q)``.  The target is 2^-(P+8), P = ``ctx.prec -
+    GUARD_BITS`` the requested precision.  The sum stops after the first
+    folded t_n with |t_n| rho/(1-rho) <= target * max(|sum|, 1),
+    rho = cap_n < 1.  A zero head or factor ends a finite series: its tail
+    is 0, and no factor past it is summed.
 
-    Blocks: each run of rational factors f_{i+1..j} = p_l/q_l is summed
-    exactly by binary splitting (:func:`_split`) into integers P, Q and T,
-    and folded into the sum with one exact product and one rounded division
-    for each of two values (:func:`_times`): t_i T/Q is one summand and
-    t_i P/Q the next running term t_j.  One loop reads the rational factors
-    of both sources, pairs and run items, and a block ends at the first of:
-    its denominators reaching the working precision ``prec`` in bits; a ball,
-    which is then a block of one through the same fold, or a root run; a
-    zero factor; the ``max_terms``-th term; the stop index predicted, as the
-    block opens, from the last cap rho < 1 and the folded |t_i| and |sum|
-    (:meth:`_Run.steps`).  The tail test then runs on the block's last term
-    (:func:`_block`), so a prediction that falls short costs one more block,
-    never a wrong stop, and the sum stops at the first block end that passes
-    it: never before a per-term loop would, and past it when the block runs
-    on beyond the first passing term, which the prediction and the cut at
-    ``prec`` bits keep to a short block.  Before the exact test, a float
-    screen (:meth:`_Run.tail`) skips it where log2 |t_n| + log2 num
-    - log2(den - num) + stop - max(log2 |sum|, 0) > 1: the exact bound is at
-    least |t_n| num/(den - num), so a screened term could never pass, and
-    the decisions are those of the exact test alone.
+    Blocks: a ball head is a block of one, folded with its units.  Each run
+    of rational factors f_{i+1..j} = p_l/q_l, a pair head the first of the
+    first, is summed exactly by binary splitting (:func:`_split`) into
+    integers P, Q and T, and folded into the sum with one exact product and
+    one rounded division for each of two values (:func:`_times`): t_i T/Q is
+    one summand and t_i P/Q the next running term t_j.  A block ends at the
+    first of: its denominators reaching the working precision ``prec`` in
+    bits; a zero factor; the ``max_terms``-th term; the stop index
+    predicted, as the block opens, from the last cap rho < 1 and the folded
+    |t_i| and |sum| (:meth:`_Run.steps`); a root run, after a pair head.
+    The tail test then runs on the block's last term (:func:`_block`), so a
+    prediction that falls short costs one more block, never a wrong stop,
+    and the sum stops at the first block end that passes it: never before a
+    per-term loop would, and past it when the block runs on beyond the first
+    passing term, which the prediction and the cut at ``prec`` bits keep to
+    a short block.  Before the exact test, a float screen (:meth:`_Run.tail`)
+    skips it where log2 |t_n| + log2 num - log2(den - num) + stop
+    - max(log2 |sum|, 0) > 1: the exact bound is at least
+    |t_n| num/(den - num), so a screened term could never pass, and the
+    decisions are those of the exact test alone.
 
-    Root runs (:func:`_roots`): the kernel sums every later factor
-    f_n = (p/q) (num/den)^(1/v) in one loop over Python ints, each value a
-    whole number of units 2^e, 2^-prec max(|sum|, 1) as the run opens, from
-    T_0 = t_i.  Each term is one :func:`_root_step`:
+    Root runs (:func:`_roots`): the kernel sums every factor
+    f_n = (p/q) (num/den)^(1/v), n >= 1, in one loop over Python ints, each
+    value a whole number of units 2^e, 2^-prec max(|sum|, 1) as the run
+    opens, from T_0 = t_0.  Each term is one :func:`_root_step`:
     T_n = floor(T_{n-1} p Y / (2^K q)), Y <= (num/den)^(1/v) 2^K < Y + 1
     by the one integer root (:func:`_root_floor`), K the least that keeps
     the root's share below 1 unit, so the precision falls with the term;
     its error is an exact count, E_n = ceil(E_{n-1} |p|/q) + 2.  The
     sum S adds exactly; the zero-factor rule, the budget and the tail test,
     on |T_n| + E_n against the same target, run on every term in ints.  The
-    run is folded in once: the summand S 2^e, within (sum E_n) 2^e of t_i
-    times the run's exact sum, and t_i within E of its own, so one rounded
+    run is folded in once: the summand S 2^e, within (sum E_n) 2^e of t_0
+    times the run's exact sum, and t_0 within E of its own, so one rounded
     addition, and W gains |S 2^e| E + (sum E_n) 2^e; the tail is
     (|T_n| + E_n) 2^e rho/(1-rho).
 
@@ -604,9 +565,9 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     summand and partial sum fits, and sum|summand| beside it, rounded up.
     The other bounds are radius arithmetic at 30 bits, rounded up as the ball
     rule's: rho/(1-rho) = num/(den-num) from the exact cap, rounded up once,
-    and the tail |t_n| rho/(1-rho).  Every fold, a block or a ball, adds
-    eps = (ceil(units) + [it rounded]) 2^-prec to E, units its factor's own
-    (0 for a block), and E is kept exactly as an integer multiple of
+    and the tail |t_n| rho/(1-rho).  Every fold, a block or a ball head,
+    adds eps = (ceil(units) + [it rounded]) 2^-prec to E, units the ball's
+    own (0 for a block), and E is kept exactly as an integer multiple of
     2^-prec; each summand adds |summand| E to W.
     A summand is the exact block sum times t_i, so the folds move its ratio
     to its computed value by at most 1/prod(1 - eps) - 1 <= E/(1 - E), and
@@ -623,50 +584,28 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
     when c >= 1 or E >= 1: the factors' radii swamp the sum.
     """
     stop, width = ctx.prec - GUARD_BITS + 8, ctx.prec  # the target is 2^-stop; a block ends where its denominators reach width bits
-    run, tail, last = _Run(ctx), None, None  # last: the cap of the last folded term, in lowest terms
+    acc, tail, last = _Run(ctx), None, None  # last: the cap of the last folded term, in lowest terms
     leaves, bits, end = [], 0, 0  # the open block: its leaves in lowest terms, their denominators' bits, its last index
-    n, items, ratios = 0, iter(factors), None  # n: the index of the next factor
-    caps = prior = first = None  # caps(m): cap_m of the pairs read from index ``first`` on; prior: the caps before them
+    pairs, n = [head], 0  # the rational factors to read next, from index n
+
+    def cap(m: int):  # cap_m: the head has none
+        return run.cap(m) if m else None
+
+    if isinstance(head, BigFloat):  # a block of one
+        if not head.value:
+            return acc.ball(fzero), 0  # a zero head: the series is 0
+        if not max_terms:
+            raise BudgetExceeded(f"error bound not met within {max_terms} terms")
+        top, units = _midpoint(ctx, head)
+        acc, pairs, n = acc.fold(top, 1, top, units, 1), [], 1
     while True:
-        if ratios is not None:  # its next leaves: up to the open block's predicted end, or the one that opens a block
-            size = min(_CHUNK, end + 1 - n) if leaves else 1
-            pairs, prior, caps, first = ratios.leaves(n, n + size), caps, ratios.cap, n
-        else:
-            item = next(items, None)
-            if item is None:
-                break  # the stream ran out
-            if isinstance(item, Ratios):
-                ratios = item
-                continue
-            if isinstance(item, Roots) or isinstance(item[0], BigFloat):
-                if leaves:  # the open block ends before a ball or a root run
-                    (run, tail, last), leaves, bits = _block(run, leaves, caps(n - 1), stop), [], 0
-                    if tail is not None:
-                        break
-                if isinstance(item, Roots):  # every later factor, summed in ints
-                    run, tail = _roots(run, item, n, max_terms, stop)
-                    break
-                factor, cap = item  # a ball: a block of one
-                if not factor.value:
-                    break  # a zero factor: the series terminated
-                if n == max_terms:
-                    raise BudgetExceeded(f"error bound not met within {max_terms} terms")
-                top, units = _midpoint(ctx, factor)
-                run, last, n = run.fold(top, 1, top, units, 1), _lowest(cap), n + 1
-                tail = run.tail(last, stop)
-                if tail is not None:
-                    break
-                continue
-            factor, cap = item
-            pairs, prior, caps, first = [factor], caps, (lambda _, cap=cap: cap), n
-        # the rational factors n, n+1, ... of either source, pairs or a run item, read into blocks
         for pair in pairs:
             if not pair[0]:
                 break  # a zero factor: the series terminated
             if not leaves:  # a block opens at factor n: the budget, and where its stop should fall
                 if n == max_terms:
                     raise BudgetExceeded(f"error bound not met within {max_terms} terms")
-                steps = run.steps(last, stop)
+                steps = acc.steps(last, stop)
                 end = max_terms - 1 if steps is None else min(max_terms - 1, n - 1 + steps)
             p, q = pair  # to lowest terms, as :func:`_lowest`
             g = math.gcd(p, q)
@@ -677,15 +616,20 @@ def tail_bounded_sum(ctx, factors, max_terms: int):
             bits += q.bit_length()
             n += 1
             if bits >= width or n > end:  # the block ends with factor n - 1
-                (run, tail, last), leaves, bits = _block(run, leaves, caps(n - 1), stop), [], 0
+                (acc, tail, last), leaves, bits = _block(acc, leaves, cap(n - 1), stop), [], 0
                 if tail is not None:
                     break
         else:
-            continue
+            if isinstance(run, Ratios):  # its next leaves: up to the open block's predicted end, or the one that opens a block
+                pairs = run.leaves(n, n + (min(_CHUNK, end + 1 - n) if leaves else 1))
+                continue
+            if leaves:  # a pair head's block ends before the root run
+                acc, leaves = _block(acc, leaves, None, stop)[0], []
+            acc, tail = _roots(acc, run, n, max_terms, stop)
         break
-    if leaves:  # the stream ran out, or reached a zero factor: the last leaf's cap
-        run, tail, _ = _block(run, leaves, (caps if n > first else prior)(n - 1), stop)
-    return run.ball(fzero if tail is None else tail), run.terms
+    if leaves:  # a zero factor ended the open block
+        acc, tail, _ = _block(acc, leaves, cap(n - 1), stop)
+    return acc.ball(fzero if tail is None else tail), acc.terms
 
 
 @dataclass(frozen=True)
@@ -759,7 +703,7 @@ class BigFloat:
 
     def units(self) -> float:
         """The radius in units 2^-prec of |value|, rounded up (0 for an exact
-        ball): a kernel factor's count, whose ceiling its fold adds to E."""
+        ball): a kernel head's count, whose ceiling its fold adds to E."""
         unit = _unit(context(self.precision_bits), self.value._mpf_)
         return to_float(mpf_div(self.error_bound._mpf_, unit, 53, "u")) if self.error_bound else 0.0
 

@@ -26,9 +26,10 @@ owns the stop target and the budget error and stops only once a provable
 geometric tail bound falls below that target: each ratio factor
 (alpha+n)/(beta+n) is monotone in n with limit 1, so past any index N the
 term ratio is bounded by the exact |z| * prod_c max(h_c(N), 1).  After
-f_0 the ratios reach the kernel as one :class:`~hlcbs.floats.Ratios` run
-item: a chunk of leaves is one exact product per parameter over an
-arithmetic progression of n, and a cap is built only where a block ends.
+the head t_0 = 1 the ratios reach the kernel as one
+:class:`~hlcbs.floats.Ratios` run: a chunk of leaves is one exact product
+per parameter over an arithmetic progression of n, and a cap is built only
+where a block ends.
 
 :func:`check_domain` is the one place that decides where the series is
 defined.  At z = 0 it needs a > 0, where the factor (2z)^(2a) is 0, so every
@@ -131,12 +132,12 @@ class PFQParams:
 
 
 def _pfq_factors(params: PFQParams):
-    """Yield (f_0, cap_0) = ((1, 1), None), then one
-    :class:`~hlcbs.floats.Ratios` run item for every later factor: the exact
-    term ratio f_{n+1} = z prod(u+n) / (prod(l+n) (n+1)), z folded in, as an
-    unreduced int pair, its leaves built a chunk at a time, and cap_n, built
-    only where the kernel asks for it.  An upper parameter that reaches 0
-    makes a factor 0, where the kernel stops."""
+    """(head, run) of the series as the kernel takes them: the head
+    t_0 = (1, 1), and one :class:`~hlcbs.floats.Ratios` run of every later
+    factor, the exact term ratio f_{n+1} = z prod(u+n) / (prod(l+n) (n+1)),
+    z folded in, as an unreduced int pair, its leaves built a chunk at a
+    time, and cap_n, built only where the kernel asks for it.  An upper
+    parameter that reaches 0 makes a factor 0, where the kernel stops."""
     # each upper paired with a lower, the implicit 1 of n! among them
     pairs = list(zip(sorted(params.upper), sorted(params.lower + (Fraction(1),))))
     # below n_safe a ratio factor may still be negative or non-monotone
@@ -165,8 +166,7 @@ def _pfq_factors(params: PFQParams):
             return None
         return _shifted(rising_uppers, n, n + 1, cap_top_scale)[0], _shifted(rising_lowers, n, n + 1, cap_bottom_scale)[0]
 
-    yield (1, 1), None  # n_safe >= 1
-    yield Ratios(leaves, cap)
+    return (1, 1), Ratios(leaves, cap)
 
 
 def _ints(params):
@@ -192,7 +192,7 @@ def pfq_eval(params: PFQParams, precision_bits: int = 128) -> BigFloat:
     """
     if abs(params.z) >= 1:
         raise NoConvergence(f"pFq series needs |z| < 1, got z = {params.z}")
-    return tail_bounded_sum(context(precision_bits), _pfq_factors(params), _MAX_PFQ_TERMS)[0]
+    return tail_bounded_sum(context(precision_bits), *_pfq_factors(params), _MAX_PFQ_TERMS)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +323,23 @@ def central_binomial_reciprocal_seed(ctx, a: Fraction) -> BigFloat:
     return Fraction(num) * g0 / den
 
 
+_POWER_BITS = 2**27  # the widest exact power q^u formed, in bits: at the limit, an evaluation takes about 1 s
+
+
 def rational_power(ctx, q, e) -> BigFloat:
     """q^e as a ball for rational q >= 0 (any q != 0 at integer e) and rational e.
 
     With e = u/v in lowest terms, q^u is exact: at integer e it is rounded
     once, and otherwise its v-th root is :func:`~hlcbs.floats.rational_root`'s
-    proven ball.  0^e = 0 and 1^e = 1 are exact at every e.
+    proven ball.  0^e = 0 and 1^e = 1 are exact at every e.  The larger part
+    of q^u has at least |u| (b - 1) + 1 bits, b the larger bit length of q's
+    parts, and a power whose |u| (b - 1) exceeds :data:`_POWER_BITS` raises
+    :class:`DomainError` naming e before any of it is formed.
     """
     q, e = as_fraction(q), as_fraction(e)
+    bits = abs(e.numerator) * (max(q.numerator.bit_length(), q.denominator.bit_length()) - 1)
+    if bits > _POWER_BITS:
+        raise DomainError(f"the exponent {e} needs the exact power ({q})^{e.numerator}, over {bits} bits: the limit is {_POWER_BITS} bits")
     power = q**e.numerator
     if e.denominator == 1 or q in (0, 1):
         return rational(ctx, power)

@@ -7,15 +7,15 @@ compared against the sums computed here.  The series is
 
 with the real-argument binomial C(x,y) = Gamma(x+1)/(Gamma(y+1) Gamma(x-y+1)).
 The series is handed to the one summation kernel,
-:func:`hlcbs.floats.tail_bounded_sum`, as its factors, built from this
-definition and never from a closed form: the first term as a ball, then the
-exact term ratio (2z)^2 r(nu+1)/r(nu) (nu/(nu+1))^s, r(nu) = 1/C(2nu, nu),
-which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s.  At integer s each ratio is an
-exact int pair (p, q) of integer products, left for the kernel to reduce,
-and all of them come as one :class:`~hlcbs.floats.Ratios` run item, which
-builds them a chunk at a time and a cap only where the kernel ends a
-block.  At any other s they come as one :class:`~hlcbs.floats.Roots` run
-item: each factor the exact part at floor(s) apart from the v-th root of
+:func:`hlcbs.floats.tail_bounded_sum`, as a head and a run, built from this
+definition and never from a closed form: the first term as a ball, then
+every term ratio (2z)^2 r(nu+1)/r(nu) (nu/(nu+1))^s,
+r(nu) = 1/C(2nu, nu), which is 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s.  At
+integer s each ratio is an exact int pair (p, q) of integer products, left
+for the kernel to reduce, and the run is one :class:`~hlcbs.floats.Ratios`,
+which builds them a chunk at a time and a cap only where the kernel ends a
+block.  At any other s the run is one :class:`~hlcbs.floats.Roots`: each
+factor the exact part at floor(s) apart from the v-th root of
 (nu/(nu+1))^u, u/v the fractional part of s, which the kernel sums in
 fixed point, each root an integer root at the least precision its term
 allows, an integer square root at half-integer s.  The ratio tends to
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, as_fraction
-from .floats import BigFloat, Ratios, Root, Roots, context, per_term, tail_bounded_sum
+from .floats import BigFloat, Ratios, Roots, context, rational_root, tail_bounded_sum
 from .floats import BudgetExceeded  # noqa: F401  (re-exported for callers of the oracle)
 from .hyper import central_binomial_reciprocal_seed, check_domain, rational_power
 
@@ -66,21 +66,22 @@ class SeriesQuery:
 
 
 def _phi_factors(ctx, s, a, z):
-    """Yield (f_n, cap_n) for the terms T_n, n >= 0, of the definition.
+    """(head, run): the terms T_n, n >= 0, of the definition as the kernel
+    takes them.
 
-    The first factor is the term at nu = a, (2z)^(2a) g(a) a^-s, a ball
-    from hyper's powers and seed, with no cap.  Each later factor is the
+    The head is the term at nu = a, (2z)^(2a) g(a) a^-s, a ball from
+    hyper's powers and seed.  The run gives every later factor, the
     definition's term ratio T_{n+1}/T_n = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^s at
     nu = a + n, with r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) exact.  At
     integer s it is r, the int pair (num, den) of its products, unreduced
-    and of either sign (a may be negative there), and all of them come as
-    one :class:`~hlcbs.floats.Ratios` run item after the first term: its
-    leaves built a chunk at a time, its caps only where the kernel asks.
-    At any other s they come as one :class:`~hlcbs.floats.Roots` run item
-    whose leaves are ``(num, den, p^u, (p+d)^u)``, the factor
-    r (nu/(nu+1))^(u/v) for the fractional part u/v of s and nu = p/d, which
-    the kernel sums in fixed point; r stays apart from the root, so the
-    rooted integers do not grow with v.
+    and of either sign (a may be negative there), and the run is one
+    :class:`~hlcbs.floats.Ratios`: its leaves built a chunk at a time, its
+    caps only where the kernel asks.  At any other s it is one
+    :class:`~hlcbs.floats.Roots`, whose leaves are
+    ``(num, den, p^u, (p+d)^u)``, the factor r (nu/(nu+1))^(u/v) for the
+    fractional part u/v of s and nu = p/d, which the kernel sums in fixed
+    point; r stays apart from the root, so the rooted integers do not grow
+    with v.
     For nu > 0 past the first term, both parts decrease in nu, so every
     later ratio is capped by
     2z^2 (nu+1)/(2nu+1) max(1, ((nu+1)/nu)^-s), its second part bounded
@@ -111,25 +112,29 @@ def _phi_factors(ctx, s, a, z):
     def span(n0: int, n1: int):  # p of factors n0 <= n < n1: factor n is r at nu = a + n - 1
         return range(p0 + (n0 - 1) * d, p0 + (n1 - 1) * d, d)
 
-    yield head, None
     if u:
-        yield Roots(lambda n0, n1: [(*exact(p), p**u, (p + d) ** u) for p in span(n0, n1)], cap, v)
-    else:
-        yield Ratios(lambda n0, n1: [exact(p) for p in span(n0, n1)], cap)
+        return head, Roots(lambda n0, n1: [(*exact(p), p**u, (p + d) ** u) for p in span(n0, n1)], cap, v)
+    return head, Ratios(lambda n0, n1: [exact(p) for p in span(n0, n1)], cap)
 
 
 def phi_numeric(query: SeriesQuery) -> BigFloat:
     """Brute-force sum of Phi(s, a, z) with a guaranteed error bound."""
     ctx = context(query.precision_bits)
-    return tail_bounded_sum(ctx, _phi_factors(ctx, query.s, query.a, query.z), query.max_terms)[0]
+    return tail_bounded_sum(ctx, *_phi_factors(ctx, query.s, query.a, query.z), query.max_terms)[0]
 
 
 def phi_terms(query: SeriesQuery, count: int):
     """First ``count`` series terms as mpf values (diagnostic/monotonicity
-    aid): the factors multiplied by the ball rule, up to the first zero term."""
+    aid): the head times the run's factors by the ball rule, a root factor
+    as its ball, up to the first zero term."""
     ctx = context(query.precision_bits)
-    factors = (factor.ball(ctx) if isinstance(factor, Root) else factor if isinstance(factor, BigFloat) else Fraction(*factor) for factor, _ in per_term(_phi_factors(ctx, query.s, query.a, query.z)))
-    terms = itertools.accumulate(factors, lambda term, factor: factor * term)
+    head, run = _phi_factors(ctx, query.s, query.a, query.z)
+    leaves = run.leaves(1, count)
+    if isinstance(run, Roots):
+        factors = [rational_root(ctx, num, den, run.v) * Fraction(p, q) for p, q, num, den in leaves]
+    else:
+        factors = [Fraction(*leaf) for leaf in leaves]
+    terms = itertools.accumulate(factors, lambda term, factor: factor * term, initial=head)
     return [term.value for term in itertools.islice(itertools.takewhile(lambda term: term.value, terms), count)]
 
 

@@ -27,7 +27,6 @@ leaves every report as a fresh process gives it.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from functools import lru_cache
 
 from . import closedform, polyfam, series
 from .exact import PiExtValue
-from .floats import BigFloat, context, per_term, rational, rational_root
+from .floats import BigFloat, context, rational, rational_root
 from .hyper import PFQParams, central_binomial_reciprocal_seed, exact_gamma_ratio, gamma_ratio_shift, pfq_eval, piext_to_float, rational_power
 from .report import CheckReport, Tally, sci
 
@@ -195,8 +194,8 @@ def _euler_operator_point(tally, s: int, a: Fraction, z: Fraction, precision_bit
     truncation = phi_at(s - 3, z + h, precision_bits) * (2 * z * h * h / (3 * (z - h) ** 3)) * BigFloat(ctx.zero, precision_bits, ctx.one)
     tally.agree(fd + truncation, phi_at(s - 1, z))
 
-    ratios = zip(per_term(series._phi_factors(ctx, s, a, z)), per_term(series._phi_factors(ctx, s - 1, a, z)))
-    for n, ((f_s, _), (f_lowered, _)) in itertools.islice(enumerate(ratios), 1, 21):
+    (_, run), (_, lowered) = series._phi_factors(ctx, s, a, z), series._phi_factors(ctx, s - 1, a, z)
+    for n, f_s, f_lowered in zip(range(1, 21), run.leaves(1, 21), lowered.leaves(1, 21)):
         tally.exact(Fraction(*f_lowered) * (a + n - 1) == Fraction(*f_s) * (a + n))
 
 

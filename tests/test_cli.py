@@ -161,6 +161,17 @@ class TestEvalCommand:
         assert code == 0 and out.strip()
         assert time.perf_counter() - start < 2
 
+    def test_tiny_a_ends_fast(self, capsys):
+        # the seed's exact power (1/2)^(1 + a) at a = 10^-12 would take 10^12
+        # bits: it is refused at once, its exponent named; at a = 10^-7 it
+        # takes 10^7 bits and the evaluation ends
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", "phi", "--s", "2", "--a", "1/1000000000000", "--z", "1/2")
+        assert code == 1 and not out and "the exponent 1000000000001/1000000000000 " in err
+        assert time.perf_counter() - start < 1
+        code, out, _ = run_cli(capsys, "eval", "phi", "--s", "2", "--a", "1/10000000", "--z", "1/2")
+        assert code == 0 and out.strip()
+
     def test_prints_only_certified_digits(self, capsys):
         # the bound 1.7e-45 on 1.18e-30 certifies 14 significant digits
         code, out, _ = run_cli(capsys, "eval", "phi", "--s", "60", "--a", "3", "--z", "1/2", "--json")

@@ -19,24 +19,32 @@ from hlcbs.hyper import NoConvergence, PFQParams, pfq_eval
 from conftest import is_pair
 
 
-def as_pairs(factors, scale=1, cap_scale=1):
-    """The stream ``factors`` of (f_n, cap_n) as the kernel takes it: each
-    rational f_n, an int or a Fraction p/q in lowest terms, as the int pair
-    (scale p, scale q), and each cap likewise with ``cap_scale``; a ball and
-    a missing cap pass through."""
-    for factor, cap in factors:
-        if not isinstance(factor, BigFloat):
-            factor = F(factor)
-            factor = scale * factor.numerator, scale * factor.denominator
-        if cap is not None:
-            cap = F(cap)
-            cap = cap_scale * cap.numerator, cap_scale * cap.denominator
-        yield factor, cap
+def pair(x, scale=1):
+    """A rational x = p/q in lowest terms, an int or a Fraction, as the int
+    pair (scale p, scale q) the kernel takes."""
+    x = F(x)
+    return scale * x.numerator, scale * x.denominator
+
+
+def ratios(factors, ratio=0, cap=lambda n: None, scale=1, cap_scale=1):
+    """A :class:`~hlcbs.floats.Ratios` run of the rationals ``factors``,
+    f_1, f_2, ..., then ``ratio`` forever (0 ends a finite series), each as
+    :func:`pair` with ``scale``; cap_n is the rational ``cap(n)`` as a pair
+    with ``cap_scale``, or None."""
+
+    def leaves(n0, n1):
+        return [pair(factors[n - 1] if n <= len(factors) else ratio, scale) for n in range(n0, n1)]
+
+    def caps(n):
+        c = cap(n)
+        return None if c is None else pair(c, cap_scale)
+
+    return floats.Ratios(leaves, caps)
 
 
 def geometric(ratio):
-    """(f_n, cap_n) of sum ratio^n: t_0 = 1, every later factor the ratio, an exact cap."""
-    return as_pairs(itertools.chain([(1, ratio)], itertools.repeat((ratio, ratio))))
+    """(head, run) of sum ratio^n: t_0 = 1, every later factor the ratio, an exact cap."""
+    return pair(1), ratios([], ratio, lambda n: abs(ratio))
 
 
 def exact(x) -> F:
@@ -72,11 +80,11 @@ def to_mid(ctx, q):
 
 
 class TestTailBoundedSum:
-    def test_finished_iterator_has_no_tail(self):
+    def test_zero_factor_leaves_no_tail(self):
         ctx = context(64)
-        # terms 1/3, 2/3 and 1: each rounded factor and each rounded product adds a unit
-        factors = [(F(1, 3), None), (2, None), (F(3, 2), None)]
-        out, used = tail_bounded_sum(ctx, as_pairs(factors), 10)
+        # terms 1/3, 2/3 and 1, then a zero factor: each rounded factor and
+        # each rounded product adds a unit, and the tail is 0
+        out, used = tail_bounded_sum(ctx, pair(F(1, 3)), ratios([2, F(3, 2)]), 10)
         assert used == 3
         assert 0 < out.error_bound < ctx.ldexp(1, -ctx.prec + 4)
         assert contains(out, F(2))
@@ -90,64 +98,62 @@ class TestTailBoundedSum:
     def test_rounded_additions_are_in_the_bound(self):
         # exact terms 1 and 2^100, but their sum needs 101 bits, more than 64
         ctx = context(32)
-        out, _ = tail_bounded_sum(ctx, as_pairs([(1, None), (2**100, None)]), 10)
+        out, _ = tail_bounded_sum(ctx, pair(1), ratios([2**100]), 10)
         assert out.value == 2**100 and out.error_bound > 0
         assert contains(out, 2**100 + 1)
 
     def test_all_int_series_is_exact(self):
         # terms 1, 2, 6, 24: every product and partial sum fits, so the bound stays 0
-        out, used = tail_bounded_sum(context(64), as_pairs([(1, None), (2, None), (3, None), (4, None)]), 10)
+        out, used = tail_bounded_sum(context(64), pair(1), ratios([2, 3, 4]), 10)
         assert (out.value, out.error_bound, used) == (33, 0, 4)
 
     def test_zero_term_ends_the_series(self):
-        # an upper parameter reaching 0: nothing after the zero factor is read
-        factors = as_pairs([(5, None), (F(2, 3), None), (0, None), (7, None)])
-        out, used = tail_bounded_sum(context(64), factors, 10)
+        # an upper parameter reaching 0: no factor past the zero is summed
+        out, used = tail_bounded_sum(context(64), pair(5), ratios([F(2, 3), 0, 7], 3), 10)
         assert used == 2 and contains(out, F(5) + F(10, 3))
-        assert next(factors) == ((7, 1), None)
 
-    def test_empty_iterator(self):
+    def test_zero_head_is_an_empty_sum(self):
         ctx = context(64)
-        out, used = tail_bounded_sum(ctx, iter([]), 10)
-        assert (out.value, out.error_bound, used) == (0, 0, 0)
+        for head in (pair(0), rational(ctx, 0)):
+            out, used = tail_bounded_sum(ctx, head, ratios([], F(1, 2)), 10)
+            assert (out.value, out.error_bound, used) == (0, 0, 0)
 
     def test_geometric_series_contained(self):
         ctx = context(128)
-        out, used = tail_bounded_sum(ctx, geometric(F(1, 2)), 1000)
+        out, used = tail_bounded_sum(ctx, *geometric(F(1, 2)), 1000)
         assert contains(out, F(2))
         assert out.error_bound <= ctx.ldexp(1, -130)
         assert 130 < used < 145
 
     def test_ball_factor_at_the_edge_of_its_radius(self):
-        # the true ratio 1/3 sits on the edge of each factor's ball, 2^-70
-        # relative off its midpoint: far beyond the kernel's own roundings at
-        # 96 bits, so only the ball's units keep the exact sum 3/2 inside
+        # the true head 1/3 sits on the edge of its ball, 2^-70 relative off
+        # its midpoint: far beyond the kernel's own roundings at 96 bits, so
+        # only the ball's units keep the exact sum (1/3)/(1 - 1/3) = 1/2 inside
         precision = 64
         ctx = context(precision)
         mid = to_mid(ctx, F(1, 3) * (1 + F(1, 2**70)))
         edge = BigFloat(mid, precision, to_mid(ctx, (exact(mid) - F(1, 3)) * (1 + F(1, 2**40))))
         assert exact(edge.value) - exact(edge.error_bound) <= F(1, 3)
-        out, _ = tail_bounded_sum(ctx, as_pairs(itertools.chain([(1, F(1, 2))], itertools.repeat((edge, F(1, 2))))), 1000)
-        assert contains(out, F(3, 2))
+        out, _ = tail_bounded_sum(ctx, edge, ratios([], F(1, 3), lambda n: F(1, 2)), 1000)
+        assert contains(out, F(1, 2))
 
     def test_no_cap_never_stops_early(self):
         ctx = context(64)
-        factors = as_pairs(itertools.chain([(1, None)], itertools.repeat((F(1, 2), None), 49)))
-        out, used = tail_bounded_sum(ctx, factors, 100)
+        out, used = tail_bounded_sum(ctx, pair(1), ratios([F(1, 2)] * 49), 100)
         assert used == 50
         assert out.value == 2 - ctx.ldexp(1, -49)
 
     def test_budget_raises(self):
         ctx = context(64)
         with pytest.raises(BudgetExceeded):
-            tail_bounded_sum(ctx, geometric(F(1, 2)), 5)
+            tail_bounded_sum(ctx, *geometric(F(1, 2)), 5)
 
     def test_budget_met_on_last_allowed_term(self):
         ctx = context(64)
-        _, used = tail_bounded_sum(ctx, geometric(F(1, 2)), 1000)
-        assert tail_bounded_sum(ctx, geometric(F(1, 2)), used)[1] == used
+        _, used = tail_bounded_sum(ctx, *geometric(F(1, 2)), 1000)
+        assert tail_bounded_sum(ctx, *geometric(F(1, 2)), used)[1] == used
         with pytest.raises(BudgetExceeded):
-            tail_bounded_sum(ctx, geometric(F(1, 2)), used - 1)
+            tail_bounded_sum(ctx, *geometric(F(1, 2)), used - 1)
 
     def test_fold_counts_each_rounding(self):
         ctx = context(64)
@@ -168,7 +174,7 @@ class TestTailBoundedSum:
         # target once 1024^-n falls below 2^-98, with no slack pushing rho to 1
         ctx = context(64)
         cap = 1 - F(1, 2**26)
-        out, used = tail_bounded_sum(ctx, as_pairs(itertools.chain([(1, cap)], itertools.repeat((F(1, 1024), cap)))), 1000)
+        out, used = tail_bounded_sum(ctx, pair(1), ratios([], F(1, 1024), lambda n: cap), 1000)
         assert used <= 20
         assert contains(out, F(1024, 1023))
 
@@ -192,14 +198,14 @@ class TestTailBoundedSum:
         # a few 30-bit roundings; a sum|t| rounded up at 30 bits would gain an
         # ulp, 2^-29 of it, at every term
         ctx = context(64)
-        out, used = tail_bounded_sum(ctx, as_pairs(itertools.chain([(F(1, 3), None)], itertools.repeat((F(1, 2), None), 499))), 1000)
+        out, used = tail_bounded_sum(ctx, pair(F(1, 3)), ratios([F(1, 2)] * 499), 1000)
         assert used == 500 and contains(out, F(2, 3) * (1 - F(1, 2**500)))
         assert exact(out.error_bound) <= 999 * F(1, 2**ctx.prec) * F(2, 3) * (1 + F(1, 2**24))
 
     def test_radii_swamping_the_sum_raise(self):
         ctx = context(64)
         with pytest.raises(NoConvergence):
-            tail_bounded_sum(ctx, as_pairs([(BigFloat(ctx.mpf(1), 64, ctx.mpf(2)), None)]), 10)
+            tail_bounded_sum(ctx, BigFloat(ctx.mpf(1), 64, ctx.mpf(2)), ratios([]), 10)
 
     def test_pfq_budget_raises_no_convergence(self, monkeypatch):
         monkeypatch.setattr(hyper, "_MAX_PFQ_TERMS", 5)
@@ -418,32 +424,22 @@ class TestBallRule:
             rational(ctx, 1) / BigFloat(ctx.mpf(1), 64, ctx.mpf(2))
 
 
-def stream(ctx, head, ratio, read, scale=1, cap_scale=1):
-    """(f_n, cap_n) as :func:`as_pairs` gives them, with its ``scale`` and
-    ``cap_scale``: the ``head`` entries (value, is_ball), a ball entry as
-    :func:`rational`'s ball, then ``ratio`` forever.  cap_n is the largest
-    |f_m| after n, so every cap holds.  Appends to ``read`` per factor read."""
-    caps, cap = [], abs(ratio)
-    for value, _ in reversed(head):
-        caps.append(cap)
-        cap = max(cap, abs(value))
-
-    def fractions():
-        for (value, is_ball), cap in zip(head, reversed(caps)):
-            read.append(value)
-            yield (rational(ctx, value) if is_ball else value), cap
-        while True:
-            read.append(ratio)
-            yield ratio, abs(ratio)
-
-    return as_pairs(fractions(), scale, cap_scale)
+def stream(ctx, head, ratio, ball=False, scale=1, cap_scale=1):
+    """(t_0, run) of the series whose factors are the rationals ``head``,
+    then ``ratio`` forever: t_0 the first of them (``ratio`` if there is
+    none), :func:`rational`'s ball when ``ball`` and else a :func:`pair`
+    with ``scale``, and the rest a :func:`ratios` run whose cap_n is the
+    largest |f_m| after n, so every cap holds."""
+    first, *rest = head or [ratio]
+    t0 = rational(ctx, first) if ball else pair(first, scale)
+    return t0, ratios(rest, ratio, lambda n: max(map(abs, [ratio, *rest[n:]])), scale, cap_scale)
 
 
 def exact_sum(head, ratio) -> F:
     """The series' sum in Fractions: the head's terms up to a zero factor,
     or all of them plus the geometric tail t_{L-1} r/(1-r)."""
     total, term = F(0), F(1)
-    for value, _ in head:
+    for value in head:
         if not value:
             return total
         term *= value
@@ -451,85 +447,82 @@ def exact_sum(head, ratio) -> F:
     return total + term * ratio / (1 - ratio)
 
 
-def per_term_used(ctx, factors) -> int:
-    """The terms a per-term loop uses: t_n = f_n t_{n-1} by the ball rule,
-    summed at the working precision, up to the first t_n whose tail bound
-    |t_n| rho/(1-rho), rounded up at 30 bits as the kernel's, is at most
-    2^-stop max(|sum|, 1), or every term before a zero term or the end."""
-    stop, total, term, used = ctx.prec - GUARD_BITS + 8, ctx.mpf(0), rational(ctx, 1), 0
-    for factor, cap in factors:
-        cap = cap and F(*cap)
+def per_term_used(ctx, head, run) -> int:
+    """The terms a per-term loop uses: t_0 = head and t_n = f_n t_{n-1} by
+    the ball rule, the run read one leaf at a time, summed at the working
+    precision, up to the first t_n whose tail bound |t_n| rho/(1-rho),
+    rounded up at 30 bits as the kernel's, is at most 2^-stop max(|sum|, 1),
+    or every term before a zero term."""
+    stop, total, term = ctx.prec - GUARD_BITS + 8, ctx.mpf(0), rational(ctx, 1)
+    for n in itertools.count():
+        factor = run.leaves(n, n + 1)[0] if n else head
         term = (factor if isinstance(factor, BigFloat) else F(*factor)) * term
         if not term.value:
-            break
-        used += 1
+            return n
         total += term.value
-        if cap is not None and cap < 1:
+        cap = run.cap(n) if n else None
+        if cap is not None and F(*cap) < 1:
+            cap = F(*cap)
             odds = from_rational(cap.numerator, cap.denominator - cap.numerator, 30, "u")
             bound = ctx.make_mpf(mpf_mul(mpf_abs(term.value._mpf_), odds, 30, "u"))
             if exact(bound) * 2**stop <= max(abs(exact(total)), 1):
-                return used
-    return used
+                return n + 1
 
 
-HEAD = st.lists(
-    st.one_of(
-        st.tuples(st.integers(-9, 9).filter(bool), st.just(False)),  # exact ints of both signs
-        st.tuples(st.fractions(-4, 4, max_denominator=2**100).filter(bool), st.just(False)),  # large Fractions
-        st.tuples(st.fractions(-4, 4, max_denominator=10**6).filter(bool), st.just(True)),  # balls between blocks
-    ),
-    max_size=40,
-)
+# exact ints of both signs, and large Fractions
+HEAD = st.lists(st.integers(-9, 9).filter(bool) | st.fractions(-4, 4, max_denominator=2**100).filter(bool), max_size=40)
 
 
 class TestSplitKernel:
-    """Runs of rational factors are summed by binary splitting: every stream's
-    ball holds its exact sum in Fractions.  The tail test runs on each block's
-    last term, so a sum stops at the first block end that passes it: never
-    before a per-term loop would, and past it when a block runs on beyond
-    the first passing term."""
+    """Runs of rational factors are summed by binary splitting: every
+    series' ball holds its exact sum in Fractions.  The tail test runs on
+    each block's last term, so a sum stops at the first block end that
+    passes it: never before a per-term loop would, and past it when a block
+    runs on beyond the first passing term."""
 
     @BALLS
     @given(
         head=HEAD,
         ratio=st.fractions(F(-1, 2), F(1, 2), max_denominator=1000),
         zero=st.none() | st.integers(0, 40),
+        ball=st.booleans(),
         precision=st.sampled_from([32, 64, 128, 2048]),
     )
     # the sum grows by less than the whole tail that a block end's
     # prediction allows for, so the predicted end falls a term short
-    @example(head=[(1, False)], ratio=F(1, 2), zero=None, precision=32)
-    @example(head=[(3, False), (F(9), True)], ratio=F(-1, 16), zero=None, precision=32)
+    @example(head=[1], ratio=F(1, 2), zero=None, ball=False, precision=32)
+    @example(head=[3, F(9)], ratio=F(-1, 16), zero=None, ball=True, precision=32)
     # one block, ended by the zero factor: its rounding is the only one
-    @example(head=[(F(1, 3), False), (F(-1, 5), False)], ratio=F(1, 2), zero=2, precision=64)
+    @example(head=[F(1, 3), F(-1, 5)], ratio=F(1, 2), zero=2, ball=False, precision=64)
     # power-of-two ratios: the tail test meets a tie where the per-term loop stops
-    @example(head=[(1, False)], ratio=F(1, 16), zero=None, precision=64)
-    @example(head=[(3, False)], ratio=F(1, 256), zero=None, precision=128)
-    @example(head=[(F(-7, 5), False)], ratio=F(1, 1024), zero=None, precision=32)
-    def test_streams_contain_their_exact_sum(self, head, ratio, zero, precision):
+    @example(head=[1], ratio=F(1, 16), zero=None, ball=False, precision=64)
+    @example(head=[3], ratio=F(1, 256), zero=None, ball=False, precision=128)
+    @example(head=[F(-7, 5)], ratio=F(1, 1024), zero=None, ball=False, precision=32)
+    def test_streams_contain_their_exact_sum(self, head, ratio, zero, ball, precision):
         if zero is not None and zero <= len(head):
-            head = head[:zero] + [(0, False)] + head[zero:]
-        ctx, read = context(precision), []
-        out, used = tail_bounded_sum(ctx, stream(ctx, head, ratio, read), 10**6)
+            head = head[:zero] + [0] + head[zero:]
+        ctx = context(precision)
+        out, used = tail_bounded_sum(ctx, *stream(ctx, head, ratio, ball), 10**6)
         assert contains(out, exact_sum(head, ratio))
-        assert used >= per_term_used(ctx, stream(ctx, head, ratio, []))
+        assert used >= per_term_used(ctx, *stream(ctx, head, ratio, ball))
         if zero is not None and zero <= len(head):
-            assert len(read) <= zero + 1  # nothing past the zero factor is read
+            assert used <= zero  # no term from the zero factor on is summed
 
     @BALLS
     @given(
         head=HEAD,
         ratio=st.fractions(F(-1, 2), F(1, 2), max_denominator=1000),
+        ball=st.booleans(),
         precision=st.sampled_from([32, 64, 128, 2048]),
         scale=st.integers(1, 2**70),
         sign=st.sampled_from([1, -1]),
         cap_scale=st.integers(1, 2**70),
         max_terms=st.sampled_from([1, 5, 40, 10**6]),
     )
-    @example(head=[(F(-1, 3), False), (F(2, 5), False)], ratio=F(1, 4), precision=32, scale=6, sign=-1, cap_scale=10, max_terms=10**6)
+    @example(head=[F(-1, 3), F(2, 5)], ratio=F(1, 4), ball=False, precision=32, scale=6, sign=-1, cap_scale=10, max_terms=10**6)
     # (-1, -4): a block's Q is a power of two only once its sign is moved
-    @example(head=[], ratio=F(1, 4), precision=64, scale=1, sign=-1, cap_scale=1, max_terms=10**6)
-    def test_scaled_pairs_sum_bit_for_bit(self, head, ratio, precision, scale, sign, cap_scale, max_terms):
+    @example(head=[], ratio=F(1, 4), ball=False, precision=64, scale=1, sign=-1, cap_scale=1, max_terms=10**6)
+    def test_scaled_pairs_sum_bit_for_bit(self, head, ratio, ball, precision, scale, sign, cap_scale, max_terms):
         # the kernel brings each factor to lowest terms with q > 0 as a
         # Fraction keeps it, and each cap where it reads it, so (k p, k q),
         # (-p, -q) and scaled caps give the same ball, terms and errors
@@ -537,7 +530,7 @@ class TestSplitKernel:
 
         def summed(scale, cap_scale):
             try:
-                out, used = tail_bounded_sum(ctx, stream(ctx, head, ratio, [], scale, cap_scale), max_terms)
+                out, used = tail_bounded_sum(ctx, *stream(ctx, head, ratio, ball, scale, cap_scale), max_terms)
             except BudgetExceeded:
                 return "BudgetExceeded"
             return out.value._mpf_, out.error_bound._mpf_, used
@@ -564,13 +557,11 @@ class TestSplitKernel:
         # stop p is within it, even where the unbudgeted sum stops past p
         ctx = context(precision)
 
-        def factors():
-            return as_pairs(itertools.chain([(head, ratio)], itertools.repeat((ratio, ratio))))
-
-        p = per_term_used(ctx, factors())
-        assert tail_bounded_sum(ctx, factors(), p)[1] == p
+        parts = pair(head), ratios([], ratio, lambda n: ratio)
+        p = per_term_used(ctx, *parts)
+        assert tail_bounded_sum(ctx, *parts, p)[1] == p
         with pytest.raises(BudgetExceeded):
-            tail_bounded_sum(ctx, factors(), p - 1)
+            tail_bounded_sum(ctx, *parts, p - 1)
 
     @pytest.mark.parametrize("z", [F(9, 10), F(81, 100)])
     def test_long_sum_contains_mpmath(self, z):
@@ -598,9 +589,9 @@ def _lower():
 
 @st.composite
 def run_streams(draw):
-    """(ctx, make, max_terms): ``make()`` is a fresh stream that ends in a
-    run item, a pFq series' or the integer-s oracle's, at a precision of
-    32-4096 bits."""
+    """(ctx, make, max_terms): ``make()`` is a fresh (head, run) of a pFq
+    series or of the oracle at integer s, whose run is a
+    :class:`~hlcbs.floats.Ratios`, at a precision of 32-4096 bits."""
     ctx = context(draw(st.sampled_from([32, 53, 128, 300, 1024, 4096])))
     if draw(st.booleans()):
         lower = draw(st.lists(_lower(), min_size=1, max_size=2))
@@ -613,27 +604,31 @@ def run_streams(draw):
     return ctx, lambda: series._phi_factors(ctx, query.s, query.a, query.z), query.max_terms
 
 
-def counted(factors, tally):
-    """``factors`` with its run item's calls counted in ``tally``: the
-    caps read, and the leaves made."""
-    for item in factors:
-        if isinstance(item, floats.Ratios):
+def counted(parts, tally):
+    """(head, run) with the run's calls counted in ``tally``: the caps read,
+    and the leaves made."""
+    head, run = parts
 
-            def leaves(n0, n1, make=item.leaves):
-                tally["leaves"] += n1 - n0
-                return make(n0, n1)
+    def leaves(n0, n1):
+        tally["leaves"] += n1 - n0
+        return run.leaves(n0, n1)
 
-            def cap(n, read=item.cap):
-                tally["caps"] += 1
-                return read(n)
+    def cap(n):
+        tally["caps"] += 1
+        return run.cap(n)
 
-            item = floats.Ratios(leaves, cap)
-        yield item
+    return head, floats.Ratios(leaves, cap)
+
+
+def one_leaf_a_call(run):
+    """``run`` handing out one leaf per call, however many are asked for:
+    the kernel asks again from where the list ends."""
+    return run._replace(leaves=lambda n0, n1: run.leaves(n0, n0 + 1))
 
 
 class TestRunItems:
-    """A stream that ends in a :class:`~hlcbs.floats.Ratios` run item sums bit
-    for bit as the same factors and caps given one pair at a time."""
+    """A :class:`~hlcbs.floats.Ratios` run sums bit for bit whatever chunks
+    its leaves come in: its block cuts and stops do not depend on them."""
 
     @BALLS
     @given(case=run_streams())
@@ -641,22 +636,22 @@ class TestRunItems:
     @example(case=(context(128), lambda: hyper._pfq_factors(PFQParams((F(-5, 2), F(-7)), (F(-7, 2),), F(-1, 3))), hyper._MAX_PFQ_TERMS))
     # negative a and s at 4096 bits: thousands of leaves in chunks
     @example(case=(context(4096), lambda: series._phi_factors(context(4096), F(-3), F(-5, 4), F(3, 4)), series.DEFAULT_MAX_TERMS))
-    def test_a_run_sums_as_its_pairs(self, case):
+    def test_a_run_sums_alike_in_any_chunks(self, case):
         ctx, make, max_terms = case
 
-        def summed(factors, max_terms):
+        def summed(head, run, max_terms):
             try:
-                out, used = tail_bounded_sum(ctx, factors, max_terms)
+                out, used = tail_bounded_sum(ctx, head, run, max_terms)
             except BudgetExceeded:
                 return "BudgetExceeded"
             return out.value._mpf_, out.error_bound._mpf_, used
 
         head, run = make()
-        assert is_pair(head[0]) or isinstance(head[0], BigFloat)
+        assert is_pair(head) or isinstance(head, BigFloat)
         assert isinstance(run, floats.Ratios)
-        whole = summed(make(), max_terms)
-        assert whole != "BudgetExceeded" and whole == summed(floats.per_term(make()), max_terms)
-        assert summed(make(), whole[2] - 1) == summed(floats.per_term(make()), whole[2] - 1)
+        whole = summed(head, run, max_terms)
+        assert whole != "BudgetExceeded" and whole == summed(head, one_leaf_a_call(run), max_terms)
+        assert summed(head, run, whole[2] - 1) == summed(head, one_leaf_a_call(run), whole[2] - 1)
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(case=run_streams())
@@ -671,7 +666,7 @@ class TestRunItems:
             return fold(*args)
 
         with mock.patch.object(floats, "_block", block):
-            _, used = tail_bounded_sum(ctx, counted(make(), tally), max_terms)
+            _, used = tail_bounded_sum(ctx, *counted(make(), tally), max_terms)
         assert tally["caps"] <= tally["blocks"] + 1
         assert tally["leaves"] - used <= floats._CHUNK
 
@@ -687,7 +682,7 @@ class TestRunItems:
         # these sums stop in a block whose end was predicted, and no chunk
         # runs past a prediction, so no leaf is made past the last term read
         tally = {"caps": 0, "leaves": 0}
-        _, used = tail_bounded_sum(context(precision), counted(make(), tally), 10**4)
+        _, used = tail_bounded_sum(context(precision), *counted(make(), tally), 10**4)
         assert 0 < tally["leaves"] <= used
 
 
@@ -757,18 +752,18 @@ class TestRootSteps:
 
 
 def root_run(head, p, q, c, d, v, zero_at=None):
-    """A stream of the head pair and a :class:`~hlcbs.floats.Roots` run whose
-    every factor is (p/q) ((c/d)^v)^(1/v) = (p/q)(c/d), rational, with the
-    exact cap p c/(q d), and a zero factor at index ``zero_at``."""
+    """(head, run): the head as a pair, and a :class:`~hlcbs.floats.Roots`
+    run whose every factor is (p/q) ((c/d)^v)^(1/v) = (p/q)(c/d), rational,
+    with the exact cap p c/(q d), and a zero factor at index ``zero_at``."""
 
     def leaves(n0, n1):
         return [(0 if n == zero_at else p, q, c**v, d**v) for n in range(n0, n1)]
 
-    return [((head.numerator, head.denominator), None), floats.Roots(leaves, lambda n: (p * c, q * d), v)]
+    return pair(head), floats.Roots(leaves, lambda n: (p * c, q * d), v)
 
 
 class TestRootRuns:
-    """A Roots run item is summed in one int loop and folded once: its ball
+    """A Roots run is summed in one int loop and folded once: its ball
     holds the exact sum, and it keeps the kernel's rules on zero factors,
     the budget and the stop."""
 
@@ -788,21 +783,22 @@ class TestRootRuns:
         # the head over 1 - f
         p, q, d = ratio.numerator, ratio.denominator, c + extra
         f = ratio * F(c, d)
-        out, used = tail_bounded_sum(context(precision), root_run(head, p, q, c, d, v, zero_at), 10**4)
+        out, used = tail_bounded_sum(context(precision), *root_run(head, p, q, c, d, v, zero_at), 10**4)
         want = head * (1 - f**zero_at) / (1 - f) if zero_at else head / (1 - f)
         assert contains(out, want)
         assert zero_at is None or used <= zero_at
         assert exact(out.error_bound) <= max(abs(want), 1) * F(2) ** -precision
 
     def test_budget_raises(self):
-        stream = root_run(F(1), 1, 2, 1, 2, 2)
-        assert tail_bounded_sum(context(64), stream, 40)[1] < 40
+        parts = root_run(F(1), 1, 2, 1, 2, 2)
+        assert tail_bounded_sum(context(64), *parts, 40)[1] < 40
         with pytest.raises(BudgetExceeded):
-            tail_bounded_sum(context(64), root_run(F(1), 1, 2, 1, 2, 2), 5)
+            tail_bounded_sum(context(64), *parts, 5)
 
     def test_stops_where_a_per_term_loop_stops(self):
         # the stop is tested on every term, as per_term_used's loop tests it
         for precision, (p, q, c, d) in itertools.product([32, 128, 512], [(1, 2, 1, 2), (9, 10, 7, 8), (1, 5, 1, 3)]):
             ctx = context(precision)
-            _, used = tail_bounded_sum(ctx, root_run(F(1), p, q, c, d, 2), 10**4)
-            assert used == per_term_used(ctx, as_pairs(itertools.chain([(1, None)], itertools.repeat((F(p * c, q * d), F(p * c, q * d))))))
+            _, used = tail_bounded_sum(ctx, *root_run(F(1), p, q, c, d, 2), 10**4)
+            f = F(p * c, q * d)
+            assert used == per_term_used(ctx, pair(1), ratios([], f, lambda n: f))

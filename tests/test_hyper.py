@@ -134,9 +134,9 @@ class TestPFQFactors:
                 t /= pochhammer(l, n)
             return t
 
-        (head, head_cap), run = _pfq_factors(PFQParams(upper, lower, z))  # f_0, then the run item
+        head, run = _pfq_factors(PFQParams(upper, lower, z))  # t_0, then the run; the head has no cap
         assert isinstance(run, Ratios)
-        pairs, caps = [head, *run.leaves(1, 40)], [head_cap, *map(run.cap, range(1, 40))]
+        pairs, caps = [head, *run.leaves(1, 40)], [None, *map(run.cap, range(1, 40))]
         assert all(is_pair(f) for f in pairs) and all(cap is None or is_pair(cap) for cap in caps)
         factors, caps = [F(*f) for f in pairs], [cap and F(*cap) for cap in caps]
         assert factors[0] == 1
@@ -146,9 +146,9 @@ class TestPFQFactors:
         assert all(cap is None or all(abs(f) <= cap for f in live[n + 1 :]) for n, cap in enumerate(caps))
 
     def test_caps_start_at_n_safe(self):
-        (_, head_cap), run = _pfq_factors(PFQParams((F(-5, 2), 1), (F(-7, 2),), F(1, 3)))
-        caps = [head_cap, *map(run.cap, range(1, 8))]
-        assert caps[:5] == [None] * 5 and None not in caps[5:]
+        _, run = _pfq_factors(PFQParams((F(-5, 2), 1), (F(-7, 2),), F(1, 3)))
+        caps = [run.cap(n) for n in range(1, 8)]  # n_safe = 5
+        assert caps[:4] == [None] * 4 and None not in caps[4:]
 
     def test_exact_terms_keep_bound_zero(self):
         # a zero upper parameter leaves t_0 = 1 alone; z = 0 likewise
@@ -387,6 +387,18 @@ class TestSplitAtFloor:
         # rational_root's proven bound, 1 unit at every v, or 1 unit rounded
         # up at 30 bits for q^e rounded once at integer e; 0^e is exact
         assert got.error_bound <= work.ldexp(abs(got.value), -work.prec) * (1 + work.ldexp(1, -29))
+
+    def test_rational_power_refuses_a_wide_exact_power(self, monkeypatch):
+        # |u| (b - 1) bits against the limit: at 100 bits, (3/4)^(50/7) is
+        # formed and (3/4)^(51/7) refused; at 2^27, 2^27 + 1 bits are refused
+        # at once, the exponent named
+        monkeypatch.setattr(hyper, "_POWER_BITS", 100)
+        assert rational_power(context(64), F(3, 4), F(50, 7)).value > 0
+        with pytest.raises(DomainError, match="the exponent 51/7 "):
+            rational_power(context(64), F(3, 4), F(51, 7))
+        monkeypatch.undo()
+        with pytest.raises(DomainError, match=f"the exponent {2**27 + 1}/{2**27} "):
+            rational_power(context(64), F(1, 2), F(2**27 + 1, 2**27))
 
     @pytest.mark.parametrize("e", [F(1, 2), F(2000, 3), F(-7, 3), F(5)])
     def test_rational_power_of_one_is_exact(self, e):

@@ -2,9 +2,9 @@
 
 ``data/kernel_bits.json`` holds, for each sum below, ``repr`` of its
 midpoint and radius and the terms it used, or the name of the exception it
-raised.  A change to how factors reach :func:`hlcbs.floats.tail_bounded_sum`
-that keeps every leaf, block cut and stop leaves each record unchanged to
-the bit.  Re-record with ``PYTHONPATH=src python tests/test_kernel_bits.py``
+raised.  A change to how a series' head and run reach
+:func:`hlcbs.floats.tail_bounded_sum` that keeps every leaf, block cut and
+stop leaves each record unchanged to the bit.  Re-record with ``PYTHONPATH=src python tests/test_kernel_bits.py``
 only for a change meant to move a stop or a radius, and say which moved.
 """
 
@@ -73,13 +73,13 @@ def run_case(case):
         _, s, a, z, precision, *budget = case
         query = series.SeriesQuery(s, a, z, precision)
         ctx = context(precision)
-        factors, max_terms = series._phi_factors(ctx, query.s, query.a, query.z), budget[0] if budget else query.max_terms
+        (head, run), max_terms = series._phi_factors(ctx, query.s, query.a, query.z), budget[0] if budget else query.max_terms
     else:
         _, upper, lower, z, precision = case
         ctx = context(precision)
-        factors, max_terms = hyper._pfq_factors(hyper.PFQParams(upper, lower, z)), hyper._MAX_PFQ_TERMS
+        (head, run), max_terms = hyper._pfq_factors(hyper.PFQParams(upper, lower, z)), hyper._MAX_PFQ_TERMS
     try:
-        ball, terms = tail_bounded_sum(ctx, factors, max_terms)
+        ball, terms = tail_bounded_sum(ctx, head, run, max_terms)
     except BudgetExceeded as error:
         return ["raises", type(error).__name__]
     return [repr(ball.value), repr(ball.error_bound), terms]

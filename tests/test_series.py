@@ -1,7 +1,6 @@
 """Brute-force series oracle: domain checks, known values, honest bounds,
 and the two verify checks on the series itself."""
 
-import itertools
 import math
 from fractions import Fraction as F
 from unittest import mock
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from hlcbs import floats, series
 from hlcbs.exact import DomainError
-from hlcbs.floats import BigFloat, Ratios, Root, Roots, context, per_term
+from hlcbs.floats import BigFloat, Ratios, Roots, context
 from hlcbs.hyper import gamma_ratio_shift
 from hlcbs.report import Tally
 from hlcbs.series import (
@@ -175,11 +174,11 @@ class TestOracleFactors:
             nu = n + a
             return (2 * z) ** (2 * nu) / math.comb(2 * nu, nu) / F(nu) ** s
 
-        first, run = _phi_factors(context(128), F(s), F(a), z)  # the head, then the run item
+        head, run = _phi_factors(context(128), F(s), F(a), z)
         assert isinstance(run, Ratios)
         rest = list(zip(run.leaves(1, 31), map(run.cap, range(1, 31))))
         lead = ctx.mpf(term(0).numerator) / term(0).denominator
-        assert isinstance(first[0], BigFloat) and abs(first[0].value - lead) <= first[0].error_bound
+        assert isinstance(head, BigFloat) and abs(head.value - lead) <= head.error_bound
         for n, (factor, cap) in enumerate(rest):  # factor n + 1 is T_{n+1}/T_n
             assert is_pair(factor) and F(*factor) == term(n + 1) / term(n)
             assert cap is None or is_pair(cap)
@@ -187,10 +186,11 @@ class TestOracleFactors:
 
     @pytest.mark.parametrize("s", [F(-5, 2), F(-1, 3), F(3, 2), F(7, 3)])
     def test_non_integer_s_factors_are_balls_with_rational_caps(self, s, ctx):
-        # after the first term one Roots run item, whose factors, spelled
-        # out by per_term, are Roots whose balls hold the ratio: the exact
-        # part r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) apart from the
-        # root of (nu/(nu+1))^u, whose integers do not grow with v
+        # after the head one Roots run, whose leaves (p, q, num, den) make
+        # balls rational_root(num, den, v) p/q, as phi_terms forms them,
+        # that hold the ratio: the exact part
+        # p/q = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) apart from the
+        # root of num/den = (nu/(nu+1))^u, whose integers do not grow with v
         a, z = F(5, 4), F(1, 2)
         u, v = (s - math.floor(s)).numerator, s.denominator  # a = 5/4: nu = (5 + 4n)/4 in lowest terms
 
@@ -203,13 +203,12 @@ class TestOracleFactors:
 
         _, run = _phi_factors(context(128), s, a, z)
         assert isinstance(run, Roots) and run.v == v
-        _, *rest = itertools.islice(per_term(_phi_factors(context(128), s, a, z)), 31)
-        for n, (factor, cap) in enumerate(rest):
+        rest = list(zip(run.leaves(1, 31), map(run.cap, range(1, 31))))
+        for n, ((p, q, num, den), cap) in enumerate(rest):
             nu = a + n
-            assert isinstance(factor, Root) and factor.v == v
-            assert F(factor.p, factor.q) == 2 * z * z * (nu + 1) / (2 * nu + 1) * (nu / (nu + 1)) ** math.floor(s)
-            assert (factor.num, factor.den) == (nu.numerator**u, (nu + 1).numerator ** u)
-            ball = factor.ball(context(128))
+            assert F(p, q) == 2 * z * z * (nu + 1) / (2 * nu + 1) * (nu / (nu + 1)) ** math.floor(s)
+            assert (num, den) == (nu.numerator**u, (nu + 1).numerator ** u)
+            ball = floats.rational_root(context(128), num, den, v) * F(p, q)
             assert abs(ball.value - ratio(nu)) <= ball.error_bound
             assert cap is None or is_pair(cap)
         # the caps, Bernoulli's at s < 0, bound the exact ratios
@@ -218,20 +217,21 @@ class TestOracleFactors:
     @pytest.mark.parametrize("s", [F(-5, 2), F(1, 2), F(5, 2)])
     @pytest.mark.parametrize("precision", [32, 2048])
     def test_half_integer_s_ratios_are_isqrt_brackets(self, s, precision):
-        # each ratio, read through per_term, is r sqrt(nu/(nu+1)) with
+        # each ratio, a leaf of the Roots run, is r sqrt(nu/(nu+1)) with
         # r = 2z^2 (nu+1)/(2nu+1) (nu/(nu+1))^floor(s) in the definition's
         # integers, and the root, proved at any precision P, is bit for bit
         # the isqrt bracket (y + 1/2) 2^-k with radius 2^-(k+1),
         # y = isqrt(floor(num 4^k / den))
         a, z, whole = F(3, 2), F(9, 10), math.floor(s)
         ctx = context(precision)
-        _, *rest = itertools.islice(per_term(_phi_factors(ctx, s, a, z)), 31)
-        for n, (factor, _) in enumerate(rest):
+        _, run = _phi_factors(ctx, s, a, z)
+        assert run.v == 2
+        for n, leaf in enumerate(run.leaves(1, 31)):
             p, d, two_z_sq = a.numerator + n * a.denominator, a.denominator, 2 * z * z
             rise, fall = (p, p + d) if whole >= 0 else (p + d, p)
             r_num = two_z_sq.numerator * (p + d) * rise ** abs(whole)
             r_den = two_z_sq.denominator * (2 * p + d) * fall ** abs(whole)
-            assert factor == Root(r_num, r_den, p, p + d, 2)
+            assert leaf == (r_num, r_den, p, p + d)
             for work in (context(32), ctx):
                 k = (2 * work.prec + (p + d).bit_length() - p.bit_length()) // 2
                 y = math.isqrt((p << 2 * k) // (p + d) if k >= 0 else p // ((p + d) << -2 * k))
@@ -399,6 +399,34 @@ class TestBuiltInChecks:
     @pytest.mark.parametrize("point", _DIFF_POINTS, ids=lambda p: f"s={p[0]},a={p[1]},z={p[2]}")
     def test_euler_operator_sees_a_fault_near_two_thirds_precision(self, monkeypatch, precision, point):
         assert_fault_edge(monkeypatch, precision, point)
+
+    @pytest.mark.parametrize("point", _DIFF_POINTS, ids=lambda p: f"s={p[0]},a={p[1]},z={p[2]}")
+    def test_euler_operator_sees_one_wrong_ratio(self, monkeypatch, point):
+        # leaf 7 of the s-stream at the point's own z takes rise^(power + 1)
+        # for rise^power: one exact comparison fails, and the sums, which read
+        # the s-stream only at z +- h, still agree
+        s, a, z = point
+        factors = series._phi_factors
+
+        def faulty(ctx, s_at, a_at, z_at):
+            head, run = factors(ctx, s_at, a_at, z_at)
+            if (s_at, z_at) != (s, z):
+                return head, run
+
+            def leaves(n0, n1):
+                out = run.leaves(n0, n1)
+                if n0 <= 7 < n1:  # factor 7 is the ratio at nu = a + 6 = p/d
+                    p, d = a.numerator + 6 * a.denominator, a.denominator
+                    num, den = out[7 - n0]
+                    out[7 - n0] = num * (p if s >= 0 else p + d), den
+                return out
+
+            return head, run._replace(leaves=leaves)
+
+        monkeypatch.setattr(series, "_phi_factors", faulty)
+        tally = Tally()
+        _euler_operator_point(tally, s, a, z, 128)
+        assert (tally.exact_failures, tally.numeric_failures, tally.comparisons) == (1, 0, 21)
 
     def test_euler_operator_fault_edge_after_a_full_pass(self, monkeypatch):
         # diff_relation sums its own points, past the verify oracle's memo,
