@@ -461,8 +461,8 @@ def per_term_used(ctx, head, run) -> int:
             return n
         total += term.value
         cap = run.cap(n) if n else None
-        if cap is not None and F(*cap) < 1:
-            cap = F(*cap)
+        cap = cap and F(*cap)
+        if cap is not None and cap < 1:
             odds = from_rational(cap.numerator, cap.denominator - cap.numerator, 30, "u")
             bound = ctx.make_mpf(mpf_mul(mpf_abs(term.value._mpf_), odds, 30, "u"))
             if exact(bound) * 2**stop <= max(abs(exact(total)), 1):
